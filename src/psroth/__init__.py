@@ -44,8 +44,6 @@ from .sieve import (
     vaughan_coefficients,
 )
 from .zn_fourier import (
-    CyclicFunction,
-    CyclicTransform,
     convolve,
     dft,
     fourier_on_grid,

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
 
@@ -252,6 +251,7 @@ def eval_h_quadrature(spec, x, epsabs=1e-12, epsrel=1e-12):
     Independent of the closed forms above (adaptive Gauss-Kronrod on
     vtheta(t)/t), so it doubles as the oracle for eval_h in tests.
     """
+    from scipy.integrate import quad
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     _check_hdomain(spec, xs)

@@ -208,7 +208,7 @@ def spectrum_and_bohr(a, delta, epsilon, chunk=1 << 16):
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
     weights = a.weights if isinstance(a, WeightedSequence) else np.asarray(a)
-    F = zn_fourier.dft(weights.astype(complex)).values
+    F = zn_fourier.dft(weights.astype(complex))
     N = weights.size
     freqs = np.flatnonzero(np.abs(F) >= delta).astype(np.int64)
     bohr = bohr_set(freqs, N, epsilon, chunk=chunk)
@@ -234,7 +234,7 @@ def smooth(a, report):
         raise ValueError("length mismatch")
     beta = bohr_indicator(report)
     step = zn_fourier.convolve(weights.astype(complex), beta.weights.astype(complex))
-    out = zn_fourier.convolve(step, beta.weights.astype(complex)).values.real
+    out = zn_fourier.convolve(step, beta.weights.astype(complex)).real
     tiny = -1e-12 * max(1.0, float(np.max(np.abs(out))))
     if np.min(out) < tiny:
         raise AssertionError("convolution produced materially negative weights")

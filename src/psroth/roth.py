@@ -66,9 +66,8 @@ def count_3aps(A, N, mode="cyclic", method="auto"):
         if method == "fft":
             if N % 2 == 0:
                 raise ValueError("frequency route needs odd N")
-            c = zn_fourier.trilinear_fft(mask.astype(complex),
-                                         mask.astype(complex),
-                                         mask.astype(complex))
+            z = mask.astype(complex)
+            c = zn_fourier.trilinear_fft(z, z, z)
             lam3 = int(round(c.real))
             return ApReport(N, size, lam3, lam3 - size, None, mode)
         for d in range(1, N):
@@ -80,9 +79,8 @@ def count_3aps(A, N, mode="cyclic", method="auto"):
                 witness = (x, (x + d) % N, (x + 2 * d) % N)
         lam3 = size + nontrivial
         if N % 2 == 1:
-            fft_lam3 = zn_fourier.trilinear_fft(mask.astype(complex),
-                                                mask.astype(complex),
-                                                mask.astype(complex))
+            z = mask.astype(complex)
+            fft_lam3 = zn_fourier.trilinear_fft(z, z, z)
             if abs(fft_lam3.real - lam3) > 1e-6 * max(1.0, lam3) or abs(fft_lam3.imag) > 1e-6:
                 raise NumericalError(
                     f"trilinear routes disagree: brute {lam3} vs fft {fft_lam3}")
@@ -338,8 +336,8 @@ def smoothing_bound_chain(a, report):
     a1 = measures.smooth(a, report)
     lam3_a = zn_fourier.trilinear_fft(*([a.weights.astype(complex)] * 3))
     lam3_a1 = zn_fourier.trilinear_fft(*([a1.weights.astype(complex)] * 3))
-    Fa = zn_fourier.dft(a.weights.astype(complex)).values
-    Fb = zn_fourier.dft(beta.weights.astype(complex)).values
+    Fa = zn_fourier.dft(a.weights.astype(complex))
+    Fb = zn_fourier.dft(beta.weights.astype(complex))
     idx = (-2 * np.arange(N)) % N
     mult = Fb ** 4 * Fb[idx] ** 2 - 1.0
     freq_sum = complex(np.sum(Fa ** 2 * Fa[idx] * mult) / N)

@@ -8,177 +8,84 @@ and inverse_dft returns sum_xi F(xi) e(+xi x / N) = N * f(x), i.e. without
 the 1/N normalization.  On the integers the grid transform uses the opposite
 sign, F_Z[f](t) = sum_n f(n) e(+n t), evaluated at t = j/grid.
 
-The engine dispatches smooth lengths to the library FFT kernels and reduces
-everything else (prime N included) to a power-of-two convolution by the
-chirp identity x*xi = (x^2 + xi^2 - (xi - x)^2) / 2; chirp phases are built
-from n^2 mod 2N in int64 so they stay accurate at large N.  All reductions
-are fixed-order pairwise sums, so results are reproducible run to run and
-independent of thread counts.
+Functions on Z_N are plain 1-d complex128 arrays.  Every transform is numpy's
+FFT, which handles every length N, prime N included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CyclicFunction:
-    """Complex-valued function on Z_N, stored densely."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def N(self):
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class CyclicTransform:
-    """Fourier coefficients on Z_N (same storage as CyclicFunction)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def N(self):
-        return self.values.size
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _values(f):
-    if isinstance(f, (CyclicFunction, CyclicTransform)):
-        return f.values
+    """f as a complex128 array; rejects empty, multi-dimensional or non-finite input."""
     vals = np.asarray(f, dtype=np.complex128)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("expected a nonempty 1-d array")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
     return vals
 
 
-def _is_smooth(n):
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
-def _chirp(N, sign):
-    n = np.arange(N, dtype=np.int64)
-    # phase = sign * pi * n^2 / N, folded exactly: n^2 mod 2N fits in int64
-    # for every N this package can allocate
-    n2 = (n * n) % (2 * N)
-    return np.exp(sign * 1j * np.pi * n2 / N)
-
-
-def _bluestein(x, sign):
-    N = x.size
-    w = _chirp(N, sign)
-    M = 1 << (2 * N - 1).bit_length()
-    a = np.zeros(M, dtype=np.complex128)
-    a[:N] = x * w
-    b = np.zeros(M, dtype=np.complex128)
-    wc = np.conj(w)
-    b[:N] = wc
-    b[M - N + 1:] = wc[1:][::-1]
-    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
-    return conv[:N] * w
-
-
-def _dft_values(vals, sign):
-    """sum_x vals[x] e(sign * xi x / N) for xi = 0..N-1."""
-    N = vals.size
-    if _is_smooth(N):
-        return np.fft.fft(vals) if sign < 0 else np.fft.ifft(vals) * N
-    return _bluestein(vals, sign)
+def _same_length(*arrays):
+    if any(a.size != arrays[0].size for a in arrays):
+        raise ValueError("lengths differ")
+    return arrays[0].size
 
 
 def dft(f):
-    """Forward transform on Z_N; arbitrary N, chirp fallback for rough N."""
-    vals = _values(f)
-    return CyclicTransform(_dft_values(vals, -1))
+    """Forward transform on Z_N for any N."""
+    return np.fft.fft(_values(f))
 
 
 def inverse_dft(F):
     """Unnormalized inverse: applying it to dft(f) returns N * f."""
-    vals = _values(F)
-    return CyclicFunction(_dft_values(vals, +1))
+    return np.fft.ifft(_values(F), norm="forward")
 
 
 def convolve(f, g):
     """Cyclic convolution (f*g)(x) = sum_y f(x-y) g(y) via the product rule."""
     fv, gv = _values(f), _values(g)
-    if fv.size != gv.size:
-        raise ValueError("lengths differ")
-    out = _dft_values(_dft_values(fv, -1) * _dft_values(gv, -1), +1) / fv.size
-    return CyclicFunction(out)
+    _same_length(fv, gv)
+    return np.fft.ifft(np.fft.fft(fv) * np.fft.fft(gv))
 
 
 def trilinear_fft(f, g, h):
     """sum_{x,d in Z_N} f(x) g(x+d) h(x+2d) through the frequency identity
     N^{-1} sum_xi F[f](xi) F[g](-2xi) F[h](xi); N must be odd so that
-    xi -> -2xi permutes Z_N."""
+    xi -> -2xi permutes Z_N.  An argument passed again as g or h is
+    transformed once."""
     fv, gv, hv = _values(f), _values(g), _values(h)
-    N = fv.size
-    if gv.size != N or hv.size != N:
-        raise ValueError("lengths differ")
+    N = _same_length(fv, gv, hv)
     if N % 2 == 0:
         raise ValueError("N must be odd")
-    Ff = _dft_values(fv, -1)
-    Fg = _dft_values(gv, -1)
-    Fh = _dft_values(hv, -1)
+    Ff = np.fft.fft(fv)
+    Fg = Ff if g is f else np.fft.fft(gv)
+    Fh = Ff if h is f else np.fft.fft(hv)
     idx = (-2 * np.arange(N)) % N
     return complex(np.sum(Ff * Fg[idx] * Fh) / N)
 
 
 def trilinear_direct(f, g, h):
-    """Same trilinear form by the O(N^2) double sum; the oracle route."""
-    fv, gv, hv = _values(f), _values(g), _values(h)
-    N = fv.size
-    if gv.size != N or hv.size != N:
-        raise ValueError("lengths differ")
-    idx = np.arange(N)
-    total = 0.0 + 0.0j
-    for x in range(N):
-        total += fv[x] * np.sum(gv[(x + idx) % N] * hv[(x + 2 * idx) % N])
-    return complex(total)
+    """Same trilinear form by the O(N^2) double sum; the oracle route.
 
-
-def fourier_on_grid(values, grid_size, offset=0):
-    """F_Z[f](j/grid) = sum_n f(n) e(+ n j / grid) for j = 0..grid-1.
-
-    f is the finitely supported sequence values[k] at n = offset + k.  The
-    phase only depends on n mod grid, so supports larger than the grid fold
-    exactly onto residues before one inverse-sign transform.
+    Row x of G holds g(x+d) and row x of H holds h(x+2d) for d = 0..N-1, both
+    strided views into tiled copies, so the sum needs O(N) extra memory.
     """
-    grid_size = int(grid_size)
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    vals = np.asarray(values, dtype=np.complex128)
-    if vals.ndim != 1:
-        raise ValueError("values must be 1-d")
-    idx = (int(offset) + np.arange(vals.size, dtype=np.int64)) % grid_size
-    folded = np.bincount(idx, weights=vals.real, minlength=grid_size) + \
-        1j * np.bincount(idx, weights=vals.imag, minlength=grid_size)
-    return _dft_values(folded, +1)
+    fv, gv, hv = _values(f), _values(g), _values(h)
+    N = _same_length(fv, gv, hv)
+    G = sliding_window_view(np.tile(gv, 2), N)[:N]
+    H = sliding_window_view(np.tile(hv, 3), 2 * N - 1)[:N, ::2]
+    return complex(np.einsum("x,xd,xd->", fv, G, H))
 
 
-def sparse_fourier_on_grid(positions, weights, grid_size):
-    """fourier_on_grid for a sparsely supported sequence: sum_k w_k e(+p_k j/grid)."""
+def _fold_and_transform(positions, weights, grid_size):
+    """sum_k w_k e(+p_k j/grid) for j = 0..grid-1.
+
+    The phase only depends on p mod grid, so supports larger than the grid
+    fold exactly onto residues before one inverse-sign transform.
+    """
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
@@ -188,4 +95,18 @@ def sparse_fourier_on_grid(positions, weights, grid_size):
         raise ValueError("positions and weights must be matching 1-d arrays")
     folded = np.bincount(pos, weights=w.real, minlength=grid_size) + \
         1j * np.bincount(pos, weights=w.imag, minlength=grid_size)
-    return _dft_values(folded, +1)
+    return np.fft.ifft(folded, norm="forward")
+
+
+def fourier_on_grid(values, grid_size, offset=0):
+    """F_Z[f](j/grid) = sum_n f(n) e(+ n j / grid) for j = 0..grid-1.
+
+    f is the finitely supported sequence values[k] at n = offset + k.
+    """
+    positions = int(offset) + np.arange(np.size(values), dtype=np.int64)
+    return _fold_and_transform(positions, values, grid_size)
+
+
+def sparse_fourier_on_grid(positions, weights, grid_size):
+    """fourier_on_grid for a sparsely supported sequence: sum_k w_k e(+p_k j/grid)."""
+    return _fold_and_transform(positions, weights, grid_size)

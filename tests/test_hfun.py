@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +57,16 @@ def test_closed_form_vs_quadrature():
         a = eval_h(spec, xs)
         b = eval_h_quadrature(spec, xs)
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-9, name
+
+
+def test_quadrature_import_is_lazy():
+    # scipy.integrate costs most of the import time, and only quadrature needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import psroth; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_power_log_direct_formula():
