@@ -1,11 +1,11 @@
 """Normalized prime measures on {0..N-1}, spectra, Bohr sets, smoothing.
 
-build_lambda puts weight euler_phi(m) * log(m n + b) / (m N) on the n whose
+build_lambda puts weight phi(m) * log(m n + b) / (m N) on the n whose
 image m n + b is prime; build_lambda_h keeps only images in a floor-image
 prime set and divides each weight by phi'(m n + b), compensating the thinner
 set so both measures carry unit mass asymptotically.  The W-trick parameters
 (W, m = product of primes <= W, residue b) strip small-prime bias before the
-transference step.
+transference step; WTrickParams.phi_m supplies phi(m) to every measure.
 
 spectrum_and_bohr computes large-coefficient frequencies by exhaustive scan
 and the corresponding Bohr set B = {x : ||x xi / N|| <= eps for all xi}; the
@@ -37,6 +37,11 @@ class WTrickParams:
             raise ValueError("b must be a residue mod m")
         if math.gcd(self.b, self.m) != 1:
             raise ValueError("need gcd(b, m) = 1")
+
+    @property
+    def phi_m(self):
+        """Euler phi of m, the numerator of the W-trick factor phi(m)/m."""
+        return sieve._totient(self.m)
 
 
 @dataclass
@@ -120,7 +125,7 @@ def _primes_upto(W, table):
 
 
 def build_lambda(N, params, table):
-    """Prime-measure weights euler_phi(m) log(mn+b) / (mN) on {0..N-1}."""
+    """Prime-measure weights phi(m) log(mn+b) / (mN) on {0..N-1}."""
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -129,10 +134,9 @@ def build_lambda(N, params, table):
         raise ValueError(f"need table limit >= {top}")
     ns = np.arange(N, dtype=np.int64)
     vals = params.m * ns + params.b
-    phi_m = sieve.euler_phi(params.m, table) if params.m > 1 else 1
     w = np.zeros(N)
     hit = table.is_prime[vals]
-    w[hit] = phi_m * np.log(vals[hit]) / (params.m * N)
+    w[hit] = params.phi_m * np.log(vals[hit]) / (params.m * N)
     return WeightedSequence(N, w, "lambda")
 
 
@@ -146,30 +150,12 @@ def build_lambda_h(N, params, inv, ps):
     ns = np.arange(N, dtype=np.int64)
     vals = params.m * ns + params.b
     hit = np.isin(vals, ps.members)
-    phi_m = 1
-    if params.m > 1:
-        # euler phi of a primorial: product of (p - 1)
-        phi_m = 1
-        for p in _primorial_factors(params.m):
-            phi_m *= p - 1
     w = np.zeros(N)
     if np.any(hit):
         pv = vals[hit].astype(float)
         dphi = hfun.eval_phi_deriv(inv, np.maximum(pv, inv.y0), 1)
-        w[hit] = phi_m * np.log(pv) / (params.m * N * dphi)
+        w[hit] = params.phi_m * np.log(pv) / (params.m * N * dphi)
     return WeightedSequence(N, w, "lambda_h")
-
-
-def _primorial_factors(m):
-    out = []
-    d = 2
-    while m > 1:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    return out
 
 
 def restrict(indices, lam):

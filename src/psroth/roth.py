@@ -15,7 +15,8 @@ the positive-proportion lower bound.
 
 restriction_ratio draws random unimodular coefficients on the floor-prime
 frequencies and compares L^r norms against the unsigned extremizer on a
-Riemann grid, with a doubling refinement guard on every accepted norm.
+Riemann grid, with a doubling refinement guard on every accepted norm and a
+direct-summation control on the extremizer's transform.
 """
 
 from __future__ import annotations
@@ -108,23 +109,10 @@ class TransferReport:
     n: int
 
 
-def _next_prime_in(start, stop, table):
-    """Smallest prime in [start, stop] by trial division with table primes."""
-    start = max(2, int(start))
-    for cand in range(start, int(stop) + 1):
-        if cand <= table.limit:
-            if table.is_prime[cand]:
-                return cand
-            continue
-        root = math.isqrt(cand)
-        if root > table.limit:
-            raise ValueError("table too small for primality testing")
-        for p in table.primes:
-            if p > root:
-                return cand
-            if cand % p == 0:
-                break
-        else:
+def _next_prime_in(start, stop):
+    """Smallest prime in [start, stop], each candidate tested by trial division."""
+    for cand in range(max(2, int(start)), int(stop) + 1):
+        if sieve._factorize(cand) == [cand]:
             return cand
     raise NumericalError(f"no prime in [{start}, {stop}]")
 
@@ -167,7 +155,7 @@ def transference_build(inv, table, n, override_W=None, A0=None, ps=None):
         if wgt > best_w:
             best_b, best_w = b, wgt
     params = measures.WTrickParams(W, m, best_b)
-    N = _next_prime_in(math.ceil(2 * n / m), 4 * n // m, table)
+    N = _next_prime_in(math.ceil(2 * n / m), 4 * n // m)
     picked = A0[A0 % m == params.b]
     A = (picked - params.b) // m
     if A.size and (A.min() < 1 or A.max() > N // 2):
@@ -177,11 +165,8 @@ def transference_build(inv, table, n, override_W=None, A0=None, ps=None):
         if ks.size == 0:
             return 0.0
         kf = ks.astype(float)
-        phi_m = 1
-        for p in measures._primorial_factors(m):
-            phi_m *= p - 1
         dphi = hfun.eval_phi_deriv(inv, np.maximum(kf, inv.y0), 1)
-        return float(np.sum(phi_m * np.log(kf) / (m * N * dphi)))
+        return float(np.sum(params.phi_m * np.log(kf) / (m * N * dphi)))
 
     return TransferReport(A, params, N, mass_of(picked),
                           mass_of(window[window % m == params.b]), n)
@@ -250,10 +235,9 @@ class RestrictionReport:
     seed: int
 
 
-def _norm_with_refinement(positions, weights, grid, r):
-    """L^r Riemann norm at the doubled grid, guarded by comparing with the
-    base-grid norm (the even-index subset of the doubled transform)."""
-    vals2 = zn_fourier.sparse_fourier_on_grid(positions, weights, 2 * grid)
+def _refined_norm(vals2, r):
+    """L^r Riemann norm of transform values on the doubled grid, guarded by
+    comparing with the base-grid norm (the even-index subset)."""
     mag2 = np.abs(vals2)
     norm2 = float(np.mean(mag2 ** r) ** (1.0 / r))
     norm1 = float(np.mean(mag2[::2] ** r) ** (1.0 / r))
@@ -263,12 +247,34 @@ def _norm_with_refinement(positions, weights, grid, r):
     return norm2
 
 
+def _norm_with_refinement(positions, weights, grid, r):
+    """_refined_norm of sum_k w_k e(p_k xi) on the doubled grid."""
+    return _refined_norm(
+        zn_fourier.sparse_fourier_on_grid(positions, weights, 2 * grid), r)
+
+
+def _extremizer_norm(positions, grid, r, rng):
+    """_refined_norm of the unsigned sum sum_p e(p xi), and a control: the L^r
+    mean of that sum taken directly at seeded points j of the doubled grid
+    over the same mean of the transform at those points."""
+    vals2 = zn_fourier.sparse_fourier_on_grid(
+        positions, np.ones(positions.size, dtype=complex), 2 * grid)
+    size = vals2.size
+    js = rng.choice(size, size=min(64, size), replace=False)
+    direct = np.array([abs(np.exp(2j * np.pi * (j * positions % size / size)).sum())
+                       for j in js])
+    control = (np.mean(direct ** r) / np.mean(np.abs(vals2[js]) ** r)) ** (1.0 / r)
+    return _refined_norm(vals2, r), float(control)
+
+
 def restriction_ratio(inv, table, N, r, trials, seed, grid=None):
     """Random-coefficient L^r ratios against the unsigned extremizer.
 
     Each trial draws independent unimodular coefficients on the floor-image
     primes up to N and measures ||sum a_p e(p xi)||_r / ||sum e(p xi)||_r on
-    a Riemann grid (default 8N, at least 4N).
+    a Riemann grid (default 8N, at least 4N).  The control ratio compares the
+    extremizer's transform with direct summation at 64 seeded grid points
+    (1 up to rounding); its points come from a child seed after the trials'.
     """
     N = int(N)
     if r <= 0:
@@ -284,16 +290,15 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None):
     pos = ps.members
     if pos.size == 0:
         raise ValueError("no floor-image primes up to N")
-    ones = np.ones(pos.size, dtype=complex)
-    denom = _norm_with_refinement(pos, ones, grid, r)
-    control = _norm_with_refinement(pos, ones, grid, r) / denom
-    seqs = np.random.SeedSequence(seed).spawn(trials)
+    *seqs, control_seq = np.random.SeedSequence(seed).spawn(trials + 1)
+    denom, control = _extremizer_norm(
+        pos, grid, r, np.random.Generator(np.random.Philox(control_seq)))
     ratios = np.empty(trials)
     for t in range(trials):
         rng = np.random.Generator(np.random.Philox(seqs[t]))
         coeff = np.exp(1j * 2.0 * np.pi * rng.random(pos.size))
         ratios[t] = _norm_with_refinement(pos, coeff, grid, r) / denom
-    return RestrictionReport(ratios, float(np.max(ratios)), float(control),
+    return RestrictionReport(ratios, float(np.max(ratios)), control,
                              grid, float(r), trials, seed)
 
 

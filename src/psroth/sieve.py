@@ -1,9 +1,10 @@
 """Prime tables, arithmetic functions, and floor-image prime sets.
 
-PrimeTable wraps a blockwise sieve of Eratosthenes: a primality bitset and a
-smallest-prime-factor array over [0, limit], from which the von Mangoldt,
-Moebius, and Euler phi functions are answered per query (and as cached arrays
-for the exponential-sum sweeps).
+PrimeTable wraps a blockwise sieve of Eratosthenes: primality flags indexed by
+value over [0, limit] and the sorted primes, plus a cached von Mangoldt array
+for the exponential-sum sweeps.  The scalar von Mangoldt, Moebius, and Euler
+phi functions factor their argument by trial division and never read the
+table beyond its limit check.
 
 PsPrimeSet enumerates the primes hit by floor(h(n)) for a growth spec h.  The
 membership test for a single prime p uses the floor identity
@@ -12,10 +13,10 @@ membership test for a single prime p uses the floor identity
 
 equivalent to an integer n landing in [phi(p), phi(p+1)), which characterizes
 membership exactly once consecutive phi values are less than 1 apart.  Floors
-within 1e-9 of an integer are recomputed in extended precision before
-deciding.  Below the small-p threshold (first p with phi(p+1) - phi(p) < 1/2)
-membership comes from direct enumeration and disagreements with the floor
-identity are logged rather than asserted.
+within max(1e-9, 4 ulp) of an integer are recomputed in extended precision
+before deciding.  Below the small-p threshold (first p with
+phi(p+1) - phi(p) < 1/2) membership comes from direct enumeration and
+disagreements with the floor identity are logged rather than asserted.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ log = logging.getLogger(__name__)
 
 _BLOCK = 1 << 20
 _DEFAULT_BUDGET = 1 << 27
-_NEAR_INT_GUARD = 1e-9
+
+
+def _near_int(x):
+    """True where x lies within max(1e-9, 4 ulp(|x|)) of an integer."""
+    return np.abs(x - np.rint(x)) < np.maximum(1e-9, 4 * np.spacing(np.abs(x)))
 
 
 # -- prime table -------------------------------------------------------------
@@ -41,7 +46,6 @@ _NEAR_INT_GUARD = 1e-9
 @dataclass
 class PrimeTable:
     limit: int
-    spf: np.ndarray
     is_prime: np.ndarray
     primes: np.ndarray
     _mangoldt: np.ndarray | None = field(default=None, repr=False)
@@ -62,13 +66,12 @@ class PrimeTable:
 
 
 def sieve_primes(limit, budget=_DEFAULT_BUDGET):
-    """Blockwise sieve: primality bitset plus smallest-prime-factor array."""
+    """Blockwise sieve of Eratosthenes into primality flags over [0, limit]."""
     limit = int(limit)
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > budget:
         raise ResourceError(f"limit {limit} exceeds budget {budget}")
-    spf = np.zeros(limit + 1, dtype=np.int64 if limit >= 2 ** 31 else np.int32)
     root = math.isqrt(limit)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -76,61 +79,66 @@ def sieve_primes(limit, budget=_DEFAULT_BUDGET):
         if base[p]:
             base[p * p:: p] = False
     small = np.flatnonzero(base)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
     for lo in range(0, limit + 1, _BLOCK):
         hi = min(lo + _BLOCK, limit + 1)
         for p in small:
             p = int(p)
             start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            seg = spf[start:hi:p]
-            seg[seg == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.flatnonzero(untouched).astype(spf.dtype)
-    is_prime = np.zeros(limit + 1, dtype=bool)
-    is_prime[2:] = spf[2:] == np.arange(2, limit + 1, dtype=spf.dtype)
-    return PrimeTable(limit, spf, is_prime, np.flatnonzero(is_prime).astype(np.int64))
+            if start < hi:
+                is_prime[start:hi:p] = False
+    return PrimeTable(limit, is_prime, np.flatnonzero(is_prime).astype(np.int64))
 
 
-def _factorize(n, table):
+def _factorize(n):
+    """Prime factors of n >= 1 in ascending order, with multiplicity."""
+    n = int(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _totient(n):
+    out = n = int(n)
+    for p in set(_factorize(n)):
+        out = out // p * (p - 1)
+    return out
+
+
+def _checked(n, table):
     n = int(n)
     if n <= 0:
         raise ValueError("n must be positive")
     if n > table.limit:
         raise ValueError(f"n={n} beyond table limit {table.limit}")
-    out = []
-    while n > 1:
-        p = int(table.spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
+    return n
 
 
 def mangoldt(n, table):
     """log p if n is a prime power p^k, else 0."""
-    fac = _factorize(n, table)
-    if len(fac) == 1:
-        return math.log(fac[0][0])
+    fac = _factorize(_checked(n, table))
+    if fac and fac[0] == fac[-1]:
+        return math.log(fac[0])
     return 0.0
 
 
 def mobius(n, table):
-    fac = _factorize(n, table)
-    if any(e > 1 for _, e in fac):
+    fac = _factorize(_checked(n, table))
+    if len(set(fac)) < len(fac):
         return 0
     return -1 if len(fac) % 2 else 1
 
 
 def euler_phi(n, table):
-    fac = _factorize(n, table)
-    out = 1
-    for p, e in fac:
-        out *= p ** (e - 1) * (p - 1)
-    return out
+    return _totient(_checked(n, table))
 
 
 def mobius_array(limit, table):
@@ -246,7 +254,7 @@ def _floor_guarded_h(inv, ns):
     """floor(h(n)) with extended-precision recomputation near integers."""
     spec = inv.parent
     hs = hfun.eval_h(spec, ns.astype(float))
-    risky = np.abs(hs - np.rint(hs)) < _NEAR_INT_GUARD
+    risky = _near_int(hs)
     floors = np.floor(hs)
     if np.any(risky):
         hs_ld = hfun.eval_h(spec, ns[risky].astype(np.longdouble))
@@ -260,8 +268,7 @@ def _floor_identity(inv, ps):
     fp = hfun.eval_phi(inv, ps.astype(float))
     fp1 = hfun.eval_phi(inv, (ps + 1).astype(float))
     out = np.floor(-fp) - np.floor(-fp1) == 1
-    risky = (np.abs(fp - np.rint(fp)) < _NEAR_INT_GUARD) | \
-            (np.abs(fp1 - np.rint(fp1)) < _NEAR_INT_GUARD)
+    risky = _near_int(fp) | _near_int(fp1)
     if np.any(risky):
         lo = np.floor(-hfun.eval_phi(inv, ps[risky].astype(np.longdouble)))
         hi = np.floor(-hfun.eval_phi(inv, (ps[risky] + 1).astype(np.longdouble)))

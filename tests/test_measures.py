@@ -71,10 +71,13 @@ def test_lambda_needs_big_enough_table():
         build_lambda(1000, WTrickParams(1, 1, 0), t)
 
 
-def test_lambda_h_degenerate_matches_lambda(table_1e6):
+@pytest.mark.parametrize("W,m,b", [(1, 2, 1), (2, 4, 1), (3, 12, 5)])
+def test_lambda_h_degenerate_matches_lambda(table_1e6, W, m, b):
+    # h(x) = x: every prime is a floor-image prime and phi' = 1, so the two
+    # measures agree, including the factor phi(m) for non-squarefree m
     inv = inverse_of(pure_power(1.0))
-    ps = enumerate_ps_primes(inv, 2000, table_1e6)
-    params = WTrickParams(1, 2, 1)
+    params = WTrickParams(W, m, b)
+    ps = enumerate_ps_primes(inv, m * 899 + b, table_1e6)
     a = build_lambda(900, params, table_1e6)
     b = build_lambda_h(900, params, inv, ps)
     assert np.allclose(a.weights, b.weights, rtol=1e-12)

@@ -22,6 +22,7 @@ from psroth import (
     small_p_threshold,
     vaughan_coefficients,
 )
+from psroth.sieve import _factorize, _near_int
 
 
 def simple_sieve(limit):
@@ -69,14 +70,22 @@ def test_budget_guard():
         sieve_primes(10 ** 9, budget=10 ** 6)
 
 
-def test_spf_factorization(table_1e6):
-    spf = table_1e6.spf
+def test_factorize_trial_division():
     for n in range(2, 5000):
-        p = int(spf[n])
-        assert n % p == 0
-        # smallest prime factor really is smallest
-        for d in range(2, p):
-            assert n % d != 0
+        fac = _factorize(n)
+        assert fac == sorted(fac)
+        assert math.prod(fac) == n
+        assert all(len(_factorize(p)) == 1 for p in set(fac))
+        # first factor really is the smallest divisor
+        assert all(n % d != 0 for d in range(2, fac[0]))
+
+
+def test_near_int_scales_with_magnitude():
+    # one ulp at 1e13 is 0.00195, so an absolute 1e-9 guard misses this
+    assert _near_int(1e13 + 0.004)
+    assert _near_int(7.0 + 5e-10)
+    assert not _near_int(7.5)
+    assert not _near_int(1e6 + 1e-6)
 
 
 def test_mangoldt_scalar(table_1e6):
