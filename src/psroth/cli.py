@@ -296,7 +296,8 @@ def build_parser():
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--threads", type=int)
+    ap.add_argument("--threads", type=int,
+                    help="worker threads for errsweep (the only command that reads it)")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N and n)")

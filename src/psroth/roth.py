@@ -1,8 +1,9 @@
 """Three-term progression counting, transference, and restriction ensembles.
 
 count_3aps counts ordered progressions (x, x+d, x+2d) with d != 0, either
-cyclically in Z_N or inside the integers, by brute force, cross-checked in
-cyclic mode against the frequency-side trilinear form.
+cyclically in Z_N or inside the integers: by the frequency-side trilinear form
+(integer sets embedded in Z_{2N-1}), and up to N = 4096 also by brute force
+over the differences, the two routes checked against each other.
 
 transference_build runs the downshift: pick W and the primorial m, choose the
 residue b carrying the most derivative-compensated weight, move the window
@@ -41,14 +42,61 @@ class ApReport:
     mode: str
 
 
+_BRUTE_MAX_N = 4096
+
+
+def _progression_hits(mask, mode):
+    """Yield (d, hits) for d = 1, 2, ...; hits[x] marks x, x+d, x+2d all in the set.
+
+    Cyclic shifts are slices of the doubled mask; integer mode runs d up to
+    (N-1)/2 on plain slices, one d standing for the pair d and -d.
+    """
+    N = mask.size
+    if mode == "cyclic":
+        mask2 = np.concatenate([mask, mask])
+        for d in range(1, N):
+            s = 2 * d % N
+            yield d, mask & mask2[d:d + N] & mask2[s:s + N]
+    else:
+        for d in range(1, (N - 1) // 2 + 1):
+            yield d, mask[:N - 2 * d] & mask[d:N - d] & mask[2 * d:]
+
+
+def _witness(x, d, N):
+    return (x, (x + d) % N, (x + 2 * d) % N)
+
+
+def _fft_lam3(mask, mode):
+    """Lam3(1_A) by the frequency route: on Z_N in cyclic mode, on Z_M with
+    M = 2N - 1 in integer mode, where x + z = 2y mod M forces x + z = 2y."""
+    N = mask.size
+    z = np.zeros(N if mode == "cyclic" else 2 * N - 1, dtype=complex)
+    z[:N] = mask
+    return zn_fourier.trilinear_fft(z, z, z)
+
+
+def _rounded(c):
+    """The integer a trilinear count approximates; raises unless it is within 0.25."""
+    lam3 = round(c.real)
+    if abs(c.real - lam3) > 0.25 or abs(c.imag) > 0.25:
+        raise NumericalError(f"frequency-route count {c} is not near an integer")
+    return int(lam3)
+
+
 def count_3aps(A, N, mode="cyclic", method="auto"):
     """Ordered 3-progression count for A inside Z_N or [0, N).
 
-    method 'brute' walks every difference (and in cyclic mode cross-checks
-    against the frequency route); 'fft' uses the frequency route alone (no
-    witness); 'auto' picks brute up to N = 4096.
+    method 'brute' walks every difference and cross-checks against the
+    frequency route (on Z_N for odd N in cyclic mode; on Z_{2N-1} in integer
+    mode, where cyclic and integer progressions coincide).  'fft' uses the
+    frequency route alone: no witness in cyclic mode, while integer mode scans
+    d upward only until the first progression for its witness (smallest d,
+    then smallest x, as brute force reports it).  'auto' picks brute up to
+    N = 4096 and fft above, in both modes.
     """
     N = int(N)
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if mode not in ("cyclic", "integer"):
         raise ValueError("mode must be 'cyclic' or 'integer'")
     if method not in ("brute", "fft", "auto"):
@@ -59,41 +107,34 @@ def count_3aps(A, N, mode="cyclic", method="auto"):
     mask = np.zeros(N, dtype=bool)
     mask[idx] = True
     size = int(idx.size)
+    if method == "auto":
+        method = "brute" if N <= _BRUTE_MAX_N else "fft"
+    if method == "fft":
+        if mode == "cyclic" and N % 2 == 0:
+            raise ValueError("frequency route needs odd N")
+        lam3 = _rounded(_fft_lam3(mask, mode))
+        witness = None
+        if mode == "integer" and lam3 > size:
+            for d, hits in _progression_hits(mask, mode):
+                x = int(np.argmax(hits))
+                if hits[x]:
+                    witness = _witness(x, d, N)
+                    break
+        return ApReport(N, size, lam3, lam3 - size, witness, mode)
     witness = None
     nontrivial = 0
-    if method == "auto":
-        method = "brute" if N <= 4096 or mode == "integer" else "fft"
-    if mode == "cyclic":
-        if method == "fft":
-            if N % 2 == 0:
-                raise ValueError("frequency route needs odd N")
-            z = mask.astype(complex)
-            c = zn_fourier.trilinear_fft(z, z, z)
-            lam3 = int(round(c.real))
-            return ApReport(N, size, lam3, lam3 - size, None, mode)
-        for d in range(1, N):
-            hits = mask & np.roll(mask, -d) & np.roll(mask, -2 * d)
-            c = int(np.count_nonzero(hits))
-            nontrivial += c
-            if c and witness is None:
-                x = int(np.flatnonzero(hits)[0])
-                witness = (x, (x + d) % N, (x + 2 * d) % N)
-        lam3 = size + nontrivial
-        if N % 2 == 1:
-            z = mask.astype(complex)
-            fft_lam3 = zn_fourier.trilinear_fft(z, z, z)
-            if abs(fft_lam3.real - lam3) > 1e-6 * max(1.0, lam3) or abs(fft_lam3.imag) > 1e-6:
-                raise NumericalError(
-                    f"trilinear routes disagree: brute {lam3} vs fft {fft_lam3}")
-    else:
-        for d in range(1, (N - 1) // 2 + 1):
-            hits = mask[: N - 2 * d] & mask[d: N - d] & mask[2 * d:]
-            c = int(np.count_nonzero(hits))
-            nontrivial += 2 * c  # d and -d give the reversed progression
-            if c and witness is None:
-                x = int(np.flatnonzero(hits)[0])
-                witness = (x, x + d, x + 2 * d)
-        lam3 = size + nontrivial
+    for d, hits in _progression_hits(mask, mode):
+        c = int(np.count_nonzero(hits))
+        # in integer mode d stands for d and -d, the reversed progression
+        nontrivial += c if mode == "cyclic" else 2 * c
+        if c and witness is None:
+            witness = _witness(int(np.flatnonzero(hits)[0]), d, N)
+    lam3 = size + nontrivial
+    if mode == "integer" or N % 2 == 1:
+        fft_lam3 = _fft_lam3(mask, mode)
+        if abs(fft_lam3.real - lam3) > 1e-6 * max(1.0, lam3) or abs(fft_lam3.imag) > 1e-6:
+            raise NumericalError(
+                f"trilinear routes disagree: brute {lam3} vs fft {fft_lam3}")
     return ApReport(N, size, lam3, nontrivial, witness, mode)
 
 
@@ -201,23 +242,33 @@ def varnavides_count(Aprime, N, M, threshold=None, d_list=None,
     if d_list is None:
         stride = max(1, (N - 1) // 2048)
         d_list = range(1, N, stride)
-    mask = np.zeros(N, dtype=np.int64)
-    mask[idx] = 1
+    # per-a counts lie in [0, M]: the smallest unsigned dtype holding M keeps
+    # the M slice additions cheap without wrapping
+    dtype = np.min_scalar_type(M)
+    mask2 = np.zeros(2 * N, dtype=dtype)
+    mask2[idx] = 1
+    mask2[N:] = mask2[:N]
     sizeA = int(idx.size)
     if threshold is None:
         threshold = M * sizeA / (2.0 * N)
     per_d = {}
     good_pairs = 0
     identity_ok = True
+    # counts are integers, so counts >= threshold iff counts >= ceil(threshold),
+    # a comparison numpy makes without converting counts to float
+    cut = math.ceil(threshold) if math.isfinite(threshold) else threshold
+    counts = np.empty(N, dtype=dtype)
     for d in d_list:
-        counts = np.zeros(N, dtype=np.int64)
-        for i in range(M):
-            counts += np.roll(mask, -i * d)
-        if int(counts.sum()) != M * sizeA:
+        # counts[a] = sum_i 1_A'(a + i d), each term a slice of the doubled mask
+        counts[:] = mask2[:N]
+        for i in range(1, M):
+            s = i * d % N
+            counts += mask2[s:s + N]
+        if int(counts.sum(dtype=np.int64)) != M * sizeA:
             identity_ok = False
-        good_pairs += int(np.count_nonzero(counts >= threshold))
+        good_pairs += int(np.count_nonzero(counts >= cut))
         if d in d_keep:
-            per_d[d] = counts
+            per_d[d] = counts.astype(np.int64)
     return VarnavidesReport(per_d, identity_ok, good_pairs,
                             Fraction(good_pairs, M * M), float(threshold))
 
@@ -238,9 +289,9 @@ class RestrictionReport:
 def _refined_norm(vals2, r):
     """L^r Riemann norm of transform values on the doubled grid, guarded by
     comparing with the base-grid norm (the even-index subset)."""
-    mag2 = np.abs(vals2)
-    norm2 = float(np.mean(mag2 ** r) ** (1.0 / r))
-    norm1 = float(np.mean(mag2[::2] ** r) ** (1.0 / r))
+    pw = np.abs(vals2) ** r
+    norm2 = float(np.mean(pw) ** (1.0 / r))
+    norm1 = float(np.mean(pw[::2]) ** (1.0 / r))
     if norm2 > 0 and abs(norm2 - norm1) / norm2 >= 1e-3:
         raise NumericalError(
             f"grid refinement moved the L^{r} norm by {abs(norm2-norm1)/norm2:.2e}")

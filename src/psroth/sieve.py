@@ -14,9 +14,11 @@ membership test for a single prime p uses the floor identity
 equivalent to an integer n landing in [phi(p), phi(p+1)), which characterizes
 membership exactly once consecutive phi values are less than 1 apart.  Floors
 within max(1e-9, 4 ulp) of an integer are recomputed in extended precision
-before deciding.  Below the small-p threshold (first p with
-phi(p+1) - phi(p) < 1/2) membership comes from direct enumeration and
-disagreements with the floor identity are logged rather than asserted.
+before deciding; where phi(p) or phi(p+1) is that close to an integer, h in
+extended precision at the neighbouring n decides instead.  Below the small-p
+threshold (first p with phi(p+1) - phi(p) < 1/2) membership comes from direct
+enumeration and disagreements with the floor identity are logged rather than
+asserted.
 """
 
 from __future__ import annotations
@@ -263,16 +265,24 @@ def _floor_guarded_h(inv, ns):
 
 
 def _floor_identity(inv, ps):
-    """Vectorized floor(-phi(p)) - floor(-phi(p+1)) == 1 with the guard."""
+    """Vectorized floor(-phi(p)) - floor(-phi(p+1)) == 1 with the guard.
+
+    Where phi(p) or phi(p+1) lies within the guard of an integer, phi cannot
+    tell on which side of it the integer falls (its exponent is rounded apart
+    from h's, and an exact h(n) = p needs phi(p) = n exactly), so p is decided
+    by h in longdouble: the first n with h(n) >= p is rint(phi(p)) or the next
+    integer, and p is an image iff floor(h(n)) = p there.
+    """
     ps = np.asarray(ps, dtype=np.int64)
     fp = hfun.eval_phi(inv, ps.astype(float))
     fp1 = hfun.eval_phi(inv, (ps + 1).astype(float))
     out = np.floor(-fp) - np.floor(-fp1) == 1
     risky = _near_int(fp) | _near_int(fp1)
     if np.any(risky):
-        lo = np.floor(-hfun.eval_phi(inv, ps[risky].astype(np.longdouble)))
-        hi = np.floor(-hfun.eval_phi(inv, (ps[risky] + 1).astype(np.longdouble)))
-        out[risky] = (lo - hi) == 1
+        spec, p = inv.parent, ps[risky]
+        n = np.maximum(np.rint(fp[risky]), math.ceil(spec.x0)).astype(np.longdouble)
+        n = np.where(hfun.eval_h(spec, n) >= p, n, n + 1)
+        out[risky] = np.floor(hfun.eval_h(spec, n)) == p
     return out
 
 

@@ -16,6 +16,7 @@ from psroth import (
     spectrum_and_bohr,
     transference_build,
     varnavides_count,
+    zn_fourier,
 )
 from psroth.roth import _next_prime_in, _norm_with_refinement
 
@@ -79,6 +80,44 @@ def test_cyclic_fft_matches_brute():
             assert ff.witness is None
 
 
+def test_integer_fft_matches_brute_and_pair_oracle():
+    # both sides of N = 4096, where 'auto' switches from brute force to FFT
+    rng = np.random.default_rng(12)
+    for N in (600, 4096, 4097, 9000):
+        for density in (0.01, 0.04):
+            A = np.flatnonzero(rng.random(N) < density)
+            auto = count_3aps(A, N, mode="integer")
+            brute = count_3aps(A, N, mode="integer", method="brute")
+            fft = count_3aps(A, N, mode="integer", method="fft")
+            assert auto.nontrivial == brute_pair_count(A)
+            assert auto == brute == fft
+
+
+def salem_spencer(digits):
+    """Numbers below 3^digits whose base-3 digits are all 0 or 1: no 3APs."""
+    return [sum(3 ** i for i in range(digits) if k >> i & 1) for k in range(2 ** digits)]
+
+
+def test_integer_progression_free_above_brute_range():
+    A = salem_spencer(8)
+    N = 3 ** 8
+    assert N > 4096
+    for method in ("auto", "brute"):
+        rep = count_3aps(A, N, mode="integer", method=method)
+        assert rep.nontrivial == 0 and rep.witness is None
+        assert rep.lam3 == rep.size == 256
+
+
+def test_fft_count_off_integer_raises(monkeypatch):
+    exact = zn_fourier.trilinear_fft
+    monkeypatch.setattr(zn_fourier, "trilinear_fft", lambda f, g, h: exact(f, g, h) + 0.5)
+    A = np.flatnonzero(np.random.default_rng(4).random(5000) < 0.02)
+    with pytest.raises(NumericalError):
+        count_3aps(A, 5000, mode="integer")  # rounding guard of the FFT route
+    with pytest.raises(NumericalError):
+        count_3aps(A[A < 1000], 1000, mode="integer")  # brute cross-check
+
+
 def test_count_validation():
     with pytest.raises(ValueError):
         count_3aps({0, 12}, 10, mode="cyclic")
@@ -120,6 +159,36 @@ def test_varnavides_averaging_identity():
     assert rep.good_pairs == int(np.count_nonzero(counts >= rep.threshold))
     full = varnavides_count(A, N, M)  # identity across every d
     assert full.identity_ok
+
+
+def roll_counts(A, N, M, d):
+    """Per-a counts |A' cap {a, a+d, ..., a+(M-1)d}| by np.roll: the reference."""
+    mask = np.zeros(N, dtype=np.int64)
+    mask[np.asarray(A, dtype=np.int64)] = 1
+    return sum(np.roll(mask, -i * d) for i in range(M))
+
+
+def test_varnavides_matches_roll_reference():
+    rng = np.random.default_rng(21)
+    for N, M in ((101, 5), (257, 40), (1000, 3), (1009, 1009)):
+        A = np.flatnonzero(rng.random(N) < 0.3)
+        d_list = [1, 2, 7, N - 1, N, N + 3, 2 * N + 5]
+        rep = varnavides_count(A, N, M, d_list=d_list, d_keep=tuple(d_list))
+        ref = {d: roll_counts(A, N, M, d) for d in d_list}
+        for d in d_list:
+            assert rep.per_d_counts[d].dtype == np.int64
+            assert np.array_equal(rep.per_d_counts[d], ref[d]), (N, M, d)
+        assert rep.identity_ok
+        assert rep.good_pairs == sum(int(np.count_nonzero(c >= rep.threshold))
+                                     for c in ref.values())
+
+
+def test_varnavides_counts_above_int16():
+    N, M = 40000, 33000
+    rep = varnavides_count(range(N), N, M, d_list=[1])
+    assert rep.identity_ok
+    assert np.all(rep.per_d_counts[1] == M)
+    assert rep.good_pairs == N
 
 
 def test_varnavides_validation():

@@ -11,6 +11,7 @@ from psroth import (
     enumerate_ps_primes,
     euler_phi,
     eval_phi,
+    hfun,
     inverse_of,
     mangoldt,
     mobius,
@@ -22,7 +23,7 @@ from psroth import (
     small_p_threshold,
     vaughan_coefficients,
 )
-from psroth.sieve import _factorize, _near_int
+from psroth.sieve import _factorize, _floor_guarded_h, _near_int
 
 
 def simple_sieve(limit):
@@ -203,6 +204,50 @@ def test_enumeration_invariants(table_1e6, inv95, inv99):
         sample = m[:: max(1, m.size // 400)]
         for p in sample:
             assert ps_member(inv, int(p))
+
+
+def floor_h_20_19(n):
+    """floor(n^(20/19)) in integer arithmetic: the largest k with k^19 <= n^20."""
+    t = n ** 20
+    k = round(n ** (20 / 19))
+    while k ** 19 > t:
+        k -= 1
+    while (k + 1) ** 19 <= t:
+        k += 1
+    return k
+
+
+def closest_above_integer(spec, lo, hi):
+    """The n in [lo, hi) whose h(n) has the smallest fractional part: 64
+    candidates per block nearest an integer in double, decided in longdouble."""
+    cands = []
+    for start in range(lo, hi, 10 ** 6):
+        ns = np.arange(start, min(start + 10 ** 6, hi), dtype=np.int64)
+        hs = hfun.eval_h(spec, ns.astype(float))
+        dist = np.abs(hs - np.rint(hs))
+        cands.append(ns[np.argpartition(dist, 64)[:64]])
+    ns = np.concatenate(cands)
+    hs = hfun.eval_h(spec, ns.astype(np.longdouble))
+    return int(ns[np.argmin(hs - np.floor(hs))])
+
+
+@pytest.mark.parametrize("target", [10 ** 6, 10 ** 9])
+def test_adversarial_near_integer_floor(inv95, table_1e6, target):
+    # where h(n) lies just above an integer, a double h(n) can round down to
+    # the integer below and phi(p) up past n; the floors and the floor
+    # identity must still match floor(n^(20/19)) computed exactly
+    n0 = int(eval_phi(inv95, float(target)))
+    n = closest_above_integer(inv95.parent, max(n0 // 2, n0 - 8 * 10 ** 6), n0 - 100)
+    near = np.arange(n - 30, n + 31, dtype=np.int64)
+    exact = [floor_h_20_19(int(m)) for m in near]
+    # the floor step of enumerate_ps_primes
+    assert _floor_guarded_h(inv95, near).astype(np.int64).tolist() == exact
+    for p in range(exact[0], exact[-1] + 1):
+        assert ps_member(inv95, p) == (p in exact), p
+    if target <= table_1e6.limit:
+        members = enumerate_ps_primes(inv95, target, table_1e6).members
+        got = members[(members >= exact[0]) & (members <= exact[-1])].tolist()
+        assert got == [k for k in exact if table_1e6.is_prime[k]]
 
 
 def test_small_p_threshold_values(inv95):
