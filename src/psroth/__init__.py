@@ -14,6 +14,7 @@ from .hfun import (
     eval_h_deriv,
     eval_h_quadrature,
     eval_phi,
+    eval_phi_clamped,
     eval_phi_deriv,
     example_specs,
     inverse_of,

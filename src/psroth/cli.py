@@ -66,14 +66,13 @@ def load_config(args):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
     if args.gamma is not None:
-        if not (0.5 < args.gamma <= 1.0):
-            raise ValueError("--gamma must lie in (1/2, 1]")
-        cfg["function"] = {"kind": "pure_power", "c": 1.0 / args.gamma,
-                           "C_h": 1.0, "x0": 1.0}
-    for key in ("seed", "threads", "out_dir", "grid", "n"):
+        cfg["function"] = hfun.spec_to_config(hfun.ps_exponent_spec(args.gamma))
+    for key in ("seed", "threads", "out_dir", "grid"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    if args.n is not None:
+        cfg["N"] = cfg["n"] = args.n
     # fail early on an unusable function block
     hfun.spec_from_config(cfg["function"])
     return cfg
@@ -309,9 +308,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.n is not None:
-            cfg["N"] = args.n
-            cfg["n"] = args.n
         return COMMANDS[args.command](cfg)
     except (ResourceError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)

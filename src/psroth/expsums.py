@@ -130,14 +130,10 @@ def b_coefficient_bound(mm, M):
 
 # -- phases and direct sums --------------------------------------------------
 
-def _phi_clamped(inv, vals):
-    return hfun.eval_phi(inv, np.maximum(np.asarray(vals, dtype=float), inv.y0))
-
-
 def _phase(inv, alpha, mm, vals):
     """e(alpha * k + mm * phi(k)) elementwise over integer vals."""
     vals = np.asarray(vals, dtype=np.int64)
-    ph = alpha * vals.astype(float) + mm * _phi_clamped(inv, vals)
+    ph = alpha * vals.astype(float) + mm * hfun.eval_phi_clamped(inv, vals, 0)
     return np.exp(1j * TWO_PI * ph)
 
 
@@ -359,7 +355,7 @@ def bilinear_check(inv, K, L, mm, alpha, R=None, D1=None, D2=None, rng=None):
     # phase matrix over the block, k rows, l columns
     kl = np.multiply.outer(ks, ls)
     ph = np.exp(1j * TWO_PI * (alpha * kl.astype(float)
-                               + mm * _phi_clamped(inv, kl).reshape(kl.shape)))
+                               + mm * hfun.eval_phi_clamped(inv, kl, 0)))
     inner = D2[:, None] * ph
     col = np.sum(inner, axis=0)
     B = complex(np.sum(D1 * col))
@@ -420,30 +416,20 @@ def error_term_sup(inv, N, q, a, table, grid=4096):
         raise ValueError("grid must be >= 2")
     ps = sieve.enumerate_ps_primes(inv, N, table)
     mem = ps.members[(ps.members % q == a % q)]
-    if mem.size:
-        w_h = np.log(mem.astype(float)) / hfun.eval_phi_deriv(
-            inv, np.maximum(mem.astype(float), inv.y0), 1)
-        A = zn_fourier.sparse_fourier_on_grid(mem, w_h.astype(complex), grid)
-    else:
-        A = np.zeros(grid, dtype=complex)
+    w_h = np.log(mem.astype(float)) / hfun.eval_phi_clamped(inv, mem)
+    A = zn_fourier.sparse_fourier_on_grid(mem, w_h.astype(complex), grid)
     pr = table.primes[(table.primes <= N) & (table.primes % q == a % q)]
-    if pr.size:
-        B = zn_fourier.sparse_fourier_on_grid(
-            pr, np.log(pr.astype(float)).astype(complex), grid)
-    else:
-        B = np.zeros(grid, dtype=complex)
+    B = zn_fourier.sparse_fourier_on_grid(
+        pr, np.log(pr.astype(float)).astype(complex), grid)
     lam = table.mangoldt_array()
     ks = np.flatnonzero(lam[: N + 1] > 0).astype(np.int64)
     ks = ks[ks % q == a % q]
-    if ks.size:
-        kf = ks.astype(float)
-        phi_k = _phi_clamped(inv, kf)
-        phi_k1 = _phi_clamped(inv, kf + 1.0)
-        saw = sawtooth_phi(-phi_k1) - sawtooth_phi(-phi_k)
-        w_mid = lam[ks] * saw / hfun.eval_phi_deriv(inv, np.maximum(kf, inv.y0), 1)
-        C = zn_fourier.sparse_fourier_on_grid(ks, w_mid.astype(complex), grid)
-    else:
-        C = np.zeros(grid, dtype=complex)
+    kf = ks.astype(float)
+    phi_k = hfun.eval_phi_clamped(inv, kf, 0)
+    phi_k1 = hfun.eval_phi_clamped(inv, kf + 1.0, 0)
+    saw = sawtooth_phi(-phi_k1) - sawtooth_phi(-phi_k)
+    w_mid = lam[ks] * saw / hfun.eval_phi_clamped(inv, kf)
+    C = zn_fourier.sparse_fourier_on_grid(ks, w_mid.astype(complex), grid)
     per_xi = np.abs(A - B)
     per_xi_middle = np.abs(C)
     route_gap = float(np.max(np.abs(A - B - C)))

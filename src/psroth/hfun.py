@@ -13,7 +13,7 @@ Built-in kinds cover the standard examples:
     power_explog   h(x) = C * x^c * exp(A * log(x)^B)  vtheta = A*B*log(x)^(B-1)
     iterated_log   h(x) = C * x * l_m(x)               vtheta = 1/(l_1*...*l_m)
 
-where l_m is the m-fold iterated logarithm.  The generic kind accepts user
+where l_m is the m-fold iterated logarithm.  The generic kind requires user
 callables for vtheta and its first two derivatives and evaluates l(x) by
 adaptive quadrature.
 
@@ -22,9 +22,12 @@ Derivatives come from the first-order recursion
     x * h^(i)(x) = h^(i-1)(x) * (c - i + 1 + theta_i(x)),
 
 with theta_1 = vtheta and theta_i built from vtheta and its first two
-derivatives; inverse derivatives use the inverse-function rule.  All
-evaluators are numpy-vectorized and dtype-preserving: longdouble inputs stay
-longdouble, which backs the guarded floor computations in the sieve module.
+derivatives.  The inverse phi is the closed form for pure powers and one
+monotone Newton iteration otherwise; its derivatives use the inverse-function
+rule, and eval_phi_clamped holds the clamp of below-domain integers up to
+h(x0) that the prime measures use.  All evaluators are numpy-vectorized and
+dtype-preserving: longdouble inputs stay longdouble, which backs the guarded
+floor computations in the sieve module.
 """
 
 from __future__ import annotations
@@ -46,12 +49,14 @@ _DEFAULT_X0 = {"pure_power": 1.0, "power_log": 3.0, "power_explog": 3.0,
 _ITERLOG_X0 = {1: 3.0, 2: 4.0, 3: 20.0}
 
 
-def _iterlog(x, m):
-    """m-fold iterated logarithm l_m(x)."""
-    v = np.log(x)
+def _iterlogs(x, m):
+    """l_m(x) and the partial products P_j = l_1*...*l_j for j = 1..m."""
+    cur = np.log(x)
+    parts = [cur]
     for _ in range(m - 1):
-        v = np.log(v)
-    return v
+        cur = np.log(cur)
+        parts.append(parts[-1] * cur)
+    return cur, parts
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,9 @@ class FunctionSpec:
                 raise ValueError("iterated_log needs integer params['m'] >= 1")
             if self.c != 1.0:
                 raise ValueError("iterated_log is a c = 1 kind")
-        if self.kind == "generic" and self.vtheta_fn is None:
-            raise ValueError("generic kind needs vtheta callables")
+        if self.kind == "generic" and not all(
+                callable(f) for f in (self.vtheta_fn, self.vtheta_d1_fn, self.vtheta_d2_fn)):
+            raise ValueError("generic kind needs vtheta, vtheta_d1 and vtheta_d2 callables")
         if self.x0 is None:
             if self.kind == "iterated_log":
                 m = self.params["m"]
@@ -164,26 +170,8 @@ def vtheta(spec, x):
     if spec.kind == "power_explog":
         return spec.A * spec.B * np.log(x) ** (spec.B - 1.0)
     if spec.kind == "iterated_log":
-        prod = np.log(x)
-        cur = prod
-        for _ in range(spec.m - 1):
-            cur = np.log(cur)
-            prod = prod * cur
-        return 1.0 / prod
+        return 1.0 / _iterlogs(x, spec.m)[1][-1]
     return np.asarray(spec.vtheta_fn(x))
-
-
-def _iterlog_partials(spec, x):
-    """Partial products P_j = l_1*...*l_j for j = 1..m."""
-    parts = []
-    cur = np.log(x)
-    prod = cur
-    parts.append(prod)
-    for _ in range(spec.m - 1):
-        cur = np.log(cur)
-        prod = prod * cur
-        parts.append(prod)
-    return parts
 
 
 def vtheta_d1(spec, x):
@@ -197,7 +185,7 @@ def vtheta_d1(spec, x):
         el = np.log(x)
         return spec.A * spec.B * (spec.B - 1.0) * el ** (spec.B - 2.0) / x
     if spec.kind == "iterated_log":
-        parts = _iterlog_partials(spec, x)
+        parts = _iterlogs(x, spec.m)[1]
         g = sum(1.0 / p for p in parts)
         return -(1.0 / parts[-1]) * g / x
     return np.asarray(spec.vtheta_d1_fn(x))
@@ -215,7 +203,7 @@ def vtheta_d2(spec, x):
         return (spec.A * spec.B * (spec.B - 1.0) * el ** (spec.B - 3.0)
                 * (spec.B - 2.0 - el) / (x * x))
     if spec.kind == "iterated_log":
-        parts = _iterlog_partials(spec, x)
+        parts = _iterlogs(x, spec.m)[1]
         inv = [1.0 / p for p in parts]
         g = sum(inv)
         # s = sum_j (1/P_j) * sum_{i<=j} (1/P_i)
@@ -241,7 +229,7 @@ def eval_h(spec, x):
     if spec.kind == "power_explog":
         return spec.C_h * x ** spec.c * np.exp(spec.A * np.log(x) ** spec.B)
     if spec.kind == "iterated_log":
-        return spec.C_h * x * _iterlog(x, spec.m)
+        return spec.C_h * x * _iterlogs(x, spec.m)[0]
     return eval_h_quadrature(spec, x)
 
 
@@ -296,13 +284,18 @@ def theta_h(spec, x, i):
     return t2 + x * t2p / (spec.c - 1.0 + t2)
 
 
+def _h_and_deriv(spec, x):
+    """h(x) and h'(x) = h(x) * (c + theta_1(x)) / x from one evaluation of h."""
+    h = eval_h(spec, x)
+    return h, h * (spec.c + theta_h(spec, x, 1)) / x
+
+
 def eval_h_deriv(spec, x, i):
     """h^(i)(x) for i in {1, 2, 3} via the theta recursion."""
     if i not in (1, 2, 3):
         raise ValueError("i must be 1, 2 or 3")
     x = np.asarray(x)
-    h = eval_h(spec, x)
-    d = h * (spec.c + theta_h(spec, x, 1)) / x
+    _, d = _h_and_deriv(spec, x)
     if i == 1:
         return d
     d = d * (spec.c - 1.0 + theta_h(spec, x, 2)) / x
@@ -313,19 +306,17 @@ def eval_h_deriv(spec, x, i):
 
 # -- the inverse -------------------------------------------------------------
 
+# Newton stops once each step is at most _NEWTON_TOL * max(x, 1), and
+# raises ConvergenceError if that takes more than _NEWTON_ITER steps
+_NEWTON_TOL = 1e-12
+_NEWTON_ITER = 200
+
+
 @dataclass(frozen=True)
 class InverseSpec:
     """Inverse phi of a FunctionSpec: phi(h(x)) = x on [h(x0), infinity)."""
 
     parent: FunctionSpec
-    newton_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (0 < self.newton_tol < 1e-3):
-            raise ValueError("newton_tol out of range")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
     @property
     def gamma(self):
@@ -336,8 +327,8 @@ class InverseSpec:
         return float(eval_h(self.parent, self.parent.x0))
 
 
-def inverse_of(spec, newton_tol=1e-12, max_iter=200):
-    return InverseSpec(spec, newton_tol, max_iter)
+def inverse_of(spec):
+    return InverseSpec(spec)
 
 
 def _check_phidomain(inv, y):
@@ -347,8 +338,14 @@ def _check_phidomain(inv, y):
 
 
 def eval_phi(inv, y):
-    """phi(y): Newton from an upper bracket (monotone for convex h), with a
-    bisection fallback; longdouble input is refined in longdouble."""
+    """phi(y), dtype-preserving: longdouble in, longdouble out.
+
+    Pure powers use the closed form.  Other kinds run one Newton iteration
+    in double precision from an upper bracket, where it descends monotonically
+    onto the root because h is convex and increasing; longdouble input then
+    gets 4 more steps in longdouble.  Raises ConvergenceError, carrying the
+    last bracket, when the bracket or Newton runs out of steps.
+    """
     spec = inv.parent
     yarr = np.asarray(y)
     scalar = yarr.ndim == 0
@@ -359,18 +356,21 @@ def eval_phi(inv, y):
             np.asarray(inv.gamma, dtype=yarr.dtype if longdouble else float)
         out = np.maximum(out, spec.x0)
         return out if not scalar else out[()]
-    ys = np.atleast_1d(yarr.astype(float))
-    x = _newton_phi(inv, ys)
-    if longdouble:
-        x = _refine_phi_longdouble(inv, yarr, x)
+    x = _newton_phi(inv, np.atleast_1d(yarr))
     return x[0] if scalar else x.reshape(yarr.shape)
 
 
-def _newton_phi(inv, ys):
+def _newton_step(spec, x, y):
+    """One Newton step for h(x) = y, kept inside the domain; also the step."""
+    h, dh = _h_and_deriv(spec, x)
+    step = (h - y) / dh
+    return np.maximum(x - step, spec.x0), step
+
+
+def _newton_phi(inv, y):
     spec = inv.parent
+    ys = y.astype(float)
     x = np.maximum(spec.x0, (ys / spec.C_h) ** inv.gamma)
-    # grow to an upper bracket: h convex increasing, so Newton from above
-    # descends monotonically onto the root
     for _ in range(128):
         low = eval_h(spec, x) < ys
         if not np.any(low):
@@ -379,54 +379,23 @@ def _newton_phi(inv, ys):
     else:
         raise ConvergenceError("bracket growth failed", bracket=(float(x.min()), float(x.max())))
     done = np.zeros(ys.shape, dtype=bool)
-    for _ in range(inv.max_iter):
-        f = eval_h(spec, x) - ys
-        step = f / eval_h_deriv(spec, x, 1)
-        xn = np.maximum(x - step, spec.x0)
-        done |= np.abs(step) <= inv.newton_tol * np.maximum(x, 1.0)
+    for _ in range(_NEWTON_ITER):
+        xn, step = _newton_step(spec, x, ys)
+        done |= np.abs(step) <= _NEWTON_TOL * np.maximum(x, 1.0)
         x = np.where(done, x, xn)
         if np.all(done):
             break
-    if not np.all(done):
-        bad = ys[~done]
-        x_b = _bisect_phi(inv, bad)
-        if x_b is None:
-            raise ConvergenceError(
-                f"Newton failed for {bad.size} points near y={float(bad[0])}",
-                bracket=(float(np.min(x[~done])), float(np.max(x[~done]))))
-        x[~done] = x_b
+    else:
+        raise ConvergenceError(
+            f"Newton failed for {int(np.sum(~done))} points near y={float(ys[~done][0])}",
+            bracket=(float(np.min(x[~done])), float(np.max(x[~done]))))
     # one polish step: quadratic convergence squares the residual, leaving
     # the root accurate to roundoff (the floor guards rely on this)
-    x = np.maximum(x - (eval_h(spec, x) - ys) / eval_h_deriv(spec, x, 1), spec.x0)
-    return x
-
-
-def _bisect_phi(inv, ys, iters=200):
-    spec = inv.parent
-    lo = np.full(ys.shape, spec.x0)
-    hi = np.maximum(spec.x0, (ys / spec.C_h) ** inv.gamma)
-    for _ in range(128):
-        low = eval_h(spec, hi) < ys
-        if not np.any(low):
-            break
-        hi = np.where(low, hi * 2.0, hi)
-    else:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = eval_h(spec, mid) < ys
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _refine_phi_longdouble(inv, y_ld, x_double):
-    spec = inv.parent
-    x = np.atleast_1d(np.asarray(x_double, dtype=np.longdouble))
-    y = np.atleast_1d(np.asarray(y_ld, dtype=np.longdouble))
-    for _ in range(4):
-        x = x - (eval_h(spec, x) - y) / eval_h_deriv(spec, x, 1)
-        x = np.maximum(x, np.longdouble(spec.x0))
+    x = _newton_step(spec, x, ys)[0]
+    if y.dtype == np.longdouble:
+        x = x.astype(np.longdouble)
+        for _ in range(4):
+            x = _newton_step(spec, x, y)[0]
     return x
 
 
@@ -440,6 +409,19 @@ def eval_phi_deriv(inv, y, i):
     if i == 1:
         return d1
     return -eval_h_deriv(spec, x, 2) * d1 ** 3
+
+
+def eval_phi_clamped(inv, k, i=1):
+    """phi^(i)(max(k, h(x0))) at integers k, for i in {0, 1, 2}.
+
+    Floor-image members and phase arguments can lie below h(x0), outside
+    phi's domain: at most floor(h(x0)), e.g. the member 1 = floor(h(1)) for
+    pure powers.  Those values are clamped up to h(x0).  This is the one
+    place that policy lives; the prime measures weight each member k by
+    log(k) / eval_phi_clamped(inv, k).
+    """
+    y = np.maximum(np.asarray(k, dtype=float), inv.y0)
+    return eval_phi(inv, y) if i == 0 else eval_phi_deriv(inv, y, i)
 
 
 def theta_phi(inv, y, i=1):

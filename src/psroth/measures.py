@@ -153,7 +153,7 @@ def build_lambda_h(N, params, inv, ps):
     w = np.zeros(N)
     if np.any(hit):
         pv = vals[hit].astype(float)
-        dphi = hfun.eval_phi_deriv(inv, np.maximum(pv, inv.y0), 1)
+        dphi = hfun.eval_phi_clamped(inv, pv)
         w[hit] = params.phi_m * np.log(pv) / (params.m * N * dphi)
     return WeightedSequence(N, w, "lambda_h")
 

@@ -173,44 +173,38 @@ def transference_build(inv, table, n, override_W=None, A0=None, ps=None):
     if ps is None:
         ps = sieve.enumerate_ps_primes(inv, n, table)
     window = ps.members[(ps.members > n // 2) & (ps.members <= n)]
+    dphi_window = hfun.eval_phi_clamped(inv, window)
     if A0 is None:
-        A0 = window
+        A0, dphi_A0 = window, dphi_window
     else:
         A0 = np.asarray(sorted(A0), dtype=np.int64)
         if not np.all(np.isin(A0, ps.members)):
             raise ValueError("A0 must be a subset of the floor-image primes")
         A0 = A0[(A0 > n // 2) & (A0 <= n)]
-
-    def weight(ks):
-        if ks.size == 0:
-            return 0.0
-        kf = ks.astype(float)
-        return float(np.sum(np.log(kf) / hfun.eval_phi_deriv(
-            inv, np.maximum(kf, inv.y0), 1)))
+        dphi_A0 = dphi_window[np.searchsorted(window, A0)]
 
     best_b, best_w = None, -1.0
     for b in range(m):
         if math.gcd(b, m) != 1:
             continue
-        wgt = weight(A0[A0 % m == b])
+        sel = A0 % m == b
+        wgt = float(np.sum(np.log(A0[sel].astype(float)) / dphi_A0[sel]))
         if wgt > best_w:
             best_b, best_w = b, wgt
     params = measures.WTrickParams(W, m, best_b)
     N = _next_prime_in(math.ceil(2 * n / m), 4 * n // m)
-    picked = A0[A0 % m == params.b]
+    sel = A0 % m == params.b
+    picked = A0[sel]
     A = (picked - params.b) // m
     if A.size and (A.min() < 1 or A.max() > N // 2):
         raise NumericalError("image set escaped {1..N/2}")
 
-    def mass_of(ks):
-        if ks.size == 0:
-            return 0.0
-        kf = ks.astype(float)
-        dphi = hfun.eval_phi_deriv(inv, np.maximum(kf, inv.y0), 1)
-        return float(np.sum(params.phi_m * np.log(kf) / (m * N * dphi)))
+    def mass_of(ks, dphi):
+        return float(np.sum(params.phi_m * np.log(ks.astype(float)) / (m * N * dphi)))
 
-    return TransferReport(A, params, N, mass_of(picked),
-                          mass_of(window[window % m == params.b]), n)
+    in_class = window % m == params.b
+    return TransferReport(A, params, N, mass_of(picked, dphi_A0[sel]),
+                          mass_of(window[in_class], dphi_window[in_class]), n)
 
 
 # -- positive-proportion counting ---------------------------------------------

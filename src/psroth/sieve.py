@@ -218,14 +218,9 @@ def count_in_class(source, N, q, a, weight="unit"):
             raise ValueError("log_over_phiprime needs a PsPrimeSet source")
         if ps.size == 0:
             return 0.0
-        dphi = hfun.eval_phi_deriv(source.inv, _clamped(source.inv, ps), 1)
+        dphi = hfun.eval_phi_clamped(source.inv, ps)
         return float(np.sum(np.log(ps) / dphi))
     raise ValueError(f"unknown weight {weight!r}")
-
-
-def _clamped(inv, y):
-    """Clamp below-domain member values (at most floor(h(x0))) up to h(x0)."""
-    return np.maximum(np.asarray(y, dtype=float), inv.y0)
 
 
 # -- floor-image prime sets --------------------------------------------------

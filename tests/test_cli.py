@@ -96,6 +96,17 @@ def test_psgen_determinism(tmp_path):
     assert ma["config_sha256"] == mb["config_sha256"]
 
 
+def test_gamma_flag_matches_default_function(tmp_path):
+    # --gamma 0.95 names the default h(x) = x^(1/0.95), so the config hash agrees
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["psgen", "--out-dir", str(a)]) == 0
+    assert main(["psgen", "--gamma", "0.95", "--out-dir", str(b)]) == 0
+    ma = json.loads((a / "ps-prime_generation_manifest.json").read_text())
+    mb = json.loads((b / "ps-prime_generation_manifest.json").read_text())
+    assert ma["config"]["function"] == mb["config"]["function"]
+    assert ma["config_sha256"] == mb["config_sha256"]
+
+
 def test_errsweep_identity_map_all_zero(tmp_path):
     cfg = write_config(tmp_path, N_list=[4096, 8192], grid=256)
     assert run(tmp_path, "errsweep", "--config", cfg, "--gamma", "1.0") == 0

@@ -280,6 +280,15 @@ def test_error_term_identity_map_control(table_1e6):
     assert np.all(rep.per_xi == 0.0)
 
 
+def test_error_term_empty_class(inv95):
+    # no prime or prime power <= 50 is 48 mod 49: every route sums nothing
+    rep = error_term_sup(inv95, 50, 49, 48, sieve_primes(50), grid=64)
+    assert rep.sup_diff == 0.0
+    assert rep.route_gap == 0.0
+    assert np.all(rep.per_xi == 0.0) and np.all(rep.per_xi_middle == 0.0)
+    assert rep.per_xi.shape == rep.per_xi_middle.shape == (64,)
+
+
 def test_error_term_zero_frequency_consistency(table_1e6, inv95):
     N = 10 ** 5
     ps = enumerate_ps_primes(inv95, N, table_1e6)

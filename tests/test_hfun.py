@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from psroth import (
+    ConvergenceError,
     DomainError,
     eval_h,
     eval_h_deriv,
@@ -16,6 +17,7 @@ from psroth import (
     example_specs,
     inverse_of,
     iterated_log,
+    power_explog,
     power_log,
     ps_exponent_spec,
     pure_power,
@@ -26,9 +28,15 @@ from psroth import (
     theta_phi,
     vtheta,
 )
+from psroth import hfun
 from psroth.hfun import FunctionSpec, vtheta_d1, vtheta_d2
 
 ALL = list(example_specs().items())
+# the examples plus the edges of the family: c = 1 at depths 1 and 3, c near 2
+# with a negative log power, and a decaying exp-log factor
+EDGES = ALL + [("il1", iterated_log(1)), ("il3", iterated_log(3)),
+               ("pl_1.9", power_log(1.9, -3.0)),
+               ("pe_1.05", power_explog(1.05, -0.5, 0.9))]
 
 
 def dyadic_grid(spec, decades=6, per=4):
@@ -134,6 +142,57 @@ def test_inverse_round_trip():
         ys2 = inv.y0 * np.array([1.5, 20.0, 3e4])
         there = eval_h(spec, eval_phi(inv, ys2))
         assert np.max(np.abs(there - ys2) / ys2) < 1e-9, name
+
+
+@pytest.mark.parametrize("name,spec", EDGES, ids=[e[0] for e in EDGES])
+def test_inverse_sweep_from_domain_start(name, spec):
+    # y from just above h(x0) to 1e17 h(x0): Newton converges everywhere,
+    # phi is nondecreasing and h(phi(y)) returns y to roundoff
+    inv = inverse_of(spec)
+    ys = inv.y0 * np.concatenate([[1 + 1e-12, 1 + 1e-9, 1 + 1e-6],
+                                  1.0 + np.logspace(-3, 17, 400)])
+    x = eval_phi(inv, ys)
+    assert np.all(np.diff(x) >= 0), name
+    assert np.max(np.abs(eval_h(spec, x) - ys) / ys) < 1e-13, name
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="longdouble has no extra precision on this platform")
+def test_phi_longdouble_residual():
+    # the sieve's floor guards rely on phi being accurate to longdouble roundoff
+    for name, spec in ALL:
+        inv = inverse_of(spec)
+        ys = np.longdouble(inv.y0) * np.logspace(0.1, 15, 120, dtype=np.longdouble)
+        x = eval_phi(inv, ys)
+        assert x.dtype == np.longdouble, name
+        assert np.max(np.abs(eval_h(spec, x) - ys) / ys) <= 1e-17, name
+
+
+def test_phi_budget_exhausted_raises_with_bracket(monkeypatch):
+    monkeypatch.setattr(hfun, "_NEWTON_ITER", 1)
+    spec = power_log(1.2, 2.0)
+    inv = inverse_of(spec)
+    with pytest.raises(ConvergenceError) as info:
+        eval_phi(inv, inv.y0 * np.array([10.0, 1e6]))
+    lo, hi = info.value.bracket
+    assert spec.x0 <= lo <= hi < math.inf
+
+
+def test_generic_kind_matches_power_log():
+    # the generic kind fed power_log(1.2, 2)'s vtheta, anchored at the same
+    # h(x0) (generic anchors at C_h * x0^c), reproduces it through quadrature
+    ref = power_log(1.2, 2.0)
+    gen = FunctionSpec("generic", ref.c, C_h=math.log(ref.x0) ** ref.A, x0=ref.x0,
+                       vtheta_fn=lambda x: vtheta(ref, x),
+                       vtheta_d1_fn=lambda x: vtheta_d1(ref, x),
+                       vtheta_d2_fn=lambda x: vtheta_d2(ref, x))
+    xs = np.array([4.0, 50.0, 3e4])
+    assert np.allclose(eval_h(gen, xs), eval_h(ref, xs), rtol=1e-9, atol=0)
+    assert np.allclose(eval_h_deriv(gen, xs, 2), eval_h_deriv(ref, xs, 2),
+                       rtol=1e-9, atol=0)
+    ys = inverse_of(ref).y0 * np.array([1.5, 20.0, 3e4])
+    assert np.allclose(eval_phi(inverse_of(gen), ys), eval_phi(inverse_of(ref), ys),
+                       rtol=1e-9, atol=0)
 
 
 def test_phi_pinned_value():
@@ -245,6 +304,9 @@ def test_spec_validation():
         ps_exponent_spec(0.4)
     with pytest.raises(ValueError):
         FunctionSpec(kind="nonsense", c=1.2)
+    # generic needs vtheta and both of its derivatives
+    with pytest.raises(ValueError):
+        FunctionSpec(kind="generic", c=1.2, vtheta_fn=lambda x: 0.0 * x)
 
 
 def test_ps_exponent_round_trip():
