@@ -48,6 +48,7 @@ from .zn_fourier import (
     convolve,
     dft,
     fourier_on_grid,
+    grid_power_sums,
     inverse_dft,
     sparse_fourier_on_grid,
     trilinear_direct,

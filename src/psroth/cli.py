@@ -154,9 +154,11 @@ def cmd_errsweep(cfg):
     table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
     grid = int(cfg["grid"])
     q, a = int(cfg["q"]), int(cfg["a"])
+    # every N of the ladder reads its members from one enumeration at the top
+    ps = sieve.enumerate_ps_primes(inv, top, table)
 
     def one(Ni):
-        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, grid)
+        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, grid, ps=ps)
         return (int(Ni), rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
@@ -218,7 +220,8 @@ def cmd_restrict(cfg):
     table = sieve.sieve_primes(N, budget=cfg["sieve_budget"])
     grid = cfg["grid"] if cfg["grid"] and cfg["grid"] >= 4 * N else 8 * N
     rep = roth.restriction_ratio(inv, table, N, float(cfg["r"]),
-                                 int(cfg["trials"]), int(cfg["seed"]), grid=grid)
+                                 int(cfg["trials"]), int(cfg["seed"]), grid=grid,
+                                 threads=int(cfg["threads"] or 1))
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "restrict.csv")
@@ -296,7 +299,8 @@ def build_parser():
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--threads", type=int,
-                    help="worker threads for errsweep (the only command that reads it)")
+                    help="worker threads for errsweep (its N ladder) and restrict "
+                         "(its trials); other commands ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N and n)")

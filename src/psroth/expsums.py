@@ -395,7 +395,7 @@ def bilinear_check(inv, K, L, mm, alpha, R=None, D1=None, D2=None, rng=None):
 
 # -- the two-route error term ------------------------------------------------
 
-def error_term_sup(inv, N, q, a, table, grid=4096):
+def error_term_sup(inv, N, q, a, table, grid=4096, ps=None):
     """Sup over the xi-grid of the floor-prime vs plain-prime weighted gap.
 
     Route one: sum_{p in P_h, p <= N, p = a (q)} log(p)/phi'(p) e(xi p)
@@ -404,7 +404,9 @@ def error_term_sup(inv, N, q, a, table, grid=4096):
     sum_k Lambda_{a,q}(k)/phi'(k) (Phi(-phi(k+1)) - Phi(-phi(k))) e(xi k).
 
     Returns the sup of route one, both per-xi profiles, and the sup gap
-    between the routes.
+    between the routes.  ps, if given, is a floor-image enumeration up to at
+    least N (the sets nest and witnesses are first hits, so its members up
+    to N are the enumeration up to N); otherwise one is made.
     """
     N = int(N)
     if N > table.limit:
@@ -414,8 +416,11 @@ def error_term_sup(inv, N, q, a, table, grid=4096):
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    ps = sieve.enumerate_ps_primes(inv, N, table)
-    mem = ps.members[(ps.members % q == a % q)]
+    if ps is None:
+        ps = sieve.enumerate_ps_primes(inv, N, table)
+    elif ps.limit < N:
+        raise ValueError("ps must be enumerated up to at least N")
+    mem = ps.members[(ps.members <= N) & (ps.members % q == a % q)]
     w_h = np.log(mem.astype(float)) / hfun.eval_phi_clamped(inv, mem)
     A = zn_fourier.sparse_fourier_on_grid(mem, w_h.astype(complex), grid)
     pr = table.primes[(table.primes <= N) & (table.primes % q == a % q)]

@@ -32,6 +32,7 @@ floor computations in the sieve module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -322,8 +323,9 @@ class InverseSpec:
     def gamma(self):
         return 1.0 / self.parent.c
 
-    @property
+    @functools.cached_property
     def y0(self):
+        """h(x0), the start of phi's domain; computed once per spec."""
         return float(eval_h(self.parent, self.parent.x0))
 
 

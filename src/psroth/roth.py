@@ -17,12 +17,14 @@ the positive-proportion lower bound.
 restriction_ratio draws random unimodular coefficients on the floor-prime
 frequencies and compares L^r norms against the unsigned extremizer on a
 Riemann grid, with a doubling refinement guard on every accepted norm and a
-direct-summation control on the extremizer's transform.
+direct-summation control on the extremizer's transform; the doubled grid is
+streamed row by row and the trials run on a thread pool.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -280,12 +282,11 @@ class RestrictionReport:
     seed: int
 
 
-def _refined_norm(vals2, r):
-    """L^r Riemann norm of transform values on the doubled grid, guarded by
-    comparing with the base-grid norm (the even-index subset)."""
-    pw = np.abs(vals2) ** r
-    norm2 = float(np.mean(pw) ** (1.0 / r))
-    norm1 = float(np.mean(pw[::2]) ** (1.0 / r))
+def _refined_norm(total, even, size, r):
+    """L^r Riemann norm from the power sums over a doubled grid of `size`
+    points, guarded by comparing with the base-grid norm (the even indices)."""
+    norm2 = float((total / size) ** (1.0 / r))
+    norm1 = float((even / (size // 2)) ** (1.0 / r))
     if norm2 > 0 and abs(norm2 - norm1) / norm2 >= 1e-3:
         raise NumericalError(
             f"grid refinement moved the L^{r} norm by {abs(norm2-norm1)/norm2:.2e}")
@@ -294,38 +295,49 @@ def _refined_norm(vals2, r):
 
 def _norm_with_refinement(positions, weights, grid, r):
     """_refined_norm of sum_k w_k e(p_k xi) on the doubled grid."""
-    return _refined_norm(
-        zn_fourier.sparse_fourier_on_grid(positions, weights, 2 * grid), r)
+    total, even, _ = zn_fourier.grid_power_sums(positions, weights, 2 * grid, r)
+    return _refined_norm(total, even, 2 * grid, r)
 
 
 def _extremizer_norm(positions, grid, r, rng):
     """_refined_norm of the unsigned sum sum_p e(p xi), and a control: the L^r
     mean of that sum taken directly at seeded points j of the doubled grid
     over the same mean of the transform at those points."""
-    vals2 = zn_fourier.sparse_fourier_on_grid(
-        positions, np.ones(positions.size, dtype=complex), 2 * grid)
-    size = vals2.size
+    size = 2 * grid
     js = rng.choice(size, size=min(64, size), replace=False)
+    total, even, at_js = zn_fourier.grid_power_sums(
+        positions, np.ones(positions.size, dtype=complex), size, r, at=js)
     direct = np.array([abs(np.exp(2j * np.pi * (j * positions % size / size)).sum())
                        for j in js])
-    control = (np.mean(direct ** r) / np.mean(np.abs(vals2[js]) ** r)) ** (1.0 / r)
-    return _refined_norm(vals2, r), float(control)
+    control = (np.mean(direct ** r) / np.mean(np.abs(at_js) ** r)) ** (1.0 / r)
+    return _refined_norm(total, even, size, r), float(control)
 
 
-def restriction_ratio(inv, table, N, r, trials, seed, grid=None):
+def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
     """Random-coefficient L^r ratios against the unsigned extremizer.
 
     Each trial draws independent unimodular coefficients on the floor-image
     primes up to N and measures ||sum a_p e(p xi)||_r / ||sum e(p xi)||_r on
-    a Riemann grid (default 8N, at least 4N).  The control ratio compares the
-    extremizer's transform with direct summation at 64 seeded grid points
-    (1 up to rounding); its points come from a child seed after the trials'.
+    a Riemann grid (default 8N, at least 4N).  Every norm is taken on the
+    doubled grid G = 2*grid, streamed by zn_fourier.grid_power_sums: with
+    G = S*L and S even, row s holds the points j = s mod S and is one
+    length-L transform, so no G-point array is formed.  The even rows are
+    exactly the base grid, whose norm the refinement guard compares with.
+    The control ratio compares the extremizer's transform with direct
+    summation at 64 seeded grid points (1 up to rounding); its points come
+    from a child seed after the trials'.
+
+    The trials and the extremizer run on `threads` threads.  Each trial keeps
+    its own seed and its own summation order, so the ratios are the same for
+    every thread count.
     """
     N = int(N)
     if r <= 0:
         raise ValueError("r must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if grid is None:
         grid = 8 * N
     grid = int(grid)
@@ -336,13 +348,19 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None):
     if pos.size == 0:
         raise ValueError("no floor-image primes up to N")
     *seqs, control_seq = np.random.SeedSequence(seed).spawn(trials + 1)
-    denom, control = _extremizer_norm(
-        pos, grid, r, np.random.Generator(np.random.Philox(control_seq)))
-    ratios = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(seqs[t]))
+
+    def trial_norm(seq):
+        rng = np.random.Generator(np.random.Philox(seq))
         coeff = np.exp(1j * 2.0 * np.pi * rng.random(pos.size))
-        ratios[t] = _norm_with_refinement(pos, coeff, grid, r) / denom
+        return _norm_with_refinement(pos, coeff, grid, r)
+
+    # numpy's FFT releases the GIL, so the trials' transforms run in parallel
+    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        extremizer = pool.submit(_extremizer_norm, pos, grid, r,
+                                 np.random.Generator(np.random.Philox(control_seq)))
+        norms = list(pool.map(trial_norm, seqs))
+    denom, control = extremizer.result()
+    ratios = np.array(norms) / denom
     return RestrictionReport(ratios, float(np.max(ratios)), control,
                              grid, float(r), trials, seed)
 

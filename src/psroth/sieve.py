@@ -239,12 +239,15 @@ class PsPrimeSet:
         return mask
 
     def to_csv(self, path):
-        import csv
+        """Write the (witness, member) rows in csv.writer's format (CRLF line
+        ends), each block of 2^16 rows joined into one string."""
+        block = 1 << 16
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["n_witness_index", "p_prime"])
-            for n, p in zip(self.witnesses, self.members):
-                wr.writerow([int(n), int(p)])
+            fh.write("n_witness_index,p_prime\r\n")
+            for i in range(0, self.members.size, block):
+                fh.write("".join(f"{n},{p}\r\n" for n, p in
+                                 zip(self.witnesses[i:i + block].tolist(),
+                                     self.members[i:i + block].tolist())))
 
 
 def _floor_guarded_h(inv, ns):

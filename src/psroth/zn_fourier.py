@@ -9,10 +9,13 @@ the 1/N normalization.  On the integers the grid transform uses the opposite
 sign, F_Z[f](t) = sum_n f(n) e(+n t), evaluated at t = j/grid.
 
 Functions on Z_N are plain 1-d complex128 arrays.  Every transform is numpy's
-FFT, which handles every length N, prime N included.
+FFT, which handles every length N, prime N included.  grid_power_sums streams
+a grid transform row by row for L^r norms of grids too large to hold.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,6 +83,14 @@ def trilinear_direct(f, g, h):
     return complex(np.einsum("x,xd,xd->", fv, G, H))
 
 
+def _positions_and_weights(positions, weights):
+    pos = np.asarray(positions, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.complex128)
+    if pos.shape != w.shape or pos.ndim != 1:
+        raise ValueError("positions and weights must be matching 1-d arrays")
+    return pos, w
+
+
 def _fold_and_transform(positions, weights, grid_size):
     """sum_k w_k e(+p_k j/grid) for j = 0..grid-1.
 
@@ -89,13 +100,84 @@ def _fold_and_transform(positions, weights, grid_size):
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    pos = np.asarray(positions, dtype=np.int64) % grid_size
-    w = np.asarray(weights, dtype=np.complex128)
-    if pos.shape != w.shape or pos.ndim != 1:
-        raise ValueError("positions and weights must be matching 1-d arrays")
+    pos, w = _positions_and_weights(positions, weights)
+    pos = pos % grid_size
     folded = np.bincount(pos, weights=w.real, minlength=grid_size) + \
         1j * np.bincount(pos, weights=w.imag, minlength=grid_size)
     return np.fft.ifft(folded, norm="forward")
+
+
+# grid_power_sums cuts its grid into rows of about this many points
+_ROW_LENGTH = 1 << 16
+_TWIST_RESYNC = 64
+
+
+def _row_count(grid_size):
+    """The even divisor S of grid_size whose row length grid_size/S lies
+    nearest _ROW_LENGTH by ratio (so twice a prime gives S = 2)."""
+    divisors = (d for k in range(1, math.isqrt(grid_size) + 1) if grid_size % k == 0
+                for d in (k, grid_size // k))
+    return min((S for S in divisors if S % 2 == 0),
+               key=lambda S: (abs(math.log(grid_size / S / _ROW_LENGTH)), S))
+
+
+def grid_power_sums(positions, weights, grid_size, r, at=()):
+    """L^r data of F(j) = sum_k w_k e(+p_k j/grid) on an even grid, streamed.
+
+    Returns (sum_j |F(j)|^r over j = 0..grid-1, the same sum over even j,
+    F at the indices `at`) while holding one row of the grid at a time.
+    With grid = S*L, S even, the row s = 0..S-1 holds j = S*c + s, and
+
+        F(S c + s) = sum_k w_k e(p_k s/grid) e(p_k c/L),   c = 0..L-1,
+
+    one length-L transform of the twisted weights w_k e(p_k s/grid), folded
+    mod L exactly as in _fold_and_transform (any p, any L).  As S is even, j
+    and s have the same parity: the even rows together are the base grid
+    F(2i/grid), i = 0..grid/2-1, whose power sum comes out on the side.  F(j)
+    is read from row j mod S, column j // S.  S is the even divisor of the
+    grid whose row length is nearest _ROW_LENGTH; grid/2 prime gives S = 2.
+    """
+    grid_size = int(grid_size)
+    if grid_size < 2 or grid_size % 2:
+        raise ValueError("grid_size must be even and >= 2")
+    if r <= 0:
+        raise ValueError("r must be positive")
+    pos, w = _positions_and_weights(positions, weights)
+    at = np.asarray(at, dtype=np.int64)
+    if at.ndim != 1 or np.any((at < 0) | (at >= grid_size)):
+        raise ValueError("indices must lie in [0, grid_size)")
+    S = _row_count(grid_size)
+    L = grid_size // S
+    # each row sums the weights of one residue class mod L: group the weights
+    # by class once (in their input order, as bincount adds them), so a row
+    # folds with one reduceat over the classes that occur
+    fold = pos % L
+    order = np.argsort(fold, kind="stable")
+    fold, w, shift = fold[order], w[order], pos[order] % grid_size
+    starts = np.flatnonzero(np.diff(fold, prepend=-1))
+    classes = fold[starts]
+    step = np.exp(2j * np.pi * (shift / grid_size))
+    folded = np.zeros(L, dtype=np.complex128)
+    row = np.empty(L, dtype=np.complex128)
+    power = np.empty(L)
+    sums = np.empty(S)
+    values = np.empty(at.size, dtype=np.complex128)
+    for s in range(S):
+        # the twisted weights advance by one multiply per row, which adds
+        # about an ulp of rounding per row; every _TWIST_RESYNC rows they are
+        # taken afresh from the exact p s mod grid
+        if s % _TWIST_RESYNC:
+            twisted *= step
+        else:
+            twisted = w * np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
+        folded[classes] = np.add.reduceat(twisted, starts)
+        np.fft.ifft(folded, norm="forward", out=row)
+        np.abs(row, out=power)
+        np.power(power, r, out=power)
+        sums[s] = power.sum()
+        in_row = at % S == s
+        values[in_row] = row[at[in_row] // S]
+    return float(sums.sum()), float(sums[::2].sum()), values
 
 
 def fourier_on_grid(values, grid_size, offset=0):

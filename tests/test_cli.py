@@ -153,6 +153,19 @@ def test_restrict_run(tmp_path):
     assert man["summary"]["grid"] >= 4 * 1500
 
 
+def test_restrict_threads_do_not_change_outputs(tmp_path):
+    cfg = write_config(tmp_path, N=1500, trials=5)
+    runs = {}
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        assert main(["restrict", "--config", cfg, "--threads", threads,
+                     "--out-dir", str(d)]) == 0
+        man = json.loads((d / "restriction_ensemble_manifest.json").read_text())
+        runs[threads] = ((d / "restrict.csv").read_bytes(), man["config_sha256"],
+                         man["summary"])
+    assert runs["1"] == runs["2"]
+
+
 def test_roth_injected_set(tmp_path):
     cfg = write_config(tmp_path, inject_A=[1, 2, 3])
     assert run(tmp_path, "roth", "--config", cfg) == 0

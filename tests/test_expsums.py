@@ -17,6 +17,7 @@ from psroth import (
     eval_phi,
     inverse_of,
     mobius_array,
+    power_log,
     ps_exponent_spec,
     pure_power,
     sawtooth_expansion,
@@ -313,3 +314,21 @@ def test_error_term_route_gap_envelope(table_1e6, inv99):
     for N in (2 ** 16, 2 ** 18):
         rep = error_term_sup(inv99, N, 1, 0, table_1e6, grid=1024)
         assert rep.route_gap <= 0.5 * math.sqrt(N), N
+
+
+def test_error_term_reads_top_enumeration(table_1e6):
+    # the sets nest and witnesses are first hits, so the members <= N of one
+    # enumeration at the top N give every smaller N's report bit for bit
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    ladder = [2 ** k for k in range(12, 17)] + [70001]
+    top = enumerate_ps_primes(inv, max(ladder), table_1e6)
+    for N in ladder:
+        for q, a in ((1, 0), (4, 3)):
+            own = error_term_sup(inv, N, q, a, table_1e6, grid=512)
+            shared = error_term_sup(inv, N, q, a, table_1e6, grid=512, ps=top)
+            assert shared.sup_diff == own.sup_diff
+            assert shared.route_gap == own.route_gap
+            assert np.array_equal(shared.per_xi, own.per_xi)
+            assert np.array_equal(shared.per_xi_middle, own.per_xi_middle)
+    with pytest.raises(ValueError):
+        error_term_sup(inv, 2 ** 17, 1, 0, table_1e6, ps=top)

@@ -360,3 +360,27 @@ def test_phi_growth_ratio_recorded():
     inv2 = inverse_of(spec)
     r2 = eval_phi(inv2, 2 * ys) / eval_phi(inv2, ys)
     assert np.all((r2 > 1.5) & (r2 < 2.0))
+
+
+def test_domain_start_computed_once(monkeypatch):
+    # y0 = h(x0) is the one scalar h evaluation; phi's domain check and the
+    # clamp read it on every call, so it must be computed once per spec
+    real = hfun.eval_h
+    scalar_calls = []
+
+    def counting(spec, x):
+        if np.ndim(x) == 0:
+            scalar_calls.append(float(x))
+        return real(spec, x)
+
+    monkeypatch.setattr(hfun, "eval_h", counting)
+    for spec in (hfun.ps_exponent_spec(0.95), hfun.power_log(1.2, 2.0, x0=3.0)):
+        scalar_calls.clear()
+        inv = hfun.inverse_of(spec)
+        ks = np.arange(1, 200)
+        for _ in range(5):
+            hfun.eval_phi(inv, np.array([50.0, 1e4]))
+            hfun.eval_phi_clamped(inv, ks)
+            hfun.eval_phi_clamped(inv, ks, 0)
+        assert scalar_calls == [spec.x0]
+        assert inv.y0 == float(real(spec, spec.x0))

@@ -18,7 +18,7 @@ from psroth import (
     varnavides_count,
     zn_fourier,
 )
-from psroth.roth import _next_prime_in, _norm_with_refinement
+from psroth.roth import _next_prime_in, _norm_with_refinement, _refined_norm
 
 
 def brute_pair_count(A):
@@ -268,6 +268,64 @@ def test_restriction_global_modulation(inv95, table_1e6):
     base = _norm_with_refinement(ps.members, ones, 8192, 3.0)
     rotated = _norm_with_refinement(ps.members, np.exp(0.7j) * ones, 8192, 3.0)
     assert rotated == pytest.approx(base, rel=1e-12)
+
+
+def _dense_norm(positions, weights, grid, r):
+    # the doubled grid held whole: one transform, then the guarded norm
+    pw = np.abs(zn_fourier.sparse_fourier_on_grid(positions, weights, 2 * grid)) ** r
+    return _refined_norm(pw.sum(), pw[::2].sum(), pw.size, r)
+
+
+@pytest.mark.parametrize("N, grid, r", [
+    (10 ** 5, 8 * 10 ** 5, 3.0),   # the restrict default: 20 rows of 80000
+    (2000, 8009, 3.0),             # grid prime, so S = 2
+    (2000, 16000, 4.5),
+])
+def test_streamed_norm_matches_dense(inv95, table_1e6, N, grid, r):
+    pos = enumerate_ps_primes(inv95, N, table_1e6).members
+    rng = np.random.default_rng(N + grid)
+    coeff = np.exp(2j * np.pi * rng.random(pos.size))
+    for w in (coeff, np.ones(pos.size, dtype=complex)):
+        got = _norm_with_refinement(pos, w, grid, r)
+        assert got == pytest.approx(_dense_norm(pos, w, grid, r), rel=1e-12)
+
+
+def test_restriction_ratios_match_dense_route(inv95, table_1e6):
+    N, r, trials, seed = 2000, 3.0, 4, 77
+    rep = restriction_ratio(inv95, table_1e6, N, r, trials, seed)
+    pos = enumerate_ps_primes(inv95, N, table_1e6).members
+    *seqs, _ = np.random.SeedSequence(seed).spawn(trials + 1)
+    denom = _dense_norm(pos, np.ones(pos.size, dtype=complex), 8 * N, r)
+    for t, seq in enumerate(seqs):
+        rng = np.random.Generator(np.random.Philox(seq))
+        coeff = np.exp(1j * 2.0 * np.pi * rng.random(pos.size))
+        want = _dense_norm(pos, coeff, 8 * N, r) / denom
+        assert rep.ratios[t] == pytest.approx(want, rel=1e-12)
+
+
+def test_restriction_threads_bitwise_equal(inv95, table_1e6):
+    one = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=1)
+    two = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=2)
+    assert np.array_equal(one.ratios, two.ratios)
+    assert one.control_ratio == two.control_ratio
+    with pytest.raises(ValueError):
+        restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=0)
+
+
+def test_refinement_guard_raises(inv95, table_1e6, monkeypatch):
+    # 1 - e(j/2) vanishes on the even (base) points and is 2 on the odd ones
+    with pytest.raises(NumericalError):
+        _norm_with_refinement(np.array([0, 4096]), np.array([1.0, -1.0]), 4096, 3.0)
+    real = zn_fourier.grid_power_sums
+
+    def skewed(*args, **kwargs):
+        total, even, vals = real(*args, **kwargs)
+        return total, 0.9 * even, vals
+
+    monkeypatch.setattr(zn_fourier, "grid_power_sums", skewed)
+    for threads in (1, 2):
+        with pytest.raises(NumericalError):
+            restriction_ratio(inv95, table_1e6, 2000, 3.0, 3, 1, threads=threads)
 
 
 def test_restriction_validation(inv95, table_1e6):

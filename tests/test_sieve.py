@@ -1,3 +1,4 @@
+import csv
 import logging
 import math
 
@@ -302,3 +303,18 @@ def test_ps_csv_round_trip(tmp_path, table_1e6):
     got = [tuple(map(int, ln.split(","))) for ln in lines[1:]]
     assert [p for _, p in got] == [2, 5, 11, 31, 41, 89]
     assert all(math.floor(n ** 1.5) == p for n, p in got)
+
+
+def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7):
+    # several write blocks, and the empty set
+    assert ps95_1e7.members.size > 2 ** 17
+    for ps in (ps95_1e7, enumerate_ps_primes(inv95, 1, table_1e6)):
+        path = tmp_path / "ps.csv"
+        ps.to_csv(path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["n_witness_index", "p_prime"])
+            for n, p in zip(ps.witnesses, ps.members):
+                wr.writerow([int(n), int(p)])
+        assert path.read_bytes() == ref.read_bytes()

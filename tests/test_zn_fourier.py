@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from psroth import zn_fourier
+
 from psroth import (
     convolve,
     dft,
     fourier_on_grid,
+    grid_power_sums,
     inverse_dft,
     sparse_fourier_on_grid,
     trilinear_direct,
@@ -195,3 +198,50 @@ def test_sparse_fourier_on_grid():
     want = sum(w * np.exp(2j * np.pi * (p % G) * xs)
                for p, w in zip(positions, weights))
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _dense_power_sums(positions, weights, G, r, at):
+    vals = sparse_fourier_on_grid(positions, weights, G)
+    pw = np.abs(vals) ** r
+    return pw.sum(), pw[::2].sum(), vals[at]
+
+
+@pytest.mark.parametrize("G, r, row_length", [
+    (2 * 8009, 3.0, None),  # G/2 prime: two rows of prime length 8009
+    (1 << 18, 4.5, None),   # four rows of 2^16
+    (6, 1.0, None),         # two rows of 3
+    (1 << 13, 3.0, 16),     # 512 rows: the twist is resynced several times
+])
+def test_grid_power_sums_match_dense(G, r, row_length, monkeypatch):
+    if row_length:
+        monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", row_length)
+        assert zn_fourier._row_count(G) == G // row_length
+    n = min(3000, 4 * G)
+    positions = np.sort(RNG.choice(5 * G, size=n, replace=False))  # folds
+    weights = np.exp(2j * np.pi * RNG.random(n)) * RNG.random(n)
+    at = RNG.choice(G, size=min(G, 64), replace=False)
+    total, even, vals = grid_power_sums(positions, weights, G, r, at=at)
+    ref_total, ref_even, ref_vals = _dense_power_sums(positions, weights, G, r, at)
+    assert total == pytest.approx(ref_total, rel=1e-12)
+    assert even == pytest.approx(ref_even, rel=1e-12)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
+
+
+def test_row_count():
+    assert zn_fourier._row_count(1_600_000) == 20    # rows of 80000, nearest 2^16
+    assert zn_fourier._row_count(1 << 20) == 16
+    assert zn_fourier._row_count(2 * 8009) == 2
+    assert zn_fourier._row_count(2 * 200003) == 2
+    assert zn_fourier._row_count(2) == 2
+
+
+def test_grid_power_sums_edge_cases():
+    total, even, vals = grid_power_sums([], [], 1 << 17, 3.0, at=[0, 5])
+    assert total == even == 0.0 and np.all(vals == 0)
+    for bad in (dict(grid_size=15), dict(grid_size=0), dict(r=0.0), dict(at=[16])):
+        args = dict(positions=[1, 2], weights=[1, 1], grid_size=16, r=3.0)
+        args.update(bad)
+        with pytest.raises(ValueError):
+            grid_power_sums(**args)
+    with pytest.raises(ValueError):
+        grid_power_sums([1, 2], [1], 16, 3.0)
