@@ -101,15 +101,13 @@ def _fold_and_transform(positions, weights, grid_size):
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     pos, w = _positions_and_weights(positions, weights)
-    pos = pos % grid_size
-    folded = np.bincount(pos, weights=w.real, minlength=grid_size) + \
-        1j * np.bincount(pos, weights=w.imag, minlength=grid_size)
-    return np.fft.ifft(folded, norm="forward")
+    folded = np.zeros(grid_size, dtype=np.complex128)
+    np.add.at(folded, pos % grid_size, w)
+    return np.fft.ifft(folded, norm="forward", out=folded)
 
 
 # grid_power_sums cuts its grid into rows of about this many points
 _ROW_LENGTH = 1 << 16
-_TWIST_RESYNC = 64
 
 
 def _row_count(grid_size):
@@ -130,12 +128,12 @@ def grid_power_sums(positions, weights, grid_size, r, at=()):
 
         F(S c + s) = sum_k w_k e(p_k s/grid) e(p_k c/L),   c = 0..L-1,
 
-    one length-L transform of the twisted weights w_k e(p_k s/grid), folded
-    mod L exactly as in _fold_and_transform (any p, any L).  As S is even, j
-    and s have the same parity: the even rows together are the base grid
-    F(2i/grid), i = 0..grid/2-1, whose power sum comes out on the side.  F(j)
-    is read from row j mod S, column j // S.  S is the even divisor of the
-    grid whose row length is nearest _ROW_LENGTH; grid/2 prime gives S = 2.
+    one _fold_and_transform of the twisted weights w_k e(p_k s/grid) onto
+    length L (the fold mod L is exact for any p).  As S is even, j and s
+    have the same parity: the even rows together are the base grid F(2i/grid),
+    i = 0..grid/2-1, whose power sum comes out on the side.  F(j) is read from
+    row j mod S, column j // S.  S is the even divisor of the grid whose row
+    length is nearest _ROW_LENGTH; grid/2 prime gives S = 2.
     """
     grid_size = int(grid_size)
     if grid_size < 2 or grid_size % 2:
@@ -148,33 +146,13 @@ def grid_power_sums(positions, weights, grid_size, r, at=()):
         raise ValueError("indices must lie in [0, grid_size)")
     S = _row_count(grid_size)
     L = grid_size // S
-    # each row sums the weights of one residue class mod L: group the weights
-    # by class once (in their input order, as bincount adds them), so a row
-    # folds with one reduceat over the classes that occur
-    fold = pos % L
-    order = np.argsort(fold, kind="stable")
-    fold, w, shift = fold[order], w[order], pos[order] % grid_size
-    starts = np.flatnonzero(np.diff(fold, prepend=-1))
-    classes = fold[starts]
-    step = np.exp(2j * np.pi * (shift / grid_size))
-    folded = np.zeros(L, dtype=np.complex128)
-    row = np.empty(L, dtype=np.complex128)
-    power = np.empty(L)
+    shift = pos % grid_size
     sums = np.empty(S)
     values = np.empty(at.size, dtype=np.complex128)
     for s in range(S):
-        # the twisted weights advance by one multiply per row, which adds
-        # about an ulp of rounding per row; every _TWIST_RESYNC rows they are
-        # taken afresh from the exact p s mod grid
-        if s % _TWIST_RESYNC:
-            twisted *= step
-        else:
-            twisted = w * np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
-        folded[classes] = np.add.reduceat(twisted, starts)
-        np.fft.ifft(folded, norm="forward", out=row)
-        np.abs(row, out=power)
-        np.power(power, r, out=power)
-        sums[s] = power.sum()
+        twisted = w * np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
+        row = _fold_and_transform(pos, twisted, L)
+        sums[s] = np.sum(np.abs(row) ** r)
         in_row = at % S == s
         values[in_row] = row[at[in_row] // S]
     return float(sums.sum()), float(sums[::2].sum()), values

@@ -210,7 +210,7 @@ def _dense_power_sums(positions, weights, G, r, at):
     (2 * 8009, 3.0, None),  # G/2 prime: two rows of prime length 8009
     (1 << 18, 4.5, None),   # four rows of 2^16
     (6, 1.0, None),         # two rows of 3
-    (1 << 13, 3.0, 16),     # 512 rows: the twist is resynced several times
+    (1 << 13, 3.0, 16),     # 512 rows of 16
 ])
 def test_grid_power_sums_match_dense(G, r, row_length, monkeypatch):
     if row_length:
