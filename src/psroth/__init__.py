@@ -62,7 +62,6 @@ from .measures import (
     bohr_set,
     build_lambda,
     build_lambda_h,
-    restrict,
     smooth,
     spectrum_and_bohr,
     w_trick,
@@ -91,7 +90,6 @@ from .roth import (
     TransferReport,
     VarnavidesReport,
     count_3aps,
-    fourier_sup_decay,
     restriction_ratio,
     smoothing_bound_chain,
     transference_build,

@@ -73,6 +73,9 @@ def load_config(args):
             cfg[key] = val
     if args.n is not None:
         cfg["N"] = cfg["n"] = args.n
+    threads = cfg["threads"]
+    if threads is not None and (not isinstance(threads, int) or threads < 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     # fail early on an unusable function block
     hfun.spec_from_config(cfg["function"])
     return cfg
@@ -164,7 +167,7 @@ def cmd_errsweep(cfg):
 
     threads = cfg["threads"] or 1
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(one, Ns))
     else:
         rows = [one(Ni) for Ni in Ns]
@@ -221,7 +224,7 @@ def cmd_restrict(cfg):
     grid = cfg["grid"] if cfg["grid"] and cfg["grid"] >= 4 * N else 8 * N
     rep = roth.restriction_ratio(inv, table, N, float(cfg["r"]),
                                  int(cfg["trials"]), int(cfg["seed"]), grid=grid,
-                                 threads=int(cfg["threads"] or 1))
+                                 threads=cfg["threads"] or 1)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "restrict.csv")
@@ -299,8 +302,9 @@ def build_parser():
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--threads", type=int,
-                    help="worker threads for errsweep (its N ladder) and restrict "
-                         "(its trials); other commands ignore it")
+                    help="worker threads (an integer >= 1, else exit 1) for "
+                         "errsweep (its N ladder) and restrict (its trials); "
+                         "other commands ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N and n)")

@@ -407,6 +407,10 @@ def error_term_sup(inv, N, q, a, table, grid=4096, ps=None):
     between the routes.  ps, if given, is a floor-image enumeration up to at
     least N (the sets nest and witnesses are first hits, so its members up
     to N are the enumeration up to N); otherwise one is made.
+
+    phi is inverted only at each prime power k and at k+1: phi'(k) comes
+    from phi(k) by the inverse-function rule phi'(k) = 1/h'(phi(k)), and the
+    members, primes of the same class, read their phi' from that array.
     """
     N = int(N)
     if N > table.limit:
@@ -420,20 +424,21 @@ def error_term_sup(inv, N, q, a, table, grid=4096, ps=None):
         ps = sieve.enumerate_ps_primes(inv, N, table)
     elif ps.limit < N:
         raise ValueError("ps must be enumerated up to at least N")
-    mem = ps.members[(ps.members <= N) & (ps.members % q == a % q)]
-    w_h = np.log(mem.astype(float)) / hfun.eval_phi_clamped(inv, mem)
-    A = zn_fourier.sparse_fourier_on_grid(mem, w_h.astype(complex), grid)
-    pr = table.primes[(table.primes <= N) & (table.primes % q == a % q)]
-    B = zn_fourier.sparse_fourier_on_grid(
-        pr, np.log(pr.astype(float)).astype(complex), grid)
     lam = table.mangoldt_array()
     ks = np.flatnonzero(lam[: N + 1] > 0).astype(np.int64)
     ks = ks[ks % q == a % q]
     kf = ks.astype(float)
     phi_k = hfun.eval_phi_clamped(inv, kf, 0)
     phi_k1 = hfun.eval_phi_clamped(inv, kf + 1.0, 0)
+    dphi_k = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k, 1)
+    mem = ps.members[(ps.members <= N) & (ps.members % q == a % q)]
+    w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
+    A = zn_fourier.sparse_fourier_on_grid(mem, w_h.astype(complex), grid)
+    pr = table.primes[(table.primes <= N) & (table.primes % q == a % q)]
+    B = zn_fourier.sparse_fourier_on_grid(
+        pr, np.log(pr.astype(float)).astype(complex), grid)
     saw = sawtooth_phi(-phi_k1) - sawtooth_phi(-phi_k)
-    w_mid = lam[ks] * saw / hfun.eval_phi_clamped(inv, kf)
+    w_mid = lam[ks] * saw / dphi_k
     C = zn_fourier.sparse_fourier_on_grid(ks, w_mid.astype(complex), grid)
     per_xi = np.abs(A - B)
     per_xi_middle = np.abs(C)

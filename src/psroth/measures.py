@@ -15,7 +15,6 @@ smoothing convolves twice with the normalized Bohr indicator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -64,14 +63,6 @@ class WeightedSequence:
     def mass(self):
         return float(np.sum(self.weights))
 
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["index", "weight_dimensionless"])
-            for i in np.flatnonzero(self.weights):
-                wr.writerow([int(i), repr(float(self.weights[i]))])
-
 
 @dataclass
 class SpectrumReport:
@@ -86,16 +77,6 @@ class SpectrumReport:
     @property
     def k(self):
         return int(self.frequencies.size)
-
-    def to_json(self, path=None):
-        blob = json.dumps({"N": self.N, "delta": self.delta,
-                           "epsilon": self.epsilon,
-                           "R": [int(x) for x in self.frequencies],
-                           "bohr_size": int(self.bohr.size)}, indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(blob)
-        return blob
 
 
 def w_trick(N, table, override_W=None, b=None):
@@ -156,18 +137,6 @@ def build_lambda_h(N, params, inv, ps):
         dphi = hfun.eval_phi_clamped(inv, pv)
         w[hit] = params.phi_m * np.log(pv) / (params.m * N * dphi)
     return WeightedSequence(N, w, "lambda_h")
-
-
-def restrict(indices, lam):
-    """Pointwise restriction 1_A * lambda."""
-    mask = np.zeros(lam.N, dtype=bool)
-    idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                     dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= lam.N):
-        raise ValueError("restriction indices out of range")
-    mask[idx] = True
-    w = np.where(mask, lam.weights, 0.0)
-    return WeightedSequence(lam.N, w, "restricted")
 
 
 def bohr_set(freqs, N, epsilon, chunk=1 << 16):

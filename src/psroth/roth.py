@@ -365,29 +365,7 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
                              grid, float(r), trials, seed)
 
 
-# -- spectral decay and the smoothing chain ----------------------------------
-
-def fourier_sup_decay(inv, table, N_list, params=None, grid=4096):
-    """Sup over nonzero grid frequencies of |F_Z[lambda_h - lambda](j/grid)|
-    for each N, plus the log-log slope of the sups."""
-    if params is None:
-        params = measures.WTrickParams(1, 1, 0)
-    rows = []
-    for N in N_list:
-        N = int(N)
-        lam = measures.build_lambda(N, params, table)
-        ps = sieve.enumerate_ps_primes(inv, params.m * (N - 1) + params.b, table)
-        lam_h = measures.build_lambda_h(N, params, inv, ps)
-        diff = lam_h.weights - lam.weights
-        F = zn_fourier.fourier_on_grid(diff.astype(complex), grid)
-        rows.append((N, float(np.max(np.abs(F[1:])))))
-    slope = math.nan
-    if len(rows) >= 2:
-        xs = np.log([n for n, _ in rows])
-        ys = np.log([max(s, 1e-300) for _, s in rows])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope
-
+# -- the smoothing chain -----------------------------------------------------
 
 def smoothing_bound_chain(a, report):
     """Identity and triangle chain for the double-smoothing error.

@@ -233,11 +233,6 @@ class PsPrimeSet:
     witnesses: np.ndarray
     p_min: float
 
-    def member_mask(self, upto):
-        mask = np.zeros(int(upto) + 1, dtype=bool)
-        mask[self.members[self.members <= upto]] = True
-        return mask
-
     def to_csv(self, path):
         """Write the (witness, member) rows in csv.writer's format (CRLF line
         ends), each block of 2^16 rows joined into one string."""

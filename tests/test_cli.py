@@ -126,6 +126,28 @@ def test_errsweep_slope_recorded(tmp_path):
     assert float(man["summary"]["loglog_slope"]) < 1.0
 
 
+def test_errsweep_threads_do_not_change_outputs(tmp_path):
+    cfg = write_config(tmp_path, N_list=[4096, 8192, 16384], grid=256)
+    runs = {}
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        assert main(["errsweep", "--config", cfg, "--gamma", "0.95",
+                     "--threads", threads, "--out-dir", str(d)]) == 0
+        man = json.loads((d / "error-term_sweep_manifest.json").read_text())
+        runs[threads] = ((d / "errsweep.csv").read_bytes(), man["config_sha256"])
+    assert runs["1"] == runs["2"]
+
+
+@pytest.mark.parametrize("command", ["errsweep", "restrict"])
+@pytest.mark.parametrize("threads", [0, -1])
+def test_bad_threads_exit_1(tmp_path, capsys, command, threads):
+    assert run(tmp_path, command, "--threads", str(threads)) == 1
+    assert "config error" in capsys.readouterr().err
+    cfg = write_config(tmp_path, threads=threads)
+    assert run(tmp_path, command, "--config", cfg) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_vaughan_determinism_and_residuals(tmp_path):
     cfg = write_config(tmp_path, P=300, draws=4)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -15,6 +15,7 @@ from psroth import (
     error_term_sup,
     exp_sum_direct,
     eval_phi,
+    hfun,
     inverse_of,
     mobius_array,
     power_log,
@@ -332,3 +333,21 @@ def test_error_term_reads_top_enumeration(table_1e6):
             assert np.array_equal(shared.per_xi_middle, own.per_xi_middle)
     with pytest.raises(ValueError):
         error_term_sup(inv, 2 ** 17, 1, 0, table_1e6, ps=top)
+
+
+def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
+    # phi at the prime powers k and at k + 1 are the only inversions: phi'
+    # at k and at the members follows from phi(k) by the inverse-function rule
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    N = 2 ** 14
+    ps = enumerate_ps_primes(inv, N, table_1e6)
+    real = hfun._newton_phi
+    calls = []
+
+    def counting(inv, y):
+        calls.append(y.size)
+        return real(inv, y)
+
+    monkeypatch.setattr(hfun, "_newton_phi", counting)
+    error_term_sup(inv, N, 1, 0, table_1e6, grid=512, ps=ps)
+    assert len(calls) == 2

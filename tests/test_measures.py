@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from psroth import (
     eval_phi_deriv,
     inverse_of,
     pure_power,
-    restrict,
     sieve_primes,
     smooth,
     spectrum_and_bohr,
@@ -112,18 +110,6 @@ def test_lambda_h_max_weight_ratio(table_1e6, inv95):
     assert ratios[-1] < ratios[0]
 
 
-def test_restrict_cases(table_1e6):
-    lam = build_lambda(50, WTrickParams(1, 1, 0), table_1e6)
-    full = restrict(np.arange(50), lam)
-    assert np.array_equal(full.weights, lam.weights)
-    empty = restrict(np.array([], dtype=np.int64), lam)
-    assert not empty.weights.any()
-    sup = restrict(np.flatnonzero(lam.weights), lam)
-    assert np.array_equal(sup.weights, lam.weights)
-    with pytest.raises(ValueError):
-        restrict(np.array([50]), lam)
-
-
 def test_bohr_set_pinned():
     assert bohr_set([1], 10, 0.1).tolist() == [0, 1, 9]
     # vacuous constraint
@@ -195,24 +181,3 @@ def test_weighted_sequence_validation():
         WTrickParams(1, 2, 2)  # gcd(b, m) != 1
     with pytest.raises(ValueError):
         WTrickParams(1, 2, 5)  # residue out of range
-
-
-def test_sequence_csv(tmp_path, table_1e6):
-    lam = build_lambda(10, WTrickParams(1, 1, 0), table_1e6)
-    path = tmp_path / "seq.csv"
-    lam.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,weight_dimensionless"
-    vals = {int(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
-    assert sorted(vals) == [2, 3, 5, 7]  # support only
-    assert all(vals[i] == lam.weights[i] for i in vals)  # repr round-trips
-
-
-def test_spectrum_report_json(tmp_path, table_1e6):
-    lam = build_lambda(101, WTrickParams(1, 1, 0), table_1e6)
-    rep = spectrum_and_bohr(lam, 0.3 * lam.mass, 0.2)
-    blob = json.loads(rep.to_json())
-    assert blob["delta"] == rep.delta
-    assert blob["epsilon"] == rep.epsilon
-    assert blob["R"] == rep.frequencies.tolist()
-    assert blob["bohr_size"] == int(rep.bohr.size)
