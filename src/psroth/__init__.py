@@ -68,6 +68,7 @@ from .measures import (
 )
 from .expsums import (
     BoundReport,
+    ErrorTermInputs,
     ErrorTermReport,
     PhaseParams,
     VaughanSplit,
@@ -76,6 +77,7 @@ from .expsums import (
     bilinear_check,
     default_bilinear_R,
     default_cutoff,
+    error_term_inputs,
     error_term_sup,
     exp_sum_direct,
     sawtooth_expansion,

@@ -4,6 +4,7 @@ Subcommands: psgen, errsweep, vaughan, restrict, roth, check.  Settings come
 from defaults, then an optional JSON config file, then flags (flags win).
 Every run writes its CSV series plus a JSON manifest (resolved config, seed,
 config hash, timestamp, output list); CSV bytes depend only on config+seed.
+-v (repeatable) lowers the logging level; it is not part of the config.
 
 Exit codes: 0 ok, 1 bad config/arguments, 2 resource ceiling, 3 numerical
 failure.
@@ -16,6 +17,7 @@ import csv
 import datetime
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -119,8 +121,9 @@ def cmd_psgen(cfg):
     spec = _spec(cfg)
     inv = hfun.inverse_of(spec)
     N = int(cfg["N"])
-    table = sieve.sieve_primes(max(N, 2), budget=cfg["sieve_budget"])
-    ps = sieve.enumerate_ps_primes(inv, N, table)
+    # the table is dropped once enumerated, so the CSV writing runs without it
+    ps = sieve.enumerate_ps_primes(
+        inv, N, sieve.sieve_primes(max(N, 2), budget=cfg["sieve_budget"]))
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     ps_path = os.path.join(out, "psprimes.csv")
@@ -157,11 +160,12 @@ def cmd_errsweep(cfg):
     table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
     grid = int(cfg["grid"])
     q, a = int(cfg["q"]), int(cfg["a"])
-    # every N of the ladder reads its members from one enumeration at the top
-    ps = sieve.enumerate_ps_primes(inv, top, table)
+    # every N of the ladder reads prefixes of one enumeration and one
+    # inversion of phi at the top
+    inputs = expsums.error_term_inputs(inv, top, q, a, table)
 
     def one(Ni):
-        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, grid, ps=ps)
+        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, grid, inputs=inputs)
         return (int(Ni), rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
@@ -309,11 +313,16 @@ def build_parser():
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N and n)")
     ap.add_argument("--grid", type=int)
+    ap.add_argument("-v", "--verbose", action="count", default=0,
+                    help="show log lines: -v info, -vv debug (not part of the "
+                         "config, so outputs and config_sha256 do not change)")
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=max(logging.DEBUG, logging.WARNING - 10 * args.verbose))
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg)

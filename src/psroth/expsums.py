@@ -18,7 +18,9 @@ with its slack so a failed inequality names the step that broke.
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
 whole transference argument) and also returns the sawtooth middle form that
-links the two routes.
+links the two routes.  error_term_inputs builds the data it reads (prime
+powers from the table's primes, the enumeration, phi) once, so a ladder of
+N shares one build at its top.
 """
 
 from __future__ import annotations
@@ -395,7 +397,69 @@ def bilinear_check(inv, K, L, mm, alpha, R=None, D1=None, D2=None, rng=None):
 
 # -- the two-route error term ------------------------------------------------
 
-def error_term_sup(inv, N, q, a, table, grid=4096, ps=None):
+class ErrorTermInputs(NamedTuple):
+    """Everything the error term reads up to limit in the class a mod q.
+
+    ks are the prime powers k <= limit in the class, ascending, with lam =
+    Lambda(k), phi_k = phi(k), phi_k1 = phi(k + 1) and dphi_k = phi'(k)
+    (clamped to h(x0)); members are the class's floor-image primes with
+    their weights log(p)/phi'(p); primes are the class's primes.
+    """
+
+    limit: int
+    q: int
+    a: int
+    ks: np.ndarray
+    lam: np.ndarray
+    phi_k: np.ndarray
+    phi_k1: np.ndarray
+    dphi_k: np.ndarray
+    members: np.ndarray
+    member_weights: np.ndarray
+    primes: np.ndarray
+
+
+def error_term_inputs(inv, top, q, a, table):
+    """The error term's data up to top: enumeration, prime powers and phi.
+
+    Lambda is taken from the table's primes (np.log over the primes,
+    math.log(p) at the higher powers, as PrimeTable.mangoldt_array does),
+    never from the dense array.  phi is inverted only at each prime power k
+    and at k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and
+    the members, primes of the same class, read their phi' from that array.
+    """
+    top = int(top)
+    if top > table.limit:
+        raise ValueError("N beyond table limit")
+    if math.gcd(a, q) != 1:
+        raise ValueError("need gcd(a, q) = 1")
+    r = a % q
+    ps = sieve.enumerate_ps_primes(inv, top, table)
+    primes = table.primes[: np.searchsorted(table.primes, top, side="right")]
+    primes = primes[primes % q == r]
+    powers, logs = [], []
+    for p in table.primes[: np.searchsorted(table.primes, math.isqrt(top), side="right")]:
+        p = int(p)
+        pk, lp = p * p, math.log(p)
+        while pk <= top:
+            if pk % q == r:
+                powers.append(pk)
+                logs.append(lp)
+            pk *= p
+    ks = np.concatenate([primes, np.array(powers, dtype=np.int64)])
+    lam = np.concatenate([np.log(primes), np.array(logs)])
+    order = np.argsort(ks, kind="stable")
+    ks, lam = ks[order], lam[order]
+    kf = ks.astype(float)
+    phi_k = hfun.eval_phi_clamped(inv, kf, 0)
+    phi_k1 = hfun.eval_phi_clamped(inv, kf + 1.0, 0)
+    dphi_k = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k, 1)
+    mem = ps.members[ps.members % q == r]
+    w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
+    return ErrorTermInputs(top, q, a, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)
+
+
+def error_term_sup(inv, N, q, a, table, grid=4096, inputs=None):
     """Sup over the xi-grid of the floor-prime vs plain-prime weighted gap.
 
     Route one: sum_{p in P_h, p <= N, p = a (q)} log(p)/phi'(p) e(xi p)
@@ -404,42 +468,33 @@ def error_term_sup(inv, N, q, a, table, grid=4096, ps=None):
     sum_k Lambda_{a,q}(k)/phi'(k) (Phi(-phi(k+1)) - Phi(-phi(k))) e(xi k).
 
     Returns the sup of route one, both per-xi profiles, and the sup gap
-    between the routes.  ps, if given, is a floor-image enumeration up to at
-    least N (the sets nest and witnesses are first hits, so its members up
-    to N are the enumeration up to N); otherwise one is made.
-
-    phi is inverted only at each prime power k and at k+1: phi'(k) comes
-    from phi(k) by the inverse-function rule phi'(k) = 1/h'(phi(k)), and the
-    members, primes of the same class, read their phi' from that array.
+    between the routes.  inputs, if given, is error_term_inputs(inv, top, q,
+    a, table) for some top >= N; otherwise it is built at N.  Every array in
+    it is sorted by k and every value is elementwise, so the prefixes up to
+    N are bit for bit the data built at N: a ladder of N builds (and inverts
+    phi) once at its top.
     """
     N = int(N)
     if N > table.limit:
         raise ValueError("N beyond table limit")
-    if math.gcd(a, q) != 1:
-        raise ValueError("need gcd(a, q) = 1")
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if ps is None:
-        ps = sieve.enumerate_ps_primes(inv, N, table)
-    elif ps.limit < N:
-        raise ValueError("ps must be enumerated up to at least N")
-    lam = table.mangoldt_array()
-    ks = np.flatnonzero(lam[: N + 1] > 0).astype(np.int64)
-    ks = ks[ks % q == a % q]
-    kf = ks.astype(float)
-    phi_k = hfun.eval_phi_clamped(inv, kf, 0)
-    phi_k1 = hfun.eval_phi_clamped(inv, kf + 1.0, 0)
-    dphi_k = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k, 1)
-    mem = ps.members[(ps.members <= N) & (ps.members % q == a % q)]
-    w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
-    A = zn_fourier.sparse_fourier_on_grid(mem, w_h.astype(complex), grid)
-    pr = table.primes[(table.primes <= N) & (table.primes % q == a % q)]
+    if inputs is None:
+        inputs = error_term_inputs(inv, N, q, a, table)
+    elif inputs.limit < N or (inputs.q, inputs.a) != (q, a):
+        raise ValueError("inputs must be built for the same class up to at least N")
+    d = inputs
+    nk = np.searchsorted(d.ks, N, side="right")
+    nm = np.searchsorted(d.members, N, side="right")
+    pr = d.primes[: np.searchsorted(d.primes, N, side="right")]
+    A = zn_fourier.sparse_fourier_on_grid(
+        d.members[:nm], d.member_weights[:nm].astype(complex), grid)
     B = zn_fourier.sparse_fourier_on_grid(
         pr, np.log(pr.astype(float)).astype(complex), grid)
-    saw = sawtooth_phi(-phi_k1) - sawtooth_phi(-phi_k)
-    w_mid = lam[ks] * saw / dphi_k
-    C = zn_fourier.sparse_fourier_on_grid(ks, w_mid.astype(complex), grid)
+    saw = sawtooth_phi(-d.phi_k1[:nk]) - sawtooth_phi(-d.phi_k[:nk])
+    w_mid = d.lam[:nk] * saw / d.dphi_k[:nk]
+    C = zn_fourier.sparse_fourier_on_grid(d.ks[:nk], w_mid.astype(complex), grid)
     per_xi = np.abs(A - B)
     per_xi_middle = np.abs(C)
     route_gap = float(np.max(np.abs(A - B - C)))

@@ -1,12 +1,15 @@
 """Prime tables, arithmetic functions, and floor-image prime sets.
 
 PrimeTable wraps a blockwise sieve of Eratosthenes: primality flags indexed by
-value over [0, limit] and the sorted primes, plus a cached von Mangoldt array
-for the exponential-sum sweeps.  The scalar von Mangoldt, Moebius, and Euler
-phi functions factor their argument by trial division and never read the
-table beyond its limit check.
+value over [0, limit] and the sorted primes, plus a cached dense von Mangoldt
+array (8 bytes per integer) for the direct exponential sums and the
+prime-sum split; the error-term sweep reads a list of prime powers built
+from the primes instead.  The scalar von Mangoldt, Moebius, and Euler phi
+functions factor their argument by trial division and never read the table
+beyond its limit check.
 
-PsPrimeSet enumerates the primes hit by floor(h(n)) for a growth spec h.  The
+PsPrimeSet holds the primes hit by floor(h(n)) for a growth spec h, which
+enumerate_ps_primes finds block by block over the n-range.  The
 membership test for a single prime p uses the floor identity
 
     floor(-phi(p)) - floor(-phi(p+1)) == 1,
@@ -39,8 +42,13 @@ _DEFAULT_BUDGET = 1 << 27
 
 
 def _near_int(x):
-    """True where x lies within max(1e-9, 4 ulp(|x|)) of an integer."""
-    return np.abs(x - np.rint(x)) < np.maximum(1e-9, 4 * np.spacing(np.abs(x)))
+    """True where x lies within max(1e-9, 4 ulp(|x|)) of an integer.
+
+    Written so that numpy reuses its temporaries in place: at most two float
+    arrays besides x at a time, which bounds the enumeration's block peak.
+    """
+    dist = abs(np.rint(x) - x)
+    return (dist < 1e-9) | (dist < 4 * abs(np.spacing(x)))
 
 
 # -- prime table -------------------------------------------------------------
@@ -248,9 +256,9 @@ class PsPrimeSet:
 def _floor_guarded_h(inv, ns):
     """floor(h(n)) with extended-precision recomputation near integers."""
     spec = inv.parent
-    hs = hfun.eval_h(spec, ns.astype(float))
+    hs = hfun.eval_h(spec, np.asarray(ns, dtype=float))
     risky = _near_int(hs)
-    floors = np.floor(hs)
+    floors = np.floor(hs, out=hs)
     if np.any(risky):
         hs_ld = hfun.eval_h(spec, ns[risky].astype(np.longdouble))
         floors[risky] = np.floor(hs_ld).astype(float)
@@ -318,48 +326,62 @@ def small_p_threshold(inv, gap=0.5, cap=2 ** 62):
 def enumerate_ps_primes(inv, N, table):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
-    Cross-validates every member against the floor identity above the
-    small-p threshold; below it, disagreements are logged only.
+    Walks the n-range in blocks of _BLOCK integers, so no array spans the
+    whole range.  Each block takes the guarded floors, keeps the primes and
+    drops repeats; the last accepted p is carried into the next block, so a
+    p whose run of n straddles a boundary keeps only its first witness.
+    Every block's members are cross-validated against the floor identity
+    above the small-p threshold (NumericalError names the first rejected p);
+    below it, disagreements are summed over the blocks and logged only.
     """
     N = int(N)
     if N > table.limit:
         raise ValueError("N beyond table limit")
     spec = inv.parent
+    p_min = small_p_threshold(inv)
     n_start = max(1, math.ceil(spec.x0))
     if hfun.eval_h(spec, float(n_start)) >= N + 1:
-        return PsPrimeSet(inv, N, np.empty(0, np.int64), np.empty(0, np.int64),
-                          small_p_threshold(inv))
+        return PsPrimeSet(inv, N, np.empty(0, np.int64), np.empty(0, np.int64), p_min)
     n_end = int(np.floor(hfun.eval_phi(inv, float(N + 1))))
     while hfun.eval_h(spec, float(n_end + 1)) < N + 1:
         n_end += 1
     while n_end >= n_start and hfun.eval_h(spec, float(n_end)) >= N + 1:
         n_end -= 1
-    ns = np.arange(n_start, n_end + 1, dtype=np.int64)
-    floors = _floor_guarded_h(inv, ns)
-    ps = floors.astype(np.int64)
-    keep = (ps >= 2) & (ps <= N)
-    ns, ps = ns[keep], ps[keep]
-    keep = table.is_prime[ps]
-    ns, ps = ns[keep], ps[keep]
-    if ps.size:
-        first = np.ones(ps.size, dtype=bool)
-        first[1:] = ps[1:] != ps[:-1]
+    p_lo = math.ceil(inv.y0)
+    members, witnesses = [], []
+    last = -1
+    below = below_bad = 0
+    for lo in range(n_start, n_end + 1, _BLOCK):
+        # n < 2^53, so the float n are exact
+        ps = _floor_guarded_h(inv, np.arange(lo, min(lo + _BLOCK, n_end + 1),
+                                             dtype=float)).astype(np.int64)
+        keep = (ps >= 2) & (ps <= N)
+        keep[keep] = table.is_prime[ps[keep]]
+        ns = np.flatnonzero(keep) + lo
+        ps = ps[ns - lo]
+        first = np.diff(ps, prepend=last) != 0
         ns, ps = ns[first], ps[first]
-    p_min = small_p_threshold(inv)
-    above = ps[ps >= p_min] if ps.size else ps
-    above = above[above >= math.ceil(inv.y0)]
-    if above.size:
-        ok = _floor_identity(inv, above)
-        if not np.all(ok):
-            raise NumericalError(
-                f"floor identity rejects {int(np.sum(~ok))} enumerated members, "
-                f"first p={int(above[~ok][0])}")
-    below = ps[(ps < p_min) & (ps >= math.ceil(inv.y0))] if ps.size else ps
-    if below.size:
+        if ps.size:
+            last = int(ps[-1])
+        above = ps[(ps >= p_min) & (ps >= p_lo)]
+        if above.size:
+            ok = _floor_identity(inv, above)
+            if not np.all(ok):
+                raise NumericalError(
+                    f"floor identity rejects enumerated member p={int(above[~ok][0])} "
+                    f"({int(np.sum(~ok))} rejected in its block of n)")
+        sub = ps[(ps < p_min) & (ps >= p_lo)]
+        if sub.size:
+            below += int(sub.size)
+            below_bad += int(np.sum(~_floor_identity(inv, sub)))
+        members.append(ps)
+        witnesses.append(ns)
+    if below:
         # sufficiently-large regime not reached: enumeration decides, the
         # floor identity is informational here
-        ok = _floor_identity(inv, below)
         log.info("%d members below small-p threshold %s; floor identity "
                  "disagreements there: %d (logged, not asserted)",
-                 int(below.size), p_min, int(np.sum(~ok)))
-    return PsPrimeSet(inv, N, ps, ns, p_min)
+                 below, p_min, below_bad)
+    empty = [np.empty(0, np.int64)]
+    return PsPrimeSet(inv, N, np.concatenate(members or empty),
+                      np.concatenate(witnesses or empty), p_min)

@@ -1,12 +1,18 @@
 import csv
 import json
+import logging
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from psroth import checks
+import psroth
+from psroth import checks, hfun, sieve
 from psroth.cli import main
+
+H1 = {"kind": "power_log", "c": 1.2, "x0": 3.0, "params": {"A": 2.0}}
 
 
 def run(tmp_path, *argv):
@@ -208,3 +214,74 @@ def test_roth_full_pipeline(tmp_path):
     assert int(row["lam3_ordered"]) >= int(row["set_size"])
     man = json.loads((tmp_path / "transference_run_manifest.json").read_text())
     assert man["summary"]["mass_ratio"] == pytest.approx(1.0)
+
+
+def test_verbose_lowers_log_level_only(tmp_path, monkeypatch):
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    for flags in ([], ["-v"], ["-vv"], ["--verbose", "--verbose", "-v"]):
+        d = tmp_path / (" ".join(flags) or "quiet")
+        assert main(["psgen", "--n", "2000", *flags, "--out-dir", str(d)]) == 0
+    assert levels == [logging.INFO, logging.DEBUG, logging.DEBUG]
+    quiet, loud = tmp_path / "quiet", tmp_path / "-vv"
+    for name in ("psprimes.csv", "density.csv"):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+    mq, ml = (json.loads((d / "ps-prime_generation_manifest.json").read_text())
+              for d in (quiet, loud))
+    assert mq["config"].keys() == ml["config"].keys()
+    assert not any("verbose" in key for key in mq["config"])
+    assert mq["config_sha256"] == ml["config_sha256"]
+
+
+def test_verbose_shows_enumeration_log_line(tmp_path):
+    # a fresh process, so the root logger has no handlers yet
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psroth.__file__)))
+    err = {}
+    for flags in ([], ["-vv"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "psroth", "psgen", "--n", "2000", *flags,
+             "--out-dir", str(tmp_path / str(len(flags)))],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        err[len(flags)] = proc.stderr
+    assert "members below small-p threshold" in err[1]
+    assert "psroth.sieve" in err[1]
+    assert err[0] == ""
+
+
+def test_errsweep_reads_no_dense_mangoldt_array(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("errsweep read the dense Mangoldt array")
+
+    monkeypatch.setattr(sieve.PrimeTable, "mangoldt_array", refuse)
+    cfg = write_config(tmp_path, function=H1, N_list=[4096, 8192], grid=256, q=4, a=3)
+    assert run(tmp_path, "errsweep", "--config", cfg) == 0
+    assert len(read_csv(tmp_path / "errsweep.csv")) == 3
+
+
+def test_errsweep_ladder_inverts_phi_twice(tmp_path, monkeypatch):
+    # one enumeration and one inversion of phi at k and k + 1 serve the
+    # whole ladder; the enumeration is done up front, since its own bounds
+    # and cross-check invert phi too
+    ladder = [2 ** k for k in range(12, 18)]
+    inv = hfun.inverse_of(hfun.spec_from_config(H1))
+    ps = sieve.enumerate_ps_primes(inv, max(ladder), sieve.sieve_primes(max(ladder)))
+    tops = []
+
+    def enumerated(inv, N, table):
+        tops.append(N)
+        return ps
+
+    real, calls = hfun._newton_phi, []
+
+    def counting(inv, y):
+        calls.append(y.size)
+        return real(inv, y)
+
+    monkeypatch.setattr(sieve, "enumerate_ps_primes", enumerated)
+    monkeypatch.setattr(hfun, "_newton_phi", counting)
+    cfg = write_config(tmp_path, function=H1, N_list=ladder, grid=256)
+    assert run(tmp_path, "errsweep", "--config", cfg, "--threads", "2") == 0
+    assert tops == [max(ladder)]
+    assert len(calls) == 2
+    assert len(read_csv(tmp_path / "errsweep.csv")) == len(ladder) + 1

@@ -12,6 +12,7 @@ from psroth import (
     default_bilinear_R,
     default_cutoff,
     enumerate_ps_primes,
+    error_term_inputs,
     error_term_sup,
     exp_sum_direct,
     eval_phi,
@@ -23,6 +24,7 @@ from psroth import (
     pure_power,
     sawtooth_expansion,
     sawtooth_phi,
+    sieve,
     sieve_primes,
     type_I_bound_check,
     vaughan_coefficients,
@@ -318,21 +320,24 @@ def test_error_term_route_gap_envelope(table_1e6, inv99):
 
 
 def test_error_term_reads_top_enumeration(table_1e6):
-    # the sets nest and witnesses are first hits, so the members <= N of one
-    # enumeration at the top N give every smaller N's report bit for bit
+    # the sets nest, witnesses are first hits and every input is elementwise
+    # and sorted by k, so the prefixes <= N of the data built once at the top
+    # N give every smaller N's report bit for bit
     inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
     ladder = [2 ** k for k in range(12, 17)] + [70001]
-    top = enumerate_ps_primes(inv, max(ladder), table_1e6)
-    for N in ladder:
-        for q, a in ((1, 0), (4, 3)):
+    for q, a in ((1, 0), (4, 3)):
+        top = error_term_inputs(inv, max(ladder), q, a, table_1e6)
+        for N in ladder:
             own = error_term_sup(inv, N, q, a, table_1e6, grid=512)
-            shared = error_term_sup(inv, N, q, a, table_1e6, grid=512, ps=top)
+            shared = error_term_sup(inv, N, q, a, table_1e6, grid=512, inputs=top)
             assert shared.sup_diff == own.sup_diff
             assert shared.route_gap == own.route_gap
             assert np.array_equal(shared.per_xi, own.per_xi)
             assert np.array_equal(shared.per_xi_middle, own.per_xi_middle)
     with pytest.raises(ValueError):
-        error_term_sup(inv, 2 ** 17, 1, 0, table_1e6, ps=top)
+        error_term_sup(inv, 2 ** 17, 4, 3, table_1e6, inputs=top)
+    with pytest.raises(ValueError):
+        error_term_sup(inv, 2 ** 12, 1, 0, table_1e6, inputs=top)
 
 
 def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
@@ -341,6 +346,7 @@ def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
     inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
     N = 2 ** 14
     ps = enumerate_ps_primes(inv, N, table_1e6)
+    monkeypatch.setattr(sieve, "enumerate_ps_primes", lambda *args: ps)
     real = hfun._newton_phi
     calls = []
 
@@ -349,5 +355,18 @@ def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
         return real(inv, y)
 
     monkeypatch.setattr(hfun, "_newton_phi", counting)
-    error_term_sup(inv, N, 1, 0, table_1e6, grid=512, ps=ps)
+    error_term_sup(inv, N, 1, 0, table_1e6, grid=512)
     assert len(calls) == 2
+
+
+def test_error_term_prime_powers_match_mangoldt_array(table_1e6):
+    # the prime-power list is built from the primes, apart from the dense
+    # array; both must give the same k and bitwise the same Lambda(k)
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    lam = table_1e6.mangoldt_array()
+    dense = np.flatnonzero(lam > 0)
+    for q, a in ((1, 0), (4, 3)):
+        d = error_term_inputs(inv, table_1e6.limit, q, a, table_1e6)
+        want = dense[dense % q == a]
+        assert np.array_equal(d.ks, want)
+        assert np.array_equal(d.lam.view(np.int64), lam[want].view(np.int64))

@@ -7,6 +7,7 @@ import pytest
 
 from psroth import (
     DomainError,
+    NumericalError,
     ResourceError,
     count_in_class,
     enumerate_ps_primes,
@@ -20,6 +21,7 @@ from psroth import (
     ps_exponent_spec,
     ps_member,
     pure_power,
+    sieve,
     sieve_primes,
     small_p_threshold,
     vaughan_coefficients,
@@ -205,6 +207,44 @@ def test_enumeration_invariants(table_1e6, inv95, inv99):
         sample = m[:: max(1, m.size // 400)]
         for p in sample:
             assert ps_member(inv, int(p))
+
+
+@pytest.mark.parametrize("spec, N, block", [
+    # h' < 1: every p repeats over about three n, so runs straddle blocks
+    (pure_power(1.05, C_h=0.3), 10 ** 4, 7),
+    (ps_exponent_spec(0.95), 10 ** 6, 4099),
+])
+def test_blocked_enumeration_matches_one_block(table_1e6, monkeypatch, caplog,
+                                               spec, N, block):
+    inv = inverse_of(spec)
+    whole = enumerate_ps_primes(inv, N, table_1e6)
+    assert whole.witnesses[-1] < sieve._BLOCK   # the reference is one block
+    monkeypatch.setattr(sieve, "_BLOCK", block)
+    with caplog.at_level(logging.INFO, logger="psroth.sieve"):
+        blocked = enumerate_ps_primes(inv, N, table_1e6)
+    assert whole.witnesses[-1] > 100 * block
+    assert np.array_equal(blocked.members, whole.members)
+    assert np.array_equal(blocked.witnesses, whole.witnesses)
+    # the sub-threshold disagreements are summed into one line over the blocks
+    below = int(np.sum(whole.members < whole.p_min))
+    lines = [r.getMessage() for r in caplog.records if "threshold" in r.getMessage()]
+    assert len(lines) == 1 and lines[0].startswith(f"{below} members below")
+
+
+def test_blocked_enumeration_names_rejected_member(table_1e6, inv95, monkeypatch):
+    whole = enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
+    target = int(whole.members[-100])
+    assert target > whole.p_min
+    real = sieve._floor_identity
+    monkeypatch.setattr(sieve, "_floor_identity",
+                        lambda inv, ps: real(inv, ps) & (ps != target))
+    monkeypatch.setattr(sieve, "_BLOCK", 4099)
+    # blocks start at n = 1; the target's block comes after the first one
+    # whose members are checked above p_min
+    first_above = whole.witnesses[np.searchsorted(whole.members, whole.p_min)]
+    assert (whole.witnesses[-100] - 1) // 4099 > (first_above - 1) // 4099
+    with pytest.raises(NumericalError, match=rf"p={target}\b"):
+        enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
 
 
 def floor_h_20_19(n):
