@@ -98,7 +98,7 @@ def sieve_primes(limit, budget=_DEFAULT_BUDGET):
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start < hi:
                 is_prime[start:hi:p] = False
-    return PrimeTable(limit, is_prime, np.flatnonzero(is_prime).astype(np.int64))
+    return PrimeTable(limit, is_prime, np.flatnonzero(is_prime).astype(np.int64, copy=False))
 
 
 def _factorize(n):

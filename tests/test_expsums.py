@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from psroth import (
     error_term_inputs,
     error_term_sup,
     exp_sum_direct,
+    expsums,
     eval_phi,
     hfun,
     inverse_of,
@@ -193,6 +195,105 @@ def test_vaughan_identity_per_n():
         print(f"v={v}: identity exact above v; failures at n<=v: "
               f"{failures_below}/{v}")
         assert failures_below > 0
+
+
+def _split_per_l(inv, pp, table, v):
+    # the split as one loop per l and one phase evaluation per l and shift,
+    # with its own compensated sums; the blocked split must match it bit for bit
+    def csum(z):
+        return complex(math.fsum(z.real), math.fsum(z.imag))
+
+    lam = table.mangoldt_array()
+    vi = int(math.floor(v))
+    mu = mobius_array(vi, table)
+    L = int(math.floor(max(v * v, pp.P1 / v)))
+    pi_arr, xi_arr = vaughan_coefficients(v, v, min(L, table.limit), table)
+    tot = [0.0 + 0.0j] * 4
+    for s in range(pp.q):
+        alpha = pp.xi + s / pp.q
+        parts = [0.0 + 0.0j] * 4
+        for l in range(1, int(math.floor(min(v * v, pp.P1))) + 1):
+            ks = np.arange(pp.P // l + 1, pp.P1 // l + 1, dtype=np.int64)
+            if ks.size == 0:
+                continue
+            ph = expsums._phase(inv, alpha, pp.m, ks * l)
+            if l <= vi:
+                if mu[l]:
+                    parts[0] += int(mu[l]) * csum(np.log(ks.astype(float)) * ph)
+                if pi_arr[l] != 0.0:
+                    parts[1] += pi_arr[l] * csum(ph)
+            elif pi_arr[l] != 0.0:
+                parts[2] += pi_arr[l] * csum(ph)
+        for l in range(vi + 1, int(math.floor(pp.P1 / v)) + 1):
+            if xi_arr[l] == 0:
+                continue
+            ks = np.arange(max(pp.P // l + 1, vi + 1), pp.P1 // l + 1, dtype=np.int64)
+            wk = lam[ks]
+            ks, wk = ks[wk > 0], wk[wk > 0]
+            if ks.size:
+                parts[3] += int(xi_arr[l]) * csum(wk * expsums._phase(inv, alpha, pp.m, ks * l))
+        coeff = np.exp(-1j * expsums.TWO_PI * s * pp.a / pp.q) / pp.q
+        for i in range(4):
+            tot[i] += coeff * parts[i]
+    return tot
+
+
+def test_vaughan_split_matches_per_l_reference(inv95m, table_2e3, monkeypatch):
+    # phi is elementwise and fsum exactly rounded, so neither the blocks nor
+    # the phi shared across residue shifts may move a bit of any piece;
+    # 7-point blocks span many segments and cut the type I runs short
+    h1 = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    table_8e3 = sieve_primes(8000)
+    cases = [(inv95m, 1000, table_2e3, None), (inv95m, 1000, table_2e3, 999.0),
+             (h1, 4000, table_8e3, 8.0)]
+    for inv, P, table, v in cases:
+        for q, a in ((1, 0), (2, 1), (3, 2), (4, 3)):
+            pp = PhaseParams(0.6180339887, -2, a, q, P, 2 * P)
+            want = _split_per_l(inv, pp, table, default_cutoff(inv, pp.P1) if v is None else v)
+            direct = exp_sum_direct(inv, pp, table)
+            for block in (expsums._BLOCK, 7):
+                monkeypatch.setattr(expsums, "_BLOCK", block)
+                split = vaughan_decompose(inv, pp, table, v=v)
+                assert [split.S1, split.S21, split.S22, split.S3] == want
+                assert split.direct == direct
+                assert split.residual == abs(want[0] - want[1] - want[2] + want[3] - direct)
+                monkeypatch.undo()
+
+
+def test_vaughan_phi_not_repeated_per_shift(inv95m, table_2e3, monkeypatch):
+    # m*phi(k*l) does not depend on the frequency: one evaluation per block
+    # serves every residue shift, so q = 3 inverts as often as q = 1
+    monkeypatch.setattr(expsums, "_BLOCK", 256)
+    real = hfun.eval_phi
+    calls = []
+
+    def counting(inv, y):
+        calls.append(np.size(y))
+        return real(inv, y)
+
+    monkeypatch.setattr(hfun, "eval_phi", counting)
+    counts = []
+    for q, a in ((1, 0), (3, 2)):
+        calls.clear()
+        vaughan_decompose(inv95m, PhaseParams(0.3, 2, a, q, 1000, 2000), table_2e3, v=12.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 10
+
+
+def test_vaughan_split_memory_is_blocked(inv95m):
+    # one P = 16000 split holds one block of phases at a time, not the whole
+    # split: the traced peak stays under 2 MB (about 1.2 MB; a loop with one
+    # phase array per l and shift reads 0.9 MB)
+    table = sieve_primes(32000)
+    table.mangoldt_array()
+    pp = PhaseParams(0.3, 2, 0, 1, 16000, 32000)
+    tracemalloc.start()
+    try:
+        vaughan_decompose(inv95m, pp, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_vdc_single_bound_values():
