@@ -39,6 +39,7 @@ from .sieve import (
     mangoldt,
     mobius,
     mobius_array,
+    prime_powers,
     ps_member,
     sieve_primes,
     small_p_threshold,

@@ -19,9 +19,9 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def check_trilinear_routes(seed=2026, tol=1e-9):
+def check_trilinear_routes():
     """FFT trilinear form vs the O(N^2) double sum on random triples."""
-    rng = _rng(seed)
+    rng = _rng(2026)
     worst = 0.0
     for N in (5, 101, 1009):
         for _ in range(50):
@@ -29,12 +29,12 @@ def check_trilinear_routes(seed=2026, tol=1e-9):
             a = zn_fourier.trilinear_fft(f, g, h)
             b = zn_fourier.trilinear_direct(f, g, h)
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return "trilinear_fft_vs_direct", worst <= tol, f"worst rel err {worst:.3e}"
+    return "trilinear_fft_vs_direct", worst <= 1e-9, f"worst rel err {worst:.3e}"
 
 
-def check_inversion_and_parseval(seed=2027, tol=1e-9):
+def check_inversion_and_parseval():
     """inverse_dft(dft(f)) = N f and sum|f|^2 = N^{-1} sum|F|^2."""
-    rng = _rng(seed)
+    rng = _rng(2027)
     worst = 0.0
     for N in (32, 101, 1009):
         f = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -43,12 +43,12 @@ def check_inversion_and_parseval(seed=2027, tol=1e-9):
         worst = max(worst, float(np.max(np.abs(back - f))))
         pars = abs(np.sum(np.abs(f) ** 2) - np.sum(np.abs(F) ** 2) / N)
         worst = max(worst, pars / max(1.0, float(np.sum(np.abs(f) ** 2))))
-    return "inversion_and_parseval", worst <= tol, f"worst err {worst:.3e}"
+    return "inversion_and_parseval", worst <= 1e-9, f"worst err {worst:.3e}"
 
 
-def check_bohr_pigeonhole(seed=2028):
+def check_bohr_pigeonhole():
     """|B(R, eps)| >= eps^k N for spectra of random restricted measures."""
-    rng = _rng(seed)
+    rng = _rng(2028)
     ok = True
     detail = []
     # delta sits just under the top nonzero peaks so k stays small but > 1
@@ -63,9 +63,9 @@ def check_bohr_pigeonhole(seed=2028):
     return "bohr_pigeonhole", ok, "; ".join(detail)
 
 
-def check_varnavides_identity(seed=2029):
+def check_varnavides_identity():
     """sum_a |A' cap P_{a,d}| = M |A'| exactly for every d."""
-    rng = _rng(seed)
+    rng = _rng(2029)
     ok = True
     for N, M in ((101, 8), (101, 5)):
         A = np.flatnonzero(rng.random(N) < 0.3)
@@ -74,9 +74,9 @@ def check_varnavides_identity(seed=2029):
     return "varnavides_identity", ok, "exact integer identity over all d"
 
 
-def check_lam3_decomposition(seed=2030):
+def check_lam3_decomposition():
     """Lam3(1_A) = |A| + ordered nontrivial count, FFT vs brute."""
-    rng = _rng(seed)
+    rng = _rng(2030)
     ok = True
     for N in (101, 1009):
         for _ in range(5):
@@ -86,9 +86,9 @@ def check_lam3_decomposition(seed=2030):
     return "lam3_decomposition", ok, "lam3 = |A| + nontrivial, both routes"
 
 
-def check_vaughan_residual(seed=2031, tol=1e-6):
+def check_vaughan_residual():
     """Four-piece split reassembles the direct sum at P = 10^3."""
-    rng = _rng(seed)
+    rng = _rng(2031)
     inv = hfun.inverse_of(hfun.ps_exponent_spec(0.95))
     table = sieve.sieve_primes(2048)
     worst = 0.0
@@ -100,7 +100,7 @@ def check_vaughan_residual(seed=2031, tol=1e-6):
         pp = expsums.PhaseParams(xi, m, a, q, 1000, 2000)
         split = expsums.vaughan_decompose(inv, pp, table)
         worst = max(worst, split.residual / max(1.0, abs(split.direct)))
-    return "vaughan_residual", worst <= tol, f"worst rel residual {worst:.3e}"
+    return "vaughan_residual", worst <= 1e-6, f"worst rel residual {worst:.3e}"
 
 
 def check_floor_identity_matches_enumeration():
@@ -117,12 +117,11 @@ def check_floor_identity_matches_enumeration():
 
 def check_chebyshev_identity():
     """sum_{d | n} Lambda(d) = log n for n <= 2000."""
-    table = sieve.sieve_primes(2000)
-    lam = table.mangoldt_array()
-    # acc[n] gains Lambda(d) for d | n in ascending d
+    ks, lam = sieve.prime_powers(sieve.sieve_primes(2000), 2000)
+    # acc[n] gains Lambda(d) for the prime powers d | n in ascending d
     acc = np.zeros(2001)
-    for d in range(1, 2001):
-        acc[d::d] += lam[d]
+    for d, w in zip(ks.tolist(), lam.tolist()):
+        acc[d::d] += w
     worst = max(abs(acc[n] - math.log(n)) for n in range(2, 2001))
     return "chebyshev_identity", worst <= 1e-9, f"worst abs err {worst:.3e}"
 

@@ -21,9 +21,9 @@ with its slack so a failed inequality names the step that broke.
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
 whole transference argument) and also returns the sawtooth middle form that
-links the two routes.  error_term_inputs builds the data it reads (prime
-powers from the table's primes, the enumeration, phi) once, so a ladder of
-N shares one build at its top.
+links the two routes.  error_term_inputs builds the data it reads (the prime
+powers from sieve.prime_powers, the enumeration, phi) once, so a ladder of N
+shares one build at its top.
 """
 
 from __future__ import annotations
@@ -155,11 +155,9 @@ def exp_sum_direct(inv, pp, table):
     """Brute-force evaluation of the ranged weighted sum."""
     if pp.P1 > table.limit:
         raise ValueError("P1 beyond table limit")
-    ks = np.arange(pp.P + 1, pp.P1 + 1, dtype=np.int64)
-    ks = ks[ks % pp.q == pp.a]
-    lam = table.mangoldt_array()[ks]
-    keep = lam > 0
-    ks, lam = ks[keep], lam[keep]
+    ks, lam = sieve.prime_powers(table, pp.P1, pp.q, pp.a)
+    i = np.searchsorted(ks, pp.P, side="right")
+    ks, lam = ks[i:], lam[i:]
     if ks.size == 0:
         return 0.0 + 0.0j
     return _csum(lam * _phase(inv, pp.xi, pp.m, ks))
@@ -172,12 +170,13 @@ def default_cutoff(inv, P1):
     return float(hfun.eval_phi(inv, float(P1))) * float(P1) ** (-0.625)
 
 
-def _split_segments(P, P1, v, lam, mu, pi_arr, xi_arr):
+def _split_segments(P, P1, v, pk, pl, mu, pi_arr, xi_arr):
     """The split's segments in l order, each (k*l, terms) with terms a list of
     (piece, coefficient, weights): piece 0..3 is S1, S21, S22, S3, and the
-    weights are none, log k or Lambda(k).  A segment has at most one
-    weighted term and it comes last.  Nothing here depends on the
-    frequency, so every residue shift reads the same segments."""
+    weights are none, log k or Lambda(k), read from the prime powers pk <= P1
+    and their weights pl.  A segment has at most one weighted term and it
+    comes last.  Nothing here depends on the frequency, so every residue
+    shift reads the same segments."""
     vi = int(math.floor(v))
     l_top = int(math.floor(min(v * v, P1)))
     for l in range(1, l_top + 1):
@@ -199,16 +198,9 @@ def _split_segments(P, P1, v, lam, mu, pi_arr, xi_arr):
         if xi_arr[l] == 0:
             continue
         klo = max(P // l + 1, vi + 1)
-        khi = P1 // l
-        if khi < klo:
-            continue
-        ks = np.arange(klo, khi + 1, dtype=np.int64)
-        wk = lam[ks]
-        keep = wk > 0
-        if keep.any():
-            ks = ks[keep]
-            ks *= l
-            yield ks, [(3, int(xi_arr[l]), wk[keep])]
+        i, j = np.searchsorted(pk, (klo, P1 // l + 1))
+        if i < j:
+            yield pk[i:j] * l, [(3, int(xi_arr[l]), pl[i:j])]
 
 
 def _blocks(segments):
@@ -244,13 +236,13 @@ def vaughan_decompose(inv, pp, table, v=None):
         raise ValueError(f"cutoff v={v} must stay below P={pp.P}")
     if pp.P1 > table.limit:
         raise ValueError("P1 beyond table limit")
-    lam = table.mangoldt_array()
+    pk, pl = sieve.prime_powers(table, pp.P1)
     mu = sieve.mobius_array(int(math.floor(v)), table)
     L = int(math.floor(max(v * v, pp.P1 / v)))
     pi_arr, xi_arr = sieve.vaughan_coefficients(v, v, min(L, table.limit), table)
     alphas = [pp.xi + s / pp.q for s in range(pp.q)]
     parts = [[0.0 + 0.0j] * 4 for _ in alphas]
-    segments = _split_segments(pp.P, pp.P1, v, lam, mu, pi_arr, xi_arr)
+    segments = _split_segments(pp.P, pp.P1, v, pk, pl, mu, pi_arr, xi_arr)
     for block in _blocks(segments):
         kl = block[0][0] if len(block) == 1 else np.concatenate([seg[0] for seg in block])
         mphi = pp.m * hfun.eval_phi_clamped(inv, kl, 0)
@@ -401,9 +393,7 @@ def bilinear_check(inv, K, L, mm, alpha, R=None, D1=None, D2=None, rng=None):
     ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
     ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
     # phase matrix over the block, k rows, l columns
-    kl = np.multiply.outer(ks, ls)
-    ph = np.exp(1j * TWO_PI * (alpha * kl.astype(float)
-                               + mm * hfun.eval_phi_clamped(inv, kl, 0)))
+    ph = _phase(inv, alpha, mm, np.multiply.outer(ks, ls))
     inner = D2[:, None] * ph
     col = np.sum(inner, axis=0)
     B = complex(np.sum(D1 * col))
@@ -468,9 +458,9 @@ class ErrorTermInputs(NamedTuple):
 def error_term_inputs(inv, top, q, a, table):
     """The error term's data up to top: enumeration, prime powers and phi.
 
-    Lambda is taken from the table's primes (np.log over the primes,
-    math.log(p) at the higher powers, as PrimeTable.mangoldt_array does),
-    never from the dense array.  phi is inverted only at each prime power k
+    The prime powers of the class and their Lambda come from
+    sieve.prime_powers, and the class's primes are the prime powers the
+    table flags as prime.  phi is inverted only at each prime power k
     and at k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and
     the members, primes of the same class, read their phi' from that array.
     """
@@ -479,28 +469,14 @@ def error_term_inputs(inv, top, q, a, table):
         raise ValueError("N beyond table limit")
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
-    r = a % q
     ps = sieve.enumerate_ps_primes(inv, top, table)
-    primes = table.primes[: np.searchsorted(table.primes, top, side="right")]
-    primes = primes[primes % q == r]
-    powers, logs = [], []
-    for p in table.primes[: np.searchsorted(table.primes, math.isqrt(top), side="right")]:
-        p = int(p)
-        pk, lp = p * p, math.log(p)
-        while pk <= top:
-            if pk % q == r:
-                powers.append(pk)
-                logs.append(lp)
-            pk *= p
-    ks = np.concatenate([primes, np.array(powers, dtype=np.int64)])
-    lam = np.concatenate([np.log(primes), np.array(logs)])
-    order = np.argsort(ks, kind="stable")
-    ks, lam = ks[order], lam[order]
+    ks, lam = sieve.prime_powers(table, top, q, a)
+    primes = ks[table.is_prime[ks]]
     kf = ks.astype(float)
     phi_k = hfun.eval_phi_clamped(inv, kf, 0)
     phi_k1 = hfun.eval_phi_clamped(inv, kf + 1.0, 0)
     dphi_k = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k, 1)
-    mem = ps.members[ps.members % q == r]
+    mem = ps.members[ps.members % q == a % q]
     w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
     return ErrorTermInputs(top, q, a, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)
 

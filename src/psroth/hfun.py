@@ -234,7 +234,7 @@ def eval_h(spec, x):
     return eval_h_quadrature(spec, x)
 
 
-def eval_h_quadrature(spec, x, epsabs=1e-12, epsrel=1e-12):
+def eval_h_quadrature(spec, x):
     """h(x) through the integral form C * (x/x0)^c * h(x0)-anchored l(x).
 
     Independent of the closed forms above (adaptive Gauss-Kronrod on
@@ -248,7 +248,7 @@ def eval_h_quadrature(spec, x, epsabs=1e-12, epsrel=1e-12):
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
         integral, _ = quad(lambda t: float(vtheta(spec, t)) / t, spec.x0, xi,
-                           epsabs=epsabs, epsrel=epsrel, limit=200)
+                           epsabs=1e-12, epsrel=1e-12, limit=200)
         out[i] = anchor * (xi / spec.x0) ** spec.c * math.exp(integral)
     return out[0] if scalar else out
 

@@ -22,6 +22,9 @@ import numpy as np
 
 from . import hfun, sieve, zn_fourier
 
+# bohr_set scans the x in chunks of this many points
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class WTrickParams:
@@ -139,12 +142,12 @@ def build_lambda_h(N, params, inv, ps):
     return WeightedSequence(N, w, "lambda_h")
 
 
-def bohr_set(freqs, N, epsilon, chunk=1 << 16):
+def bohr_set(freqs, N, epsilon):
     """{x : ||x*xi/N|| <= epsilon for every xi in freqs}, exhaustive scan."""
     freqs = np.asarray(freqs, dtype=np.int64)
     blocks = []
-    for lo in range(0, N, chunk):
-        xs = np.arange(lo, min(lo + chunk, N), dtype=np.int64)
+    for lo in range(0, N, _CHUNK):
+        xs = np.arange(lo, min(lo + _CHUNK, N), dtype=np.int64)
         frac = (xs[None, :] * freqs[:, None]) % N / N
         dist = np.minimum(frac, 1.0 - frac)
         good = np.all(dist <= epsilon, axis=0) if freqs.size else np.ones(xs.size, bool)
@@ -152,7 +155,7 @@ def bohr_set(freqs, N, epsilon, chunk=1 << 16):
     return np.concatenate(blocks) if blocks else np.empty(0, np.int64)
 
 
-def spectrum_and_bohr(a, delta, epsilon, chunk=1 << 16):
+def spectrum_and_bohr(a, delta, epsilon):
     """Exhaustive large spectrum {xi : |F[a](xi)| >= delta} and its Bohr set.
 
     The construction-time recheck asserts the pigeonhole bound
@@ -166,7 +169,7 @@ def spectrum_and_bohr(a, delta, epsilon, chunk=1 << 16):
     F = zn_fourier.dft(weights.astype(complex))
     N = weights.size
     freqs = np.flatnonzero(np.abs(F) >= delta).astype(np.int64)
-    bohr = bohr_set(freqs, N, epsilon, chunk=chunk)
+    bohr = bohr_set(freqs, N, epsilon)
     report = SpectrumReport(N, float(delta), float(epsilon), freqs, bohr)
     lower = epsilon ** report.k * N * (1.0 - 1e-12)
     if bohr.size < lower:

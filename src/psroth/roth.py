@@ -160,7 +160,7 @@ def _next_prime_in(start, stop):
     raise NumericalError(f"no prime in [{start}, {stop}]")
 
 
-def transference_build(inv, table, n, override_W=None, A0=None, ps=None):
+def transference_build(inv, table, n, override_W=None, A0=None):
     """Downshift the window (n/2, n] of floor-image primes into {1..N/2}.
 
     Returns the image set, the (W, m, b) parameters with b chosen by maximal
@@ -172,8 +172,7 @@ def transference_build(inv, table, n, override_W=None, A0=None, ps=None):
         raise ValueError("n must be >= 16")
     wt = measures.w_trick(n, table, override_W=override_W)
     W, m = wt.W, wt.m
-    if ps is None:
-        ps = sieve.enumerate_ps_primes(inv, n, table)
+    ps = sieve.enumerate_ps_primes(inv, n, table)
     window = ps.members[(ps.members > n // 2) & (ps.members <= n)]
     dphi_window = hfun.eval_phi_clamped(inv, window)
     if A0 is None:

@@ -1,12 +1,13 @@
 """Prime tables, arithmetic functions, and floor-image prime sets.
 
 PrimeTable wraps a blockwise sieve of Eratosthenes: primality flags indexed by
-value over [0, limit] and the sorted primes, plus a cached dense von Mangoldt
-array (8 bytes per integer) for the direct exponential sums and the
-prime-sum split; the error-term sweep reads a list of prime powers built
-from the primes instead.  The scalar von Mangoldt, Moebius, and Euler phi
-functions factor their argument by trial division and never read the table
-beyond its limit check.
+value over [0, limit] and the sorted primes.  prime_powers, the one builder
+of the von Mangoldt weight, lists the prime powers of a residue class up to
+some top with Lambda(k); the direct sums, the prime-sum split, its
+coefficients and the error term read it, and PrimeTable.mangoldt_array
+scatters it into a dense array.  The scalar von Mangoldt, Moebius, and Euler
+phi functions factor their argument by trial division and never read the
+table beyond its limit check.
 
 PsPrimeSet holds the primes hit by floor(h(n)) for a growth spec h, which
 enumerate_ps_primes finds block by block over the n-range.  The
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +59,14 @@ class PrimeTable:
     limit: int
     is_prime: np.ndarray
     primes: np.ndarray
-    _mangoldt: np.ndarray | None = field(default=None, repr=False)
 
     def mangoldt_array(self):
-        """Lambda(n) for all n <= limit, cached."""
-        if self._mangoldt is None:
-            lam = np.zeros(self.limit + 1)
-            lam[self.primes] = np.log(self.primes)
-            for p in self.primes[self.primes <= math.isqrt(self.limit)]:
-                pk = int(p) * int(p)
-                lp = math.log(int(p))
-                while pk <= self.limit:
-                    lam[pk] = lp
-                    pk *= int(p)
-            self._mangoldt = lam
-        return self._mangoldt
+        """Lambda(n) for all n <= limit: prime_powers scattered into a dense
+        array of 8 bytes per integer, built afresh on each call."""
+        lam = np.zeros(self.limit + 1)
+        ks, lam_k = prime_powers(self, self.limit)
+        lam[ks] = lam_k
+        return lam
 
 
 def sieve_primes(limit, budget=_DEFAULT_BUDGET):
@@ -99,6 +93,33 @@ def sieve_primes(limit, budget=_DEFAULT_BUDGET):
             if start < hi:
                 is_prime[start:hi:p] = False
     return PrimeTable(limit, is_prime, np.flatnonzero(is_prime).astype(np.int64, copy=False))
+
+
+def prime_powers(table, top, q=1, a=0):
+    """The prime powers k <= top with k = a (mod q), ascending, and Lambda(k).
+
+    Lambda is np.log over the primes and math.log(p) at the higher powers p^j,
+    which only the primes up to sqrt(top) reach.
+    """
+    top = int(top)
+    if top > table.limit:
+        raise ValueError(f"top={top} beyond table limit {table.limit}")
+    r = a % q
+    primes = table.primes[: np.searchsorted(table.primes, top, side="right")]
+    primes = primes[primes % q == r]
+    powers, logs = [], []
+    for p in table.primes[: np.searchsorted(table.primes, math.isqrt(top), side="right")]:
+        p = int(p)
+        pk, lp = p * p, math.log(p)
+        while pk <= top:
+            if pk % q == r:
+                powers.append(pk)
+                logs.append(lp)
+            pk *= p
+    ks = np.concatenate([primes, np.array(powers, dtype=np.int64)])
+    lam = np.concatenate([np.log(primes), np.array(logs)])
+    order = np.argsort(ks, kind="stable")
+    return ks[order], lam[order]
 
 
 def _factorize(n):
@@ -178,7 +199,7 @@ def vaughan_coefficients(v, w, L, table):
         raise ValueError("L beyond table limit")
     if v < 1 or w < 1:
         raise ValueError("v and w must be >= 1")
-    lam = table.mangoldt_array()
+    pk, pl = prime_powers(table, min(int(v), L))
     wi = min(int(w), L)
     mu = mobius_array(wi, table) if wi >= 1 else np.zeros(1, np.int8)
     pi = np.zeros(L + 1)
@@ -186,10 +207,8 @@ def vaughan_coefficients(v, w, L, table):
         ms = int(mu[s])
         if ms == 0:
             continue
-        rmax = min(int(v), L // s)
-        if rmax < 1:
-            continue
-        pi[s: s * rmax + 1: s] += ms * lam[1: rmax + 1]
+        n = np.searchsorted(pk, min(int(v), L // s), side="right")
+        pi[s * pk[:n]] += ms * pl[:n]
     xi = np.zeros(L + 1, dtype=np.int64)
     if L >= 1:
         xi[1] = 1
@@ -295,8 +314,8 @@ def ps_member(inv, p):
     return bool(_floor_identity(inv, np.asarray([p]))[0])
 
 
-def small_p_threshold(inv, gap=0.5, cap=2 ** 62):
-    """First p with phi(p+1) - phi(p) < gap; inf if the gap never shrinks.
+def small_p_threshold(inv):
+    """First p with phi(p+1) - phi(p) < 1/2; inf if none lies below 2^62.
 
     The gap is decreasing (phi concave), so a doubling search plus bisection
     locates the integer boundary.  Evaluated in longdouble: near 2^53 the
@@ -307,16 +326,16 @@ def small_p_threshold(inv, gap=0.5, cap=2 ** 62):
         return float(ph[1] - ph[0])
 
     lo = max(2, math.ceil(inv.y0))
-    if gap_at(lo) < gap:
+    if gap_at(lo) < 0.5:
         return lo
     hi = lo
-    while gap_at(hi) >= gap:
+    while gap_at(hi) >= 0.5:
         hi *= 2
-        if hi > cap:
+        if hi > 2 ** 62:
             return math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if gap_at(mid) < gap:
+        if gap_at(mid) < 0.5:
             hi = mid
         else:
             lo = mid

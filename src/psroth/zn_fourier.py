@@ -80,7 +80,7 @@ def trilinear_direct(f, g, h):
     N = _same_length(fv, gv, hv)
     G = sliding_window_view(np.tile(gv, 2), N)[:N]
     H = sliding_window_view(np.tile(hv, 3), 2 * N - 1)[:N, ::2]
-    return complex(np.einsum("x,xd,xd->", fv, G, H))
+    return complex(fv @ np.einsum("xd,xd->x", G, H))
 
 
 def _positions_and_weights(positions, weights):
@@ -158,12 +158,12 @@ def grid_power_sums(positions, weights, grid_size, r, at=()):
     return float(sums.sum()), float(sums[::2].sum()), values
 
 
-def fourier_on_grid(values, grid_size, offset=0):
+def fourier_on_grid(values, grid_size):
     """F_Z[f](j/grid) = sum_n f(n) e(+ n j / grid) for j = 0..grid-1.
 
-    f is the finitely supported sequence values[k] at n = offset + k.
+    f is the finitely supported sequence values[n] at n = 0..len-1.
     """
-    positions = int(offset) + np.arange(np.size(values), dtype=np.int64)
+    positions = np.arange(np.size(values), dtype=np.int64)
     return _fold_and_transform(positions, values, grid_size)
 
 

@@ -9,6 +9,7 @@ from psroth import (
     abel_summation,
     b_coefficient_bound,
     bilinear_check,
+    checks,
     count_in_class,
     default_bilinear_R,
     default_cutoff,
@@ -294,6 +295,24 @@ def test_vaughan_split_memory_is_blocked(inv95m):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
+    # every reader of Lambda takes it from sieve.prime_powers: none builds the
+    # dense array, and the table keeps exactly its flags and primes
+    def refuse(self):
+        raise AssertionError("read the dense Mangoldt array")
+
+    monkeypatch.setattr(sieve.PrimeTable, "mangoldt_array", refuse)
+    table = sieve_primes(2048)
+    split = vaughan_decompose(inv95m, PhaseParams(0.3, 2, 1, 3, 1000, 2000), table)
+    assert split.residual < 1e-6 * max(1.0, abs(split.direct))
+    assert exp_sum_direct(inv95m, PhaseParams(0.3, 2, 0, 1, 1000, 2000), table) != 0
+    pi_arr, _ = vaughan_coefficients(12.0, 12.0, 1000, table)
+    assert pi_arr[2] == pytest.approx(math.log(2))
+    name, passed, _ = checks.check_chebyshev_identity()
+    assert passed
+    assert set(vars(table)) == {"limit", "is_prime", "primes"}
 
 
 def test_vdc_single_bound_values():

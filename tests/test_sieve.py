@@ -18,6 +18,7 @@ from psroth import (
     mangoldt,
     mobius,
     mobius_array,
+    prime_powers,
     ps_exponent_spec,
     ps_member,
     pure_power,
@@ -123,6 +124,24 @@ def test_mangoldt_array_matches_scalar(table_1e6):
     lam = table_1e6.mangoldt_array()
     for n in (1, 2, 4, 6, 8, 9, 27, 97, 1024, 59049):
         assert lam[n] == pytest.approx(mangoldt(n, table_1e6))
+
+
+def test_prime_powers_match_scalar_mangoldt():
+    # the scalar mangoldt factors by trial division, apart from the primes
+    # that prime_powers reads; every k <= 5000 of each class is compared
+    table = sieve_primes(5000)
+    for q, a in ((1, 0), (4, 3), (6, 5)):
+        ks, lam = prime_powers(table, 5000, q, a)
+        want = [k for k in range(1, 5001) if k % q == a and mangoldt(k, table) > 0]
+        assert ks.dtype == np.int64 and ks.tolist() == want
+        np.testing.assert_allclose(lam, [mangoldt(k, table) for k in want],
+                                   rtol=1e-15, atol=0)
+    ks, lam = prime_powers(table, 1)
+    assert ks.size == lam.size == 0
+    ks, lam = prime_powers(table, 2)
+    assert ks.tolist() == [2] and lam.tolist() == [math.log(2)]
+    with pytest.raises(ValueError, match="beyond table limit"):
+        prime_powers(table, 5001)
 
 
 def test_chebyshev_identity(table_1e6):
