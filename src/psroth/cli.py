@@ -35,24 +35,22 @@ DEFAULTS = {
     "q": 1,
     "a": 0,
     "W": None,
-    "delta": 0.2,
-    "epsilon": 0.25,
     "r": 3.0,
     "trials": 50,
     "seed": 20260814,
     "grid": 4096,
-    "threads": None,
+    "threads": 1,
     "out_dir": "out",
     "P": 1000,
-    "phase_m": 2,
-    "xi": 0.25,
     "v": None,
     "draws": 10,
-    "n": 100000,
     "M": 8,
     "inject_A": None,
     "sieve_budget": 1 << 27,
 }
+# each must be a JSON integer (W may also be null); commands read them uncast
+_INT_KEYS = ("N", "P", "q", "a", "M", "trials", "draws", "seed", "grid",
+             "sieve_budget", "threads", "W")
 
 
 def load_config(args):
@@ -74,17 +72,26 @@ def load_config(args):
         if val is not None:
             cfg[key] = val
     if args.n is not None:
-        cfg["N"] = cfg["n"] = args.n
-    threads = cfg["threads"]
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+        cfg["N"] = args.n
+    for key in _INT_KEYS:
+        # bool is an int subclass, but JSON true is not an integer
+        if type(cfg[key]) is not int and not (key == "W" and cfg[key] is None):
+            raise ValueError(f"{key} must be an integer, got {cfg[key]!r}")
+    if cfg["threads"] < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     # fail early on an unusable function block
-    hfun.spec_from_config(cfg["function"])
+    _inverse(cfg)
     return cfg
 
 
-def _spec(cfg):
-    return hfun.spec_from_config(cfg["function"])
+def _inverse(cfg):
+    return hfun.inverse_of(hfun.spec_from_config(cfg["function"]))
+
+
+def _out_path(cfg, name):
+    """Path of output `name` in the run's out_dir, creating the directory."""
+    os.makedirs(cfg["out_dir"], exist_ok=True)
+    return os.path.join(cfg["out_dir"], name)
 
 
 def _write_csv(path, header, rows):
@@ -95,7 +102,7 @@ def _write_csv(path, header, rows):
             wr.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
 
 
-def _manifest(out_dir, name, cfg, outputs, extra=None):
+def _manifest(name, cfg, outputs, extra=None):
     # out_dir and threads change where/how the run happens, not its results,
     # so they stay out of the identifying hash
     body = json.dumps({k: v for k, v in cfg.items()
@@ -104,29 +111,26 @@ def _manifest(out_dir, name, cfg, outputs, extra=None):
     man = {
         "experiment": name,
         "config": cfg,
-        "seed": cfg.get("seed"),
+        "seed": cfg["seed"],
         "config_sha256": hashlib.sha256(body.encode()).hexdigest(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
     }
     if extra:
         man["summary"] = extra
-    path = os.path.join(out_dir, f"{name.replace(' ', '_')}_manifest.json")
+    path = _out_path(cfg, f"{name.replace(' ', '_')}_manifest.json")
     with open(path, "w") as fh:
         json.dump(man, fh, indent=1, default=str)
     return path
 
 
 def cmd_psgen(cfg):
-    spec = _spec(cfg)
-    inv = hfun.inverse_of(spec)
-    N = int(cfg["N"])
+    inv = _inverse(cfg)
+    N = cfg["N"]
     # the table is dropped once enumerated, so the CSV writing runs without it
     ps = sieve.enumerate_ps_primes(
         inv, N, sieve.sieve_primes(max(N, 2), budget=cfg["sieve_budget"]))
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    ps_path = os.path.join(out, "psprimes.csv")
+    ps_path = _out_path(cfg, "psprimes.csv")
     ps.to_csv(ps_path)
     dens_rows = []
     Ns = cfg["N_list"] or _halvings(N)
@@ -136,66 +140,59 @@ def cmd_psgen(cfg):
         cnt = int(np.count_nonzero(ps.members <= Ni))
         target = float(hfun.eval_phi(inv, float(Ni))) / math.log(Ni)
         dens_rows.append((Ni, cnt, target, cnt / target if target else math.inf))
-    dens_path = os.path.join(out, "density.csv")
+    dens_path = _out_path(cfg, "density.csv")
     _write_csv(dens_path, ["N", "pi_h_count", "phi_over_logN", "ratio_dimensionless"],
                dens_rows)
-    _manifest(out, "ps-prime generation", cfg, [ps_path, dens_path],
+    _manifest("ps-prime generation", cfg, [ps_path, dens_path],
               extra={"members": int(ps.members.size), "p_min": float(ps.p_min)})
     return 0
 
 
-def _halvings(N, floor=100):
+def _halvings(N):
+    """N, N/2, N/4, ... down to the last one >= 100, ascending."""
     out = [N]
-    while N // 2 >= floor:
+    while N // 2 >= 100:
         N //= 2
         out.append(N)
     return out[::-1]
 
 
 def cmd_errsweep(cfg):
-    spec = _spec(cfg)
-    inv = hfun.inverse_of(spec)
+    inv = _inverse(cfg)
     Ns = cfg["N_list"] or [2 ** k for k in range(16, 23)]
     top = max(int(x) for x in Ns)
     table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
-    grid = int(cfg["grid"])
-    q, a = int(cfg["q"]), int(cfg["a"])
+    q, a = cfg["q"], cfg["a"]
     # every N of the ladder reads prefixes of one enumeration and one
     # inversion of phi at the top
     inputs = expsums.error_term_inputs(inv, top, q, a, table)
 
     def one(Ni):
-        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, grid, inputs=inputs)
+        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, cfg["grid"],
+                                     inputs=inputs)
         return (int(Ni), rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
-    threads = cfg["threads"] or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, Ns))
-    else:
-        rows = [one(Ni) for Ni in Ns]
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "errsweep.csv")
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
+        rows = list(pool.map(one, Ns))
+    path = _out_path(cfg, "errsweep.csv")
     _write_csv(path, ["N", "sup_diff_weighted", "sup_diff_over_N",
                       "middle_sup_weighted", "route_gap_weighted"], rows)
     slope = math.nan
     if len(rows) >= 2 and all(r[1] > 0 for r in rows):
         slope = float(np.polyfit(np.log([r[0] for r in rows]),
                                  np.log([r[1] for r in rows]), 1)[0])
-    _manifest(out, "error-term sweep", cfg, [path], extra={"loglog_slope": slope})
+    _manifest("error-term sweep", cfg, [path], extra={"loglog_slope": slope})
     return 0
 
 
 def cmd_vaughan(cfg):
-    spec = _spec(cfg)
-    inv = hfun.inverse_of(spec)
-    P = int(cfg["P"])
+    inv = _inverse(cfg)
+    P = cfg["P"]
     table = sieve.sieve_primes(2 * P, budget=cfg["sieve_budget"])
-    rng = np.random.Generator(np.random.Philox(int(cfg["seed"])))
+    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     rows = []
-    for i in range(int(cfg["draws"])):
+    for i in range(cfg["draws"]):
         xi = float(rng.random())
         m = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
         q = int(rng.choice([1, 1, 2, 3]))
@@ -206,14 +203,12 @@ def cmd_vaughan(cfg):
         rows.append((i, xi, m, q, a, split.v, abs(split.direct),
                      abs(split.recombined), split.residual,
                      split.residual / max(1.0, abs(split.direct))))
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "vaughan.csv")
+    path = _out_path(cfg, "vaughan.csv")
     _write_csv(path, ["draw", "xi_frequency", "m_multiplier", "q_modulus",
                       "a_residue", "v_cutoff", "abs_direct", "abs_recombined",
                       "residual_abs", "residual_rel"], rows)
     worst = max(r[-1] for r in rows) if rows else 0.0
-    _manifest(out, "prime-sum split sweep", cfg, [path],
+    _manifest("prime-sum split sweep", cfg, [path],
               extra={"worst_rel_residual": worst})
     if worst > 1e-6:
         raise NumericalError(f"split residual {worst} above 1e-6")
@@ -221,47 +216,40 @@ def cmd_vaughan(cfg):
 
 
 def cmd_restrict(cfg):
-    spec = _spec(cfg)
-    inv = hfun.inverse_of(spec)
-    N = int(cfg["N"])
+    inv = _inverse(cfg)
+    N = cfg["N"]
     table = sieve.sieve_primes(N, budget=cfg["sieve_budget"])
-    grid = cfg["grid"] if cfg["grid"] and cfg["grid"] >= 4 * N else 8 * N
-    rep = roth.restriction_ratio(inv, table, N, float(cfg["r"]),
-                                 int(cfg["trials"]), int(cfg["seed"]), grid=grid,
-                                 threads=cfg["threads"] or 1)
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "restrict.csv")
+    # a config grid below 4N falls back to restriction_ratio's default
+    grid = cfg["grid"] if cfg["grid"] >= 4 * N else None
+    rep = roth.restriction_ratio(inv, table, N, float(cfg["r"]), cfg["trials"],
+                                 cfg["seed"], grid=grid, threads=cfg["threads"])
+    path = _out_path(cfg, "restrict.csv")
     _write_csv(path, ["trial", "ratio_dimensionless"],
                [(t, float(x)) for t, x in enumerate(rep.ratios)])
-    _manifest(out, "restriction ensemble", cfg, [path],
+    _manifest("restriction ensemble", cfg, [path],
               extra={"max_ratio": rep.max_ratio, "control_ratio": rep.control_ratio,
                      "grid": rep.grid})
     return 0
 
 
 def cmd_roth(cfg):
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
     if cfg["inject_A"]:
         A = [int(x) for x in cfg["inject_A"]]
         rep = roth.count_3aps(A, max(A) + 1, mode="integer")
-        path = os.path.join(out, "roth.csv")
+        path = _out_path(cfg, "roth.csv")
         _write_csv(path, ["set_size", "lam3_ordered", "nontrivial_ordered",
                           "witness"],
                    [(rep.size, rep.lam3, rep.nontrivial,
                      "" if rep.witness is None else "|".join(map(str, rep.witness)))])
-        _manifest(out, "progression count", cfg, [path],
-                  extra={"witness": rep.witness})
+        _manifest("progression count", cfg, [path], extra={"witness": rep.witness})
         return 0
-    spec = _spec(cfg)
-    inv = hfun.inverse_of(spec)
-    n = int(cfg["n"])
+    inv = _inverse(cfg)
+    n = cfg["N"]
     table = sieve.sieve_primes(n, budget=cfg["sieve_budget"])
     trep = roth.transference_build(inv, table, n, override_W=cfg["W"])
     arep = roth.count_3aps(trep.A, trep.N, mode="cyclic", method="auto")
-    vrep = roth.varnavides_count(trep.A, trep.N, int(cfg["M"]))
-    path = os.path.join(out, "roth.csv")
+    vrep = roth.varnavides_count(trep.A, trep.N, cfg["M"])
+    path = _out_path(cfg, "roth.csv")
     _write_csv(path, ["n", "W", "m_primorial", "b_residue", "N_prime",
                       "set_size", "mass_dimensionless", "window_mass_dimensionless",
                       "lam3_ordered", "nontrivial_ordered", "good_pairs",
@@ -271,7 +259,7 @@ def cmd_roth(cfg):
                  arep.lam3, arep.nontrivial, vrep.good_pairs,
                  str(vrep.Z_lower),
                  "" if arep.witness is None else "|".join(map(str, arep.witness)))])
-    _manifest(out, "transference run", cfg, [path],
+    _manifest("transference run", cfg, [path],
               extra={"mass_ratio": trep.mass / trep.window_mass
                      if trep.window_mass else math.inf})
     return 0
@@ -311,7 +299,7 @@ def build_parser():
                          "other commands ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
-    ap.add_argument("--n", type=int, help="main size parameter (sets N and n)")
+    ap.add_argument("--n", type=int, help="main size parameter (sets N)")
     ap.add_argument("--grid", type=int)
     ap.add_argument("-v", "--verbose", action="count", default=0,
                     help="show log lines: -v info, -vv debug (not part of the "

@@ -17,9 +17,11 @@ membership test for a single prime p uses the floor identity
 
 equivalent to an integer n landing in [phi(p), phi(p+1)), which characterizes
 membership exactly once consecutive phi values are less than 1 apart.  Floors
-within max(1e-9, 4 ulp) of an integer are recomputed in extended precision
-before deciding; where phi(p) or phi(p+1) is that close to an integer, h in
-extended precision at the neighbouring n decides instead.  Below the small-p
+within max(1e-9, 4 ulp) of an integer are recomputed before deciding: exactly
+in integers for a pure power n^(a/b) whose double exponent rounds a/b (the
+guard then also covers that rounding), in extended precision otherwise;
+where phi(p) or phi(p+1) is that close to an integer, the recomputed floor
+of h at the neighbouring n decides instead.  Below the small-p
 threshold (first p with phi(p+1) - phi(p) < 1/2) membership comes from direct
 enumeration and disagreements with the floor identity are logged rather than
 asserted.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,14 +45,14 @@ _BLOCK = 1 << 20
 _DEFAULT_BUDGET = 1 << 27
 
 
-def _near_int(x):
-    """True where x lies within max(1e-9, 4 ulp(|x|)) of an integer.
+def _near_int(x, slack=0.0):
+    """True where x lies within max(1e-9, 4 ulp(|x|) + slack) of an integer.
 
     Written so that numpy reuses its temporaries in place: at most two float
     arrays besides x at a time, which bounds the enumeration's block peak.
     """
     dist = abs(np.rint(x) - x)
-    return (dist < 1e-9) | (dist < 4 * abs(np.spacing(x)))
+    return (dist < 1e-9) | (dist < 4 * abs(np.spacing(x)) + slack)
 
 
 # -- prime table -------------------------------------------------------------
@@ -272,37 +275,90 @@ class PsPrimeSet:
                                      self.members[i:i + block].tolist())))
 
 
+def _rational_exponent(spec):
+    """a/b as a Fraction when h(n) = n^(a/b) and the double c rounds a/b.
+
+    Only pure powers with C_h = 1 whose c round-trips through
+    Fraction(c).limit_denominator(10**4) qualify, b = 1 excepted (n^1 is exact
+    in floating point); every other spec gives None.
+    """
+    if spec.kind != "pure_power" or spec.C_h != 1.0:
+        return None
+    frac = Fraction(spec.c).limit_denominator(10 ** 4)
+    return frac if frac.denominator > 1 and float(frac) == spec.c else None
+
+
+def _rounding_slack(xs, exponent, exact):
+    """Bound over a block on |x^exponent - x^exact|, about x^exponent ln x
+    |exponent - exact| at the largest x; 0 when exact is None."""
+    if exact is None or not xs.size:
+        return 0.0
+    top = float(xs.max())
+    return top ** exponent * math.log(top) * float(abs(Fraction(exponent) - exact))
+
+
+def _risky_floors(spec, ns):
+    """floor(h(n)) at integer n whose double h(n) is too near an integer.
+
+    For a rational exponent (_rational_exponent) the floor is exact: the
+    largest k with k^b <= n^a, in Python integers, started from h in
+    longdouble.  Every other spec takes the floor of h in longdouble.
+    """
+    floors = np.floor(hfun.eval_h(spec, np.asarray(ns, dtype=np.longdouble))).astype(float)
+    exact = _rational_exponent(spec)
+    if exact is None:
+        return floors
+    a, b = exact.numerator, exact.denominator
+    for i, (n, k) in enumerate(zip(np.asarray(ns, dtype=np.int64).tolist(),
+                                   floors.astype(np.int64).tolist())):
+        na = n ** a
+        while k ** b > na:
+            k -= 1
+        while (k + 1) ** b <= na:
+            k += 1
+        floors[i] = k
+    return floors
+
+
 def _floor_guarded_h(inv, ns):
-    """floor(h(n)) with extended-precision recomputation near integers."""
+    """floor(h(n)) with the floors near an integer taken by _risky_floors.
+
+    The guard covers the double's rounding and, for a rational exponent, the
+    distance of h at the double c from h at a/b.
+    """
     spec = inv.parent
-    hs = hfun.eval_h(spec, np.asarray(ns, dtype=float))
-    risky = _near_int(hs)
+    ns = np.asarray(ns, dtype=float)
+    hs = hfun.eval_h(spec, ns)
+    risky = _near_int(hs, _rounding_slack(ns, spec.c, _rational_exponent(spec)))
     floors = np.floor(hs, out=hs)
     if np.any(risky):
-        hs_ld = hfun.eval_h(spec, ns[risky].astype(np.longdouble))
-        floors[risky] = np.floor(hs_ld).astype(float)
+        floors[risky] = _risky_floors(spec, ns[risky])
     return floors
 
 
 def _floor_identity(inv, ps):
     """Vectorized floor(-phi(p)) - floor(-phi(p+1)) == 1 with the guard.
 
-    Where phi(p) or phi(p+1) lies within the guard of an integer, phi cannot
-    tell on which side of it the integer falls (its exponent is rounded apart
-    from h's, and an exact h(n) = p needs phi(p) = n exactly), so p is decided
-    by h in longdouble: the first n with h(n) >= p is rint(phi(p)) or the next
-    integer, and p is an image iff floor(h(n)) = p there.
+    Where phi(p) or phi(p+1) lies within the guard of an integer (widened,
+    for a rational exponent a/b, by the distance of phi at the double gamma
+    from phi at b/a), phi cannot tell on which side of it the integer falls
+    (its exponent is rounded apart from h's, and an exact h(n) = p needs
+    phi(p) = n exactly), so p is decided by _risky_floors: the first n with
+    h(n) >= p is rint(phi(p)) or the next integer, and p is an image iff
+    floor(h(n)) = p there.
     """
     ps = np.asarray(ps, dtype=np.int64)
     fp = hfun.eval_phi(inv, ps.astype(float))
     fp1 = hfun.eval_phi(inv, (ps + 1).astype(float))
     out = np.floor(-fp) - np.floor(-fp1) == 1
-    risky = _near_int(fp) | _near_int(fp1)
+    exact = _rational_exponent(inv.parent)
+    slack = _rounding_slack(ps + 1, inv.gamma, None if exact is None else 1 / exact)
+    risky = _near_int(fp, slack) | _near_int(fp1, slack)
     if np.any(risky):
         spec, p = inv.parent, ps[risky]
-        n = np.maximum(np.rint(fp[risky]), math.ceil(spec.x0)).astype(np.longdouble)
-        n = np.where(hfun.eval_h(spec, n) >= p, n, n + 1)
-        out[risky] = np.floor(hfun.eval_h(spec, n)) == p
+        n = np.maximum(np.rint(fp[risky]), math.ceil(spec.x0))
+        at_n, at_next = _risky_floors(spec, n), _risky_floors(spec, n + 1)
+        out[risky] = np.where(at_n >= p, at_n, at_next) == p
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import logging
 import math
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import psroth
-from psroth import checks, hfun, sieve
+from psroth import checks, cli, hfun, sieve
 from psroth.cli import main
 
 H1 = {"kind": "power_log", "c": 1.2, "x0": 3.0, "params": {"A": 2.0}}
@@ -37,6 +38,30 @@ def test_missing_config_exits_1(tmp_path):
 def test_unknown_key_exits_1(tmp_path):
     cfg = write_config(tmp_path, bogus=1)
     assert run(tmp_path, "psgen", "--config", cfg) == 1
+
+
+@pytest.mark.parametrize("key", ["delta", "epsilon", "phase_m", "xi", "n"])
+def test_retired_keys_exit_1(tmp_path, capsys, key):
+    # four keys no command read, and n, which N replaced
+    cfg = write_config(tmp_path, **{key: 1})
+    assert run(tmp_path, "psgen", "--config", cfg) == 1
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("errsweep", "grid", None), ("restrict", "trials", 2.5), ("psgen", "N", 2000.0),
+    ("vaughan", "seed", "7"), ("roth", "W", 1.5), ("psgen", "sieve_budget", True)])
+def test_non_integer_keys_exit_1(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert run(tmp_path, command, "--config", cfg) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_every_default_key_is_read():
+    # a key no command reads would still enter config_sha256
+    source = inspect.getsource(cli)
+    assert [k for k in cli.DEFAULTS if f'cfg["{k}"]' not in source] == []
 
 
 def test_malformed_json_exits_1(tmp_path):
@@ -214,6 +239,13 @@ def test_roth_full_pipeline(tmp_path):
     assert int(row["lam3_ordered"]) >= int(row["set_size"])
     man = json.loads((tmp_path / "transference_run_manifest.json").read_text())
     assert man["summary"]["mass_ratio"] == pytest.approx(1.0)
+
+
+def test_roth_reads_config_N(tmp_path):
+    cfg = write_config(tmp_path, N=2000)
+    assert run(tmp_path, "roth", "--config", cfg, "--gamma", "0.95") == 0
+    row = dict(zip(*read_csv(tmp_path / "roth.csv")))
+    assert int(row["n"]) == 2000
 
 
 def test_verbose_lowers_log_level_only(tmp_path, monkeypatch):

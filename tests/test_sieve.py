@@ -310,6 +310,16 @@ def test_adversarial_near_integer_floor(inv95, table_1e6, target):
         assert got == [k for k in exact if table_1e6.is_prime[k]]
 
 
+def test_rational_exponent_floor_past_the_double_exponent(inv95):
+    # h in double at c = 1/0.95 gives 986997923.9999993 here, and phi at
+    # 986997924 gives 350429313.0000003: both round across the exact floor
+    n = 350429313
+    assert floor_h_20_19(n) == 986997924
+    assert _floor_guarded_h(inv95, [float(n)]).tolist() == [986997924]
+    assert not ps_member(inv95, 986997923)
+    assert ps_member(inv95, 986997924)
+
+
 def test_small_p_threshold_values(inv95):
     assert small_p_threshold(inverse_of(pure_power(1.0))) == math.inf
     t95 = small_p_threshold(inv95)
