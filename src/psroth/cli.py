@@ -51,6 +51,14 @@ DEFAULTS = {
 # each must be a JSON integer (W may also be null); commands read them uncast
 _INT_KEYS = ("N", "P", "q", "a", "M", "trials", "draws", "seed", "grid",
              "sieve_budget", "threads", "W")
+# r must be a JSON number and v null or one; the lists null or integer lists
+_NUMBER_KEYS = ("r", "v")
+_INT_LIST_KEYS = ("N_list", "inject_A")
+
+
+def _is_int(x):
+    # bool is an int subclass, but JSON true is not an integer
+    return type(x) is int
 
 
 def load_config(args):
@@ -74,9 +82,15 @@ def load_config(args):
     if args.n is not None:
         cfg["N"] = args.n
     for key in _INT_KEYS:
-        # bool is an int subclass, but JSON true is not an integer
-        if type(cfg[key]) is not int and not (key == "W" and cfg[key] is None):
+        if not _is_int(cfg[key]) and not (key == "W" and cfg[key] is None):
             raise ValueError(f"{key} must be an integer, got {cfg[key]!r}")
+    for key in _NUMBER_KEYS:
+        if type(cfg[key]) not in (int, float) and not (key == "v" and cfg[key] is None):
+            raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
+    for key in _INT_LIST_KEYS:
+        val = cfg[key]
+        if val is not None and not (isinstance(val, list) and all(map(_is_int, val))):
+            raise ValueError(f"{key} must be null or a list of integers, got {val!r}")
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     # fail early on an unusable function block
@@ -127,9 +141,10 @@ def _manifest(name, cfg, outputs, extra=None):
 def cmd_psgen(cfg):
     inv = _inverse(cfg)
     N = cfg["N"]
-    # the table is dropped once enumerated, so the CSV writing runs without it
-    ps = sieve.enumerate_ps_primes(
-        inv, N, sieve.sieve_primes(max(N, 2), budget=cfg["sieve_budget"]))
+    # the enumeration sieves its value segments itself, up to N
+    if N > cfg["sieve_budget"]:
+        raise ResourceError(f"limit {N} exceeds budget {cfg['sieve_budget']}")
+    ps = sieve.enumerate_ps_primes(inv, N)
     ps_path = _out_path(cfg, "psprimes.csv")
     ps.to_csv(ps_path)
     dens_rows = []
@@ -160,7 +175,7 @@ def _halvings(N):
 def cmd_errsweep(cfg):
     inv = _inverse(cfg)
     Ns = cfg["N_list"] or [2 ** k for k in range(16, 23)]
-    top = max(int(x) for x in Ns)
+    top = max(Ns)
     table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
     q, a = cfg["q"], cfg["a"]
     # every N of the ladder reads prefixes of one enumeration and one
@@ -168,9 +183,9 @@ def cmd_errsweep(cfg):
     inputs = expsums.error_term_inputs(inv, top, q, a, table)
 
     def one(Ni):
-        rep = expsums.error_term_sup(inv, int(Ni), q, a, table, cfg["grid"],
+        rep = expsums.error_term_sup(inv, Ni, q, a, table, cfg["grid"],
                                      inputs=inputs)
-        return (int(Ni), rep.sup_diff, rep.sup_diff / Ni,
+        return (Ni, rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
@@ -221,7 +236,7 @@ def cmd_restrict(cfg):
     table = sieve.sieve_primes(N, budget=cfg["sieve_budget"])
     # a config grid below 4N falls back to restriction_ratio's default
     grid = cfg["grid"] if cfg["grid"] >= 4 * N else None
-    rep = roth.restriction_ratio(inv, table, N, float(cfg["r"]), cfg["trials"],
+    rep = roth.restriction_ratio(inv, table, N, cfg["r"], cfg["trials"],
                                  cfg["seed"], grid=grid, threads=cfg["threads"])
     path = _out_path(cfg, "restrict.csv")
     _write_csv(path, ["trial", "ratio_dimensionless"],
@@ -234,7 +249,7 @@ def cmd_restrict(cfg):
 
 def cmd_roth(cfg):
     if cfg["inject_A"]:
-        A = [int(x) for x in cfg["inject_A"]]
+        A = cfg["inject_A"]
         rep = roth.count_3aps(A, max(A) + 1, mode="integer")
         path = _out_path(cfg, "roth.csv")
         _write_csv(path, ["set_size", "lam3_ordered", "nontrivial_ordered",

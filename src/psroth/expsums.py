@@ -40,6 +40,8 @@ from .errors import DomainError
 TWO_PI = 2.0 * np.pi
 # points k*l per block of the Vaughan split
 _BLOCK = 2 ** 12
+# prime powers per block of error_term_inputs' phi inversion
+_PHI_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -463,6 +465,9 @@ def error_term_inputs(inv, top, q, a, table):
     table flags as prime.  phi is inverted only at each prime power k
     and at k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and
     the members, primes of the same class, read their phi' from that array.
+    The inversion runs over blocks of _PHI_BLOCK of the sorted k into arrays
+    allocated once; phi is elementwise and each Newton point stops on its
+    own, so the values do not depend on the block size.
     """
     top = int(top)
     if top > table.limit:
@@ -472,10 +477,14 @@ def error_term_inputs(inv, top, q, a, table):
     ps = sieve.enumerate_ps_primes(inv, top, table)
     ks, lam = sieve.prime_powers(table, top, q, a)
     primes = ks[table.is_prime[ks]]
-    kf = ks.astype(float)
-    phi_k = hfun.eval_phi_clamped(inv, kf, 0)
-    phi_k1 = hfun.eval_phi_clamped(inv, kf + 1.0, 0)
-    dphi_k = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k, 1)
+    phi_k, phi_k1, dphi_k = (np.empty(ks.size) for _ in range(3))
+    for i in range(0, ks.size, _PHI_BLOCK):
+        j = i + _PHI_BLOCK
+        kf = ks[i:j].astype(float)
+        phi_k[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
+        kf += 1.0
+        phi_k1[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
+        dphi_k[i:j] = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k[i:j], 1)
     mem = ps.members[ps.members % q == a % q]
     w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
     return ErrorTermInputs(top, q, a, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)
@@ -510,13 +519,11 @@ def error_term_sup(inv, N, q, a, table, grid=4096, inputs=None):
     nk = np.searchsorted(d.ks, N, side="right")
     nm = np.searchsorted(d.members, N, side="right")
     pr = d.primes[: np.searchsorted(d.primes, N, side="right")]
-    A = zn_fourier.sparse_fourier_on_grid(
-        d.members[:nm], d.member_weights[:nm].astype(complex), grid)
-    B = zn_fourier.sparse_fourier_on_grid(
-        pr, np.log(pr.astype(float)).astype(complex), grid)
+    A = zn_fourier.sparse_fourier_on_grid(d.members[:nm], d.member_weights[:nm], grid)
+    B = zn_fourier.sparse_fourier_on_grid(pr, np.log(pr.astype(float)), grid)
     saw = sawtooth_phi(-d.phi_k1[:nk]) - sawtooth_phi(-d.phi_k[:nk])
     w_mid = d.lam[:nk] * saw / d.dphi_k[:nk]
-    C = zn_fourier.sparse_fourier_on_grid(d.ks[:nk], w_mid.astype(complex), grid)
+    C = zn_fourier.sparse_fourier_on_grid(d.ks[:nk], w_mid, grid)
     per_xi = np.abs(A - B)
     per_xi_middle = np.abs(C)
     route_gap = float(np.max(np.abs(A - B - C)))

@@ -1,17 +1,20 @@
 """Prime tables, arithmetic functions, and floor-image prime sets.
 
-PrimeTable wraps a blockwise sieve of Eratosthenes: primality flags indexed by
-value over [0, limit] and the sorted primes.  prime_powers, the one builder
-of the von Mangoldt weight, lists the prime powers of a residue class up to
-some top with Lambda(k); the direct sums, the prime-sum split, its
-coefficients and the error term read it, and PrimeTable.mangoldt_array
-scatters it into a dense array.  The scalar von Mangoldt, Moebius, and Euler
-phi functions factor their argument by trial division and never read the
-table beyond its limit check.
+One segment-sieve kernel gives the primality flags of any [lo, hi] from the
+base primes up to sqrt(hi), sieving in chunks of _BLOCK integers.
+PrimeTable holds its flags over [0, limit] and the sorted primes.
+prime_powers, the one builder of the von Mangoldt weight, lists the prime
+powers of a residue class up to some top with Lambda(k); the direct sums,
+the prime-sum split, its coefficients and the error term read it, and
+PrimeTable.mangoldt_array scatters it into a dense array.  The scalar von
+Mangoldt, Moebius, and Euler phi functions factor their argument by trial
+division and never read the table beyond its limit check.
 
 PsPrimeSet holds the primes hit by floor(h(n)) for a growth spec h, which
-enumerate_ps_primes finds block by block over the n-range.  The
-membership test for a single prime p uses the floor identity
+enumerate_ps_primes finds block by block over the n-range.  It reads
+primality from a table when given one; without one, each block sieves only
+the value segment it reaches, so nothing the size of the range is held.
+The membership test for a single prime p uses the floor identity
 
     floor(-phi(p)) - floor(-phi(p+1)) == 1,
 
@@ -42,6 +45,8 @@ from .errors import DomainError, NumericalError, ResourceError
 log = logging.getLogger(__name__)
 
 _BLOCK = 1 << 20
+# rows per joined run of blocks in enumerate_ps_primes (32 MB per column)
+_JOIN = 1 << 22
 _DEFAULT_BUDGET = 1 << 27
 
 
@@ -72,29 +77,41 @@ class PrimeTable:
         return lam
 
 
+def _segment_flags(lo, hi, small):
+    """Primality flags of the integers lo..hi (index i is lo + i).
+
+    small holds, ascending, every prime <= sqrt(hi) (larger ones are
+    skipped).  The segment is sieved in chunks of _BLOCK integers, so each
+    prime's strides stay inside a cache-sized chunk.
+    """
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    for c_lo in range(lo, hi + 1, _BLOCK):
+        c_hi = min(c_lo + _BLOCK, hi + 1)
+        for p in small:
+            if p * p >= c_hi:
+                break
+            start = max(p * p, -(-c_lo // p) * p)
+            flags[start - lo:c_hi - lo:p] = False
+    return flags
+
+
+def _primes_to(m):
+    """The primes <= m as a list of ints, segment-sieved over their own base
+    primes (the primes <= sqrt(m), found the same way)."""
+    if m < 2:
+        return []
+    return np.flatnonzero(_segment_flags(0, m, _primes_to(math.isqrt(m)))).tolist()
+
+
 def sieve_primes(limit, budget=_DEFAULT_BUDGET):
-    """Blockwise sieve of Eratosthenes into primality flags over [0, limit]."""
+    """Primality flags over [0, limit] and the primes, by the segment sieve."""
     limit = int(limit)
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > budget:
         raise ResourceError(f"limit {limit} exceeds budget {budget}")
-    root = math.isqrt(limit)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p:: p] = False
-    small = np.flatnonzero(base)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for lo in range(0, limit + 1, _BLOCK):
-        hi = min(lo + _BLOCK, limit + 1)
-        for p in small:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                is_prime[start:hi:p] = False
+    is_prime = _segment_flags(0, limit, _primes_to(math.isqrt(limit)))
     return PrimeTable(limit, is_prime, np.flatnonzero(is_prime).astype(np.int64, copy=False))
 
 
@@ -265,14 +282,39 @@ class PsPrimeSet:
 
     def to_csv(self, path):
         """Write the (witness, member) rows in csv.writer's format (CRLF line
-        ends), each block of 2^16 rows joined into one string."""
+        ends), in blocks of 2^16 rows.
+
+        Both columns ascend, so their digit counts are constant on runs of
+        rows cut at the powers of ten.  Each run is one uint8 matrix of
+        digits, comma and CRLF, written as its bytes.
+        """
         block = 1 << 16
-        with open(path, "w", newline="") as fh:
-            fh.write("n_witness_index,p_prime\r\n")
+        with open(path, "wb") as fh:
+            fh.write(b"n_witness_index,p_prime\r\n")
             for i in range(0, self.members.size, block):
-                fh.write("".join(f"{n},{p}\r\n" for n, p in
-                                 zip(self.witnesses[i:i + block].tolist(),
-                                     self.members[i:i + block].tolist())))
+                ns, ps = self.witnesses[i:i + block], self.members[i:i + block]
+                cuts = np.union1d(np.searchsorted(ns, _POW10), np.searchsorted(ps, _POW10))
+                bounds = np.union1d(cuts, [0, ns.size]).tolist()
+                for lo, hi in zip(bounds, bounds[1:]):
+                    wn, wp = len(str(ns[lo])), len(str(ps[lo]))
+                    rows = np.empty((hi - lo, wn + wp + 3), dtype=np.uint8)
+                    _put_digits(ns[lo:hi], rows[:, :wn])
+                    rows[:, wn] = ord(",")
+                    _put_digits(ps[lo:hi], rows[:, wn + 1:-2])
+                    rows[:, -2:] = (ord("\r"), ord("\n"))
+                    fh.write(rows.tobytes())
+
+
+# 10, 100, ..., 10^18: where a nonnegative int64 gains a digit
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _put_digits(vals, out):
+    """ASCII decimal digits of the nonnegative vals into the uint8 columns of
+    out, one row per value, each value exactly as wide as out."""
+    for col in range(out.shape[1] - 1, -1, -1):
+        vals, digit = np.divmod(vals, 10)
+        out[:, col] = digit + ord("0")
 
 
 def _rational_exponent(spec):
@@ -398,19 +440,33 @@ def small_p_threshold(inv):
     return hi
 
 
-def enumerate_ps_primes(inv, N, table):
+def _primality(vals, table, small):
+    """Primality flags of the ascending vals: read from table if one is
+    given, else segment-sieved over [vals[0], vals[-1]] with the base primes
+    small."""
+    if table is not None:
+        return table.is_prime[vals]
+    if not vals.size:
+        return np.zeros(0, dtype=bool)
+    return _segment_flags(int(vals[0]), int(vals[-1]), small)[vals - vals[0]]
+
+
+def enumerate_ps_primes(inv, N, table=None):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
     Walks the n-range in blocks of _BLOCK integers, so no array spans the
     whole range.  Each block takes the guarded floors, keeps the primes and
     drops repeats; the last accepted p is carried into the next block, so a
     p whose run of n straddles a boundary keeps only its first witness.
+    Primality is read from table when one is given; without one, each block
+    segment-sieves its own values [first kept p, last kept p] with the base
+    primes up to sqrt(N), so nothing the size of the value range is held.
     Every block's members are cross-validated against the floor identity
     above the small-p threshold (NumericalError names the first rejected p);
     below it, disagreements are summed over the blocks and logged only.
     """
     N = int(N)
-    if N > table.limit:
+    if table is not None and N > table.limit:
         raise ValueError("N beyond table limit")
     spec = inv.parent
     p_min = small_p_threshold(inv)
@@ -423,7 +479,11 @@ def enumerate_ps_primes(inv, N, table):
     while n_end >= n_start and hfun.eval_h(spec, float(n_end)) >= N + 1:
         n_end -= 1
     p_lo = math.ceil(inv.y0)
-    members, witnesses = [], []
+    small = _primes_to(math.isqrt(N)) if table is None else None
+    # blocks since the last join, and the joined runs of them as [members,
+    # witnesses]: a run of _JOIN rows is large enough that the allocator maps
+    # it apart from the heap, so it goes back to the system once poured
+    pending, runs, rows = [], [], 0
     last = -1
     below = below_bad = 0
     for lo in range(n_start, n_end + 1, _BLOCK):
@@ -431,7 +491,7 @@ def enumerate_ps_primes(inv, N, table):
         ps = _floor_guarded_h(inv, np.arange(lo, min(lo + _BLOCK, n_end + 1),
                                              dtype=float)).astype(np.int64)
         keep = (ps >= 2) & (ps <= N)
-        keep[keep] = table.is_prime[ps[keep]]
+        keep[keep] = _primality(ps[keep], table, small)
         ns = np.flatnonzero(keep) + lo
         ps = ps[ns - lo]
         first = np.diff(ps, prepend=last) != 0
@@ -449,14 +509,27 @@ def enumerate_ps_primes(inv, N, table):
         if sub.size:
             below += int(sub.size)
             below_bad += int(np.sum(~_floor_identity(inv, sub)))
-        members.append(ps)
-        witnesses.append(ns)
+        pending.append((ps, ns))
+        rows += ps.size
+        if rows >= _JOIN or lo + _BLOCK > n_end:
+            runs.append([np.concatenate(col) for col in zip(*pending)])
+            pending, rows = [], 0
     if below:
         # sufficiently-large regime not reached: enumeration decides, the
         # floor identity is informational here
         log.info("%d members below small-p threshold %s; floor identity "
                  "disagreements there: %d (logged, not asserted)",
                  below, p_min, below_bad)
-    empty = [np.empty(0, np.int64)]
-    return PsPrimeSet(inv, N, np.concatenate(members or empty),
-                      np.concatenate(witnesses or empty), p_min)
+    return PsPrimeSet(inv, N, _pour(runs, 0), _pour(runs, 1), p_min)
+
+
+def _pour(runs, col):
+    """Column col of the runs joined into one int64 array.  Each run's column
+    is dropped once copied, so the join holds little more than its result."""
+    out = np.empty(sum(run[col].size for run in runs), dtype=np.int64)
+    lo = 0
+    for run in runs:
+        out[lo:lo + run[col].size] = run[col]
+        lo += run[col].size
+        run[col] = None
+    return out

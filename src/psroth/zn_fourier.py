@@ -84,8 +84,11 @@ def trilinear_direct(f, g, h):
 
 
 def _positions_and_weights(positions, weights):
+    """int64 positions and weights, float64 weights kept real, others complex."""
     pos = np.asarray(positions, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.complex128)
+    w = np.asarray(weights)
+    if w.dtype != np.float64:
+        w = w.astype(np.complex128, copy=False)
     if pos.shape != w.shape or pos.ndim != 1:
         raise ValueError("positions and weights must be matching 1-d arrays")
     return pos, w
@@ -95,14 +98,19 @@ def _fold_and_transform(positions, weights, grid_size):
     """sum_k w_k e(+p_k j/grid) for j = 0..grid-1.
 
     The phase only depends on p mod grid, so supports larger than the grid
-    fold exactly onto residues before one inverse-sign transform.
+    fold exactly onto residues before one inverse-sign transform.  Real
+    weights fold as reals (numpy's add.at casting each real to complex is
+    slow) and the folded grid is cast once: the real parts add in the same
+    order and the imaginary parts stay +0.0, so the transform is bitwise the
+    one of the same weights as complex.
     """
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     pos, w = _positions_and_weights(positions, weights)
-    folded = np.zeros(grid_size, dtype=np.complex128)
+    folded = np.zeros(grid_size, dtype=w.dtype)
     np.add.at(folded, pos % grid_size, w)
+    folded = folded.astype(np.complex128, copy=False)
     return np.fft.ifft(folded, norm="forward", out=folded)
 
 

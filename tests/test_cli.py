@@ -317,3 +317,35 @@ def test_errsweep_ladder_inverts_phi_twice(tmp_path, monkeypatch):
     assert tops == [max(ladder)]
     assert len(calls) == 2
     assert len(read_csv(tmp_path / "errsweep.csv")) == len(ladder) + 1
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("restrict", "r", "3"), ("restrict", "r", True), ("restrict", "r", None),
+    ("vaughan", "v", "x"), ("vaughan", "v", False), ("vaughan", "v", [10]),
+    ("errsweep", "N_list", [4096.5, 8192]), ("psgen", "N_list", 4096),
+    ("psgen", "N_list", [True, 200]), ("roth", "inject_A", [1.7, 2, 3]),
+    ("roth", "inject_A", "1,2,3"), ("roth", "inject_A", [1, None])])
+def test_untyped_number_and_list_keys_exit_1(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert run(tmp_path, command, "--config", cfg) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r", 3), ("r", 2.5), ("v", None), ("v", 12), ("v", 12.5), ("N_list", None),
+    ("N_list", [100, 200]), ("N_list", []), ("inject_A", None), ("inject_A", [0, 3, 7])])
+def test_typed_number_and_list_keys_load(tmp_path, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert cli.load_config(cli.build_parser().parse_args(["psgen", "--config", cfg]))[key] == value
+
+
+def test_psgen_builds_no_prime_table(tmp_path, monkeypatch):
+    # psgen sieves its value segments itself and checks the budget up front
+    def refuse(*args, **kwargs):
+        raise AssertionError("psgen built a whole-range prime table")
+
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)
+    assert run(tmp_path, "psgen", "--n", "20000") == 0
+    cfg = write_config(tmp_path, sieve_budget=19999)
+    assert run(tmp_path, "psgen", "--n", "20000", "--config", cfg) == 2

@@ -490,3 +490,33 @@ def test_error_term_prime_powers_match_mangoldt_array(table_1e6):
         want = dense[dense % q == a]
         assert np.array_equal(d.ks, want)
         assert np.array_equal(d.lam.view(np.int64), lam[want].view(np.int64))
+
+
+def test_error_term_inputs_blocked_phi_is_bitwise(table_1e6, monkeypatch):
+    # the inversion in blocks of the sorted k gives bitwise the arrays of
+    # one inversion over all of them
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    whole = error_term_inputs(inv, table_1e6.limit, 1, 0, table_1e6)
+    assert whole.ks.size > 10 * 4099
+    monkeypatch.setattr(expsums, "_PHI_BLOCK", 4099)
+    blocked = error_term_inputs(inv, table_1e6.limit, 1, 0, table_1e6)
+    for name in ("phi_k", "phi_k1", "dphi_k", "member_weights"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_error_term_inputs_memory_is_blocked():
+    # at top 2^23 (564,688 prime powers) the traced peak stays within 12 MB
+    # of the arrays returned (about 6 MB; inverting phi over all k at once
+    # reads about 44 MB)
+    top = 2 ** 23
+    table = sieve_primes(top)
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    tracemalloc.start()
+    try:
+        d = error_term_inputs(inv, top, 1, 0, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(v.nbytes for v in d if isinstance(v, np.ndarray))
+    assert d.ks.size == 564_688
+    assert peak - held < 12_000_000

@@ -387,3 +387,77 @@ def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7):
             for n, p in zip(ps.witnesses, ps.members):
                 wr.writerow([int(n), int(p)])
         assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("spec, N, block", [
+    (ps_exponent_spec(0.95), 10 ** 6 - 17, None),
+    (ps_exponent_spec(0.95), 123_457, 97),
+    (hfun.power_log(1.2, 2.0, x0=3.0), 10 ** 6 - 17, 61),
+    (hfun.power_log(1.05, 1.5, x0=20.0), 654_321, 89),
+])
+def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, spec, N, block):
+    # N ends inside a block; a small _BLOCK makes every value segment cross
+    # sieve chunks and n-blocks, and a small _JOIN pours many runs of
+    # blocks; the reference reads the table at the defaults
+    inv = inverse_of(spec)
+    want = enumerate_ps_primes(inv, N, table_1e6)
+    if block is not None:
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        monkeypatch.setattr(sieve, "_JOIN", 5 * block)
+        assert want.witnesses[-1] > 50 * block
+    got = enumerate_ps_primes(inv, N)
+    assert want.members.size > 10
+    assert np.array_equal(got.members, want.members)
+    assert np.array_equal(got.witnesses, want.witnesses)
+    assert got.p_min == want.p_min
+
+
+@pytest.mark.parametrize("N", [-3, 0, 1, 2, 3, 10])
+def test_table_free_enumeration_tiny_N(table_1e6, inv95, N):
+    want = enumerate_ps_primes(inv95, N, table_1e6)
+    got = enumerate_ps_primes(inv95, N)
+    assert np.array_equal(got.members, want.members)
+    assert np.array_equal(got.witnesses, want.witnesses)
+
+
+@pytest.mark.parametrize("block, limits", [
+    (None, (sieve._BLOCK - 1, sieve._BLOCK, sieve._BLOCK + 1)),
+    (64, (2, 3, 4, 63, 64, 65, 127, 128, 129, 4096 + 1)),
+])
+def test_sieve_primes_matches_reference_at_chunk_edges(monkeypatch, block, limits):
+    if block is not None:
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+    for limit in limits:
+        table = sieve_primes(limit)
+        want = simple_sieve(limit)
+        assert table.is_prime.size == limit + 1
+        assert np.flatnonzero(table.is_prime).tolist() == want
+        assert table.primes.dtype == np.int64 and table.primes.tolist() == want
+
+
+def test_segment_flags_match_reference(monkeypatch):
+    monkeypatch.setattr(sieve, "_BLOCK", 50)
+    want = np.zeros(5001, dtype=bool)
+    want[simple_sieve(5000)] = True
+    small = sieve._primes_to(70)
+    for lo, hi in ((0, 0), (0, 1), (1, 2), (2, 2), (4, 4), (0, 5000), (49, 151),
+                   (2500, 2549), (4900, 5000), (97, 97)):
+        assert np.array_equal(sieve._segment_flags(lo, hi, small), want[lo:hi + 1])
+
+
+def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):
+    # rows whose n and p gain a digit at different rows, one block apart
+    ns = np.array([1, 2, 9, 10, 11, 98, 99, 100, 101, 9_999_999, 10_000_000,
+                   10_000_001, 123_456_789_012], dtype=np.int64)
+    ps = np.array([2, 3, 5, 7, 97, 101, 9973, 10007, 9_999_991, 10_000_019,
+                   99_999_989, 100_000_007, 10 ** 15 + 37], dtype=np.int64)
+    for members, witnesses in ((ps, ns), (ps[:0], ns[:0]), (ps[5:6], ns[5:6])):
+        s = sieve.PsPrimeSet(inv95, 10 ** 16, members, witnesses, 0.0)
+        path, ref = tmp_path / "ps.csv", tmp_path / "ref.csv"
+        s.to_csv(path)
+        with open(ref, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["n_witness_index", "p_prime"])
+            for n, p in zip(witnesses.tolist(), members.tolist()):
+                wr.writerow([n, p])
+        assert path.read_bytes() == ref.read_bytes()

@@ -245,3 +245,15 @@ def test_grid_power_sums_edge_cases():
             grid_power_sums(**args)
     with pytest.raises(ValueError):
         grid_power_sums([1, 2], [1], 16, 3.0)
+
+
+def test_real_weights_fold_bitwise_as_complex():
+    # real weights fold as reals; the transform is bitwise the complex one,
+    # signed zeros included
+    positions = np.concatenate([RNG.integers(0, 2 ** 40, 3000), [5, 5, 5, 1029]])
+    weights = np.concatenate([RNG.standard_normal(3000), [0.0, -0.0, 1e-300, -2.5]])
+    for G in (1024, 1000, 7):
+        got = sparse_fourier_on_grid(positions, weights, G)
+        want = sparse_fourier_on_grid(positions, weights.astype(complex), G)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
