@@ -148,11 +148,10 @@ def cmd_psgen(cfg):
     ps_path = _out_path(cfg, "psprimes.csv")
     ps.to_csv(ps_path)
     dens_rows = []
-    Ns = cfg["N_list"] or _halvings(N)
-    for Ni in Ns:
-        if Ni < 2:
-            continue
-        cnt = int(np.count_nonzero(ps.members <= Ni))
+    Ns = [Ni for Ni in cfg["N_list"] or _halvings(N) if Ni >= 2]
+    # the members ascend, so the count up to Ni is a search position
+    counts = np.searchsorted(ps.members, Ns, side="right").tolist()
+    for Ni, cnt in zip(Ns, counts):
         target = float(hfun.eval_phi(inv, float(Ni))) / math.log(Ni)
         dens_rows.append((Ni, cnt, target, cnt / target if target else math.inf))
     dens_path = _out_path(cfg, "density.csv")

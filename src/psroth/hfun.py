@@ -219,19 +219,36 @@ def vtheta_d2(spec, x):
 
 # -- evaluation of h and its derivatives -------------------------------------
 
-def eval_h(spec, x):
-    """h(x) in closed form for the built-in kinds, quadrature for generic."""
+def eval_h(spec, x, out=None):
+    """h(x) in closed form for the built-in kinds, quadrature for generic.
+
+    The closed forms are (C_h * x^c) * l(x), multiplied in that order.  out,
+    when given, is a float array of x's shape that receives h(x) and is
+    returned; it may be x itself, as l(x) is taken before out is written.
+    """
     x = np.asarray(x)
     _check_hdomain(spec, x)
     if spec.kind == "pure_power":
-        return spec.C_h * x ** spec.c
-    if spec.kind == "power_log":
-        return spec.C_h * x ** spec.c * np.log(x) ** spec.A
-    if spec.kind == "power_explog":
-        return spec.C_h * x ** spec.c * np.exp(spec.A * np.log(x) ** spec.B)
-    if spec.kind == "iterated_log":
-        return spec.C_h * x * _iterlogs(x, spec.m)[0]
-    return eval_h_quadrature(spec, x)
+        slow = None
+    elif spec.kind == "power_log":
+        slow = np.log(x) ** spec.A
+    elif spec.kind == "power_explog":
+        slow = np.exp(spec.A * np.log(x) ** spec.B)
+    elif spec.kind == "iterated_log":
+        slow = _iterlogs(x, spec.m)[0]
+    else:
+        h = eval_h_quadrature(spec, x)
+        if out is None:
+            return h
+        out[...] = h
+        return out
+    if out is None and x.ndim:
+        # one array for all the products, as temporary elision gives the
+        # operator form
+        out = np.empty(x.shape, np.result_type(x, 1.0))
+    power = x if spec.kind == "iterated_log" else np.power(x, spec.c, out=out)
+    h = np.multiply(spec.C_h, power, out=out)
+    return h if slow is None else np.multiply(h, slow, out=out)
 
 
 def eval_h_quadrature(spec, x):

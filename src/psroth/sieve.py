@@ -20,14 +20,14 @@ The membership test for a single prime p uses the floor identity
 
 equivalent to an integer n landing in [phi(p), phi(p+1)), which characterizes
 membership exactly once consecutive phi values are less than 1 apart.  Floors
-within max(1e-9, 4 ulp) of an integer are recomputed before deciding: exactly
-in integers for a pure power n^(a/b) whose double exponent rounds a/b (the
-guard then also covers that rounding), in extended precision otherwise;
-where phi(p) or phi(p+1) is that close to an integer, the recomputed floor
-of h at the neighbouring n decides instead.  Below the small-p
-threshold (first p with phi(p+1) - phi(p) < 1/2) membership comes from direct
-enumeration and disagreements with the floor identity are logged rather than
-asserted.
+within max(1e-9, 4 ulp of the sub-block's largest value) of an integer are
+recomputed before deciding: exactly in integers for a pure power n^(a/b)
+whose double exponent rounds a/b (the guard then also covers that rounding),
+in extended precision otherwise; where phi(p) or phi(p+1) is that close to
+an integer, the recomputed floor of h at the neighbouring n decides instead.
+Below the small-p threshold (first p with phi(p+1) - phi(p) < 1/2)
+membership comes from direct enumeration and disagreements with the floor
+identity are logged rather than asserted.
 """
 
 from __future__ import annotations
@@ -45,19 +45,28 @@ from .errors import DomainError, NumericalError, ResourceError
 log = logging.getLogger(__name__)
 
 _BLOCK = 1 << 20
+# n per sub-block of the enumeration's floor step: its float scratch (512 KB
+# per array) stays in cache
+_SUB_BLOCK = 1 << 16
 # rows per joined run of blocks in enumerate_ps_primes (32 MB per column)
 _JOIN = 1 << 22
 _DEFAULT_BUDGET = 1 << 27
 
 
-def _near_int(x, slack=0.0):
-    """True where x lies within max(1e-9, 4 ulp(|x|) + slack) of an integer.
+def _near_int(x, slack=0.0, dist=None, out=None):
+    """True where x lies within max(1e-9, 4 ulp(max |x|) + slack) of an integer.
 
-    Written so that numpy reuses its temporaries in place: at most two float
-    arrays besides x at a time, which bounds the enumeration's block peak.
+    One tolerance serves all of x, taken at its largest magnitude, so it is
+    never narrower than 4 ulp(|x|) at any element, only wider where x spans
+    binades; the enumeration passes sub-blocks of h, whose values span one
+    or two.  dist and out, when given, are float and bool arrays of x's
+    shape that receive |rint(x) - x| and the flags in place.
     """
-    dist = abs(np.rint(x) - x)
-    return (dist < 1e-9) | (dist < 4 * abs(np.spacing(x)) + slack)
+    x = np.asarray(x)
+    top = max(x.max(initial=0.0), -x.min(initial=0.0))
+    tol = max(1e-9, 4 * float(np.spacing(top)) + slack)
+    d = np.subtract(np.rint(x, out=dist), x, out=dist)
+    return np.less(np.abs(d, out=dist), tol, out=out)
 
 
 # -- prime table -------------------------------------------------------------
@@ -330,12 +339,12 @@ def _rational_exponent(spec):
     return frac if frac.denominator > 1 and float(frac) == spec.c else None
 
 
-def _rounding_slack(xs, exponent, exact):
-    """Bound over a block on |x^exponent - x^exact|, about x^exponent ln x
-    |exponent - exact| at the largest x; 0 when exact is None."""
-    if exact is None or not xs.size:
+def _rounding_slack(top, exponent, exact):
+    """Bound on |x^exponent - x^exact| for 1 <= x <= top, about top^exponent
+    ln top |exponent - exact|; 0 when exact is None."""
+    if exact is None or top <= 1:
         return 0.0
-    top = float(xs.max())
+    top = float(top)
     return top ** exponent * math.log(top) * float(abs(Fraction(exponent) - exact))
 
 
@@ -362,16 +371,22 @@ def _risky_floors(spec, ns):
     return floors
 
 
-def _floor_guarded_h(inv, ns):
+def _floor_guarded_h(inv, ns, slack=None, scratch=None):
     """floor(h(n)) with the floors near an integer taken by _risky_floors.
 
     The guard covers the double's rounding and, for a rational exponent, the
-    distance of h at the double c from h at a/b.
+    distance of h at the double c from h at a/b: slack, by default that
+    distance at the largest n.  scratch, when given, is (h, dist, risky),
+    float, float and bool arrays of ns's size in which the floors are taken
+    in place; the floors are returned in h.
     """
     spec = inv.parent
     ns = np.asarray(ns, dtype=float)
-    hs = hfun.eval_h(spec, ns)
-    risky = _near_int(hs, _rounding_slack(ns, spec.c, _rational_exponent(spec)))
+    hs, dist, risky = (None, None, None) if scratch is None else scratch
+    if slack is None:
+        slack = _rounding_slack(ns.max(initial=0.0), spec.c, _rational_exponent(spec))
+    hs = hfun.eval_h(spec, ns, out=hs)
+    risky = _near_int(hs, slack, dist, risky)
     floors = np.floor(hs, out=hs)
     if np.any(risky):
         floors[risky] = _risky_floors(spec, ns[risky])
@@ -394,7 +409,8 @@ def _floor_identity(inv, ps):
     fp1 = hfun.eval_phi(inv, (ps + 1).astype(float))
     out = np.floor(-fp) - np.floor(-fp1) == 1
     exact = _rational_exponent(inv.parent)
-    slack = _rounding_slack(ps + 1, inv.gamma, None if exact is None else 1 / exact)
+    slack = _rounding_slack(ps.max(initial=0) + 1, inv.gamma,
+                            None if exact is None else 1 / exact)
     risky = _near_int(fp, slack) | _near_int(fp1, slack)
     if np.any(risky):
         spec, p = inv.parent, ps[risky]
@@ -455,9 +471,13 @@ def enumerate_ps_primes(inv, N, table=None):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
     Walks the n-range in blocks of _BLOCK integers, so no array spans the
-    whole range.  Each block takes the guarded floors, keeps the primes and
-    drops repeats; the last accepted p is carried into the next block, so a
-    p whose run of n straddles a boundary keeps only its first witness.
+    whole range.  Each block takes the guarded floors in sub-blocks of
+    _SUB_BLOCK n, in float scratch allocated once per call and written in
+    place, into one int64 buffer, also allocated once; each sub-block has
+    one near-integer tolerance (_near_int) and the block one rounding slack.
+    The block then keeps the primes and drops repeats; the last accepted p
+    is carried into the next block, so a p whose run of n straddles a
+    boundary keeps only its first witness.
     Primality is read from table when one is given; without one, each block
     segment-sieves its own values [first kept p, last kept p] with the base
     primes up to sqrt(N), so nothing the size of the value range is held.
@@ -480,6 +500,13 @@ def enumerate_ps_primes(inv, N, table=None):
         n_end -= 1
     p_lo = math.ceil(inv.y0)
     small = _primes_to(math.isqrt(N)) if table is None else None
+    exact = _rational_exponent(spec)
+    # the floor step's buffers, reused by every sub-block and block
+    width = min(_SUB_BLOCK, _BLOCK, n_end - n_start + 1)
+    steps = np.arange(width, dtype=float)
+    n_sub, h_sub, dist_sub = np.empty(width), np.empty(width), np.empty(width)
+    risky_sub = np.empty(width, dtype=bool)
+    floors = np.empty(min(_BLOCK, n_end - n_start + 1), dtype=np.int64)
     # blocks since the last join, and the joined runs of them as [members,
     # witnesses]: a run of _JOIN rows is large enough that the allocator maps
     # it apart from the heap, so it goes back to the system once poured
@@ -487,9 +514,16 @@ def enumerate_ps_primes(inv, N, table=None):
     last = -1
     below = below_bad = 0
     for lo in range(n_start, n_end + 1, _BLOCK):
-        # n < 2^53, so the float n are exact
-        ps = _floor_guarded_h(inv, np.arange(lo, min(lo + _BLOCK, n_end + 1),
-                                             dtype=float)).astype(np.int64)
+        hi = min(lo + _BLOCK, n_end + 1)
+        # one rounding slack per block, taken at its largest n
+        slack = _rounding_slack(hi - 1, spec.c, exact)
+        for s in range(lo, hi, width):
+            k = min(width, hi - s)
+            # n < 2^53, so the float n are exact
+            floors[s - lo:s - lo + k] = _floor_guarded_h(
+                inv, np.add(steps[:k], s, out=n_sub[:k]), slack,
+                (h_sub[:k], dist_sub[:k], risky_sub[:k]))
+        ps = floors[:hi - lo]
         keep = (ps >= 2) & (ps <= N)
         keep[keep] = _primality(ps[keep], table, small)
         ns = np.flatnonzero(keep) + lo

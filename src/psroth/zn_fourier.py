@@ -94,7 +94,7 @@ def _positions_and_weights(positions, weights):
     return pos, w
 
 
-def _fold_and_transform(positions, weights, grid_size):
+def _fold_and_transform(positions, weights, grid_size, out=None):
     """sum_k w_k e(+p_k j/grid) for j = 0..grid-1.
 
     The phase only depends on p mod grid, so supports larger than the grid
@@ -102,13 +102,15 @@ def _fold_and_transform(positions, weights, grid_size):
     weights fold as reals (numpy's add.at casting each real to complex is
     slow) and the folded grid is cast once: the real parts add in the same
     order and the imaginary parts stay +0.0, so the transform is bitwise the
-    one of the same weights as complex.
+    one of the same weights as complex.  out, when given, is a zeroed
+    complex128 array of grid_size that the weights fold into and that is
+    transformed in place, for callers that reuse one buffer.
     """
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     pos, w = _positions_and_weights(positions, weights)
-    folded = np.zeros(grid_size, dtype=w.dtype)
+    folded = np.zeros(grid_size, dtype=w.dtype) if out is None else out
     np.add.at(folded, pos % grid_size, w)
     folded = folded.astype(np.complex128, copy=False)
     return np.fft.ifft(folded, norm="forward", out=folded)
@@ -131,7 +133,8 @@ def grid_power_sums(positions, weights, grid_size, r, at=()):
     """L^r data of F(j) = sum_k w_k e(+p_k j/grid) on an even grid, streamed.
 
     Returns (sum_j |F(j)|^r over j = 0..grid-1, the same sum over even j,
-    F at the indices `at`) while holding one row of the grid at a time.
+    F at the indices `at`) while holding one row of the grid at a time, in
+    one complex and one real buffer reused by every row.
     With grid = S*L, S even, the row s = 0..S-1 holds j = S*c + s, and
 
         F(S c + s) = sum_k w_k e(p_k s/grid) e(p_k c/L),   c = 0..L-1,
@@ -157,10 +160,15 @@ def grid_power_sums(positions, weights, grid_size, r, at=()):
     shift = pos % grid_size
     sums = np.empty(S)
     values = np.empty(at.size, dtype=np.complex128)
+    row, power = np.empty(L, dtype=np.complex128), np.empty(L)
     for s in range(S):
         twisted = w * np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
-        row = _fold_and_transform(pos, twisted, L)
-        sums[s] = np.sum(np.abs(row) ** r)
+        row[:] = 0
+        _fold_and_transform(pos, twisted, L, out=row)
+        # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
+        np.abs(row, out=power)
+        power **= r
+        sums[s] = np.sum(power)
         in_row = at % S == s
         values[in_row] = row[at[in_row] // S]
     return float(sums.sum()), float(sums[::2].sum()), values

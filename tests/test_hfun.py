@@ -178,6 +178,22 @@ def test_phi_budget_exhausted_raises_with_bracket(monkeypatch):
     assert spec.x0 <= lo <= hi < math.inf
 
 
+def test_eval_h_into_out_is_bitwise_the_plain_evaluation():
+    # the enumeration writes h into reused buffers, x's own included
+    gen = FunctionSpec("generic", 1.2, x0=3.0, vtheta_fn=lambda x: 0.1 / np.log(x),
+                       vtheta_d1_fn=lambda x: -0.1 / (x * np.log(x) ** 2),
+                       vtheta_d2_fn=lambda x: 0.1 * (np.log(x) + 2) / (x * np.log(x)) ** 2)
+    for name, spec in EDGES + [("gen", gen)]:
+        xs = dyadic_grid(spec, decades=3 if spec is gen else 6)
+        want = eval_h(spec, xs)
+        out = np.full_like(xs, np.nan)
+        assert eval_h(spec, xs, out=out) is out
+        assert out.tobytes() == want.tobytes(), name
+        same = xs.copy()
+        assert eval_h(spec, same, out=same) is same
+        assert same.tobytes() == want.tobytes(), name
+
+
 def test_generic_kind_matches_power_log():
     # the generic kind fed power_log(1.2, 2)'s vtheta, anchored at the same
     # h(x0) (generic anchors at C_h * x0^c), reproduces it through quadrature

@@ -85,6 +85,31 @@ def test_factorize_trial_division():
         assert all(n % d != 0 for d in range(2, fac[0]))
 
 
+def test_near_int_guard_only_widens():
+    # one tolerance per sub-block, at its largest value, flags every x that
+    # the per-element rule max(1e-9, 4 ulp(|x|) + slack) flags, on values
+    # crossing a binade and near 2^52, where the ulp is 1/2 and then 1
+    rng = np.random.default_rng(20)
+    flagged = 0
+    for trial in range(400):
+        e = int(rng.integers(0, 53)) if trial % 4 else 52
+        base = 2.0 ** e
+        k = np.floor(base * rng.uniform(0.75, 1.5, 512))
+        x = k + rng.integers(-6, 7, k.size) * np.spacing(k) * rng.choice([0.5, 1.0], k.size)
+        x[rng.random(k.size) < 0.2] += rng.uniform(-1.0, 1.0)
+        slack = float(rng.choice([0.0, 1e-12, 1e-8]))
+        dist = np.abs(np.rint(x) - x)
+        old = (dist < 1e-9) | (dist < 4 * np.abs(np.spacing(x)) + slack)
+        new = _near_int(x, slack)
+        assert not np.any(old & ~new), trial
+        # the scratch buffers give the same flags
+        scratch, out = np.empty_like(x), np.empty(x.size, dtype=bool)
+        assert _near_int(x, slack, scratch, out) is out
+        assert np.array_equal(out, new)
+        flagged += int(old.sum())
+    assert flagged > 10000
+
+
 def test_near_int_scales_with_magnitude():
     # one ulp at 1e13 is 0.00195, so an absolute 1e-9 guard misses this
     assert _near_int(1e13 + 0.004)
@@ -308,6 +333,33 @@ def test_adversarial_near_integer_floor(inv95, table_1e6, target):
         members = enumerate_ps_primes(inv95, target, table_1e6).members
         got = members[(members >= exact[0]) & (members <= exact[-1])].tolist()
         assert got == [k for k in exact if table_1e6.is_prime[k]]
+
+
+H1 = hfun.power_log(1.2, 2.0, x0=3.0)
+
+
+@pytest.mark.parametrize("spec, N, block, sub", [
+    # N = 10^6 reaches the adversarial n of the 10^6 target above
+    (ps_exponent_spec(0.95), 10 ** 6, 4099, 61),
+    (ps_exponent_spec(0.95), 123_457, 4099, 7),
+    # h1 reaches only n = 3086 below 10^6
+    (H1, 10 ** 6 - 17, 1021, 61),
+    (H1, 10 ** 6 - 17, 1021, 7),
+])
+def test_sub_blocked_floors_match_default_enumeration(table_1e6, monkeypatch,
+                                                       spec, N, block, sub):
+    # sub-blocks of 7 and 61 n put sub-block edges everywhere, the last one
+    # of each block shortened (no block size is a multiple of 7 or 61); with
+    # and without a table, against the defaults
+    inv = inverse_of(spec)
+    want = enumerate_ps_primes(inv, N, table_1e6)
+    monkeypatch.setattr(sieve, "_SUB_BLOCK", sub)
+    monkeypatch.setattr(sieve, "_BLOCK", block)
+    assert want.witnesses[-1] > 3 * block
+    for table in (table_1e6, None):
+        got = enumerate_ps_primes(inv, N, table)
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.witnesses, want.witnesses)
 
 
 def test_rational_exponent_floor_past_the_double_exponent(inv95):

@@ -227,6 +227,24 @@ def test_grid_power_sums_match_dense(G, r, row_length, monkeypatch):
     assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
 
 
+@pytest.mark.parametrize("r", [2, 3.0, 4.5])
+def test_grid_power_sums_bitwise_row_by_row(r, monkeypatch):
+    # the reused row buffers give bitwise the sums of a fresh transform and a
+    # fresh |row| ** r per row (r = 2 takes numpy's square for both)
+    monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", 64)
+    G = 1 << 12
+    positions = RNG.integers(0, 2 ** 40, 500)
+    weights = np.exp(2j * np.pi * RNG.random(500))
+    S = zn_fourier._row_count(G)
+    rows = [sparse_fourier_on_grid(
+        positions, weights * np.exp(2j * np.pi * (positions % G * s % G / G)), G // S)
+        for s in range(S)]
+    sums = np.array([np.sum(np.abs(row) ** r) for row in rows])
+    total, even, vals = grid_power_sums(positions, weights, G, r, at=[3, G - 1])
+    assert (total, even) == (float(sums.sum()), float(sums[::2].sum()))
+    assert vals.tolist() == [rows[3 % S][3 // S], rows[(G - 1) % S][(G - 1) // S]]
+
+
 def test_row_count():
     assert zn_fourier._row_count(1_600_000) == 20    # rows of 80000, nearest 2^16
     assert zn_fourier._row_count(1 << 20) == 16
