@@ -141,6 +141,9 @@ def _manifest(name, cfg, outputs, extra=None):
 def cmd_psgen(cfg):
     inv = _inverse(cfg)
     N = cfg["N"]
+    # the density rows count members up to each Ni, enumerated only up to N
+    if max(cfg["N_list"] or [N]) > N:
+        raise ValueError(f"N_list entries must be <= N = {N}, got {cfg['N_list']}")
     # the enumeration sieves its value segments itself, up to N
     if N > cfg["sieve_budget"]:
         raise ResourceError(f"limit {N} exceeds budget {cfg['sieve_budget']}")
@@ -247,9 +250,9 @@ def cmd_restrict(cfg):
 
 
 def cmd_roth(cfg):
-    if cfg["inject_A"]:
+    if cfg["inject_A"] is not None:
         A = cfg["inject_A"]
-        rep = roth.count_3aps(A, max(A) + 1, mode="integer")
+        rep = roth.count_3aps(A, max(A, default=0) + 1, mode="integer")
         path = _out_path(cfg, "roth.csv")
         _write_csv(path, ["set_size", "lam3_ordered", "nontrivial_ordered",
                           "witness"],

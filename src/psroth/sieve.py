@@ -11,9 +11,11 @@ Mangoldt, Moebius, and Euler phi functions factor their argument by trial
 division and never read the table beyond its limit check.
 
 PsPrimeSet holds the primes hit by floor(h(n)) for a growth spec h, which
-enumerate_ps_primes finds block by block over the n-range.  It reads
-primality from a table when given one; without one, each block sieves only
-the value segment it reaches, so nothing the size of the range is held.
+enumerate_ps_primes finds block by block over the n-range.  Each block's
+floors come from _floor_guarded_h, the one place floor(h(n)) is taken over
+a range of n, in cache-sized sub-blocks of fresh arrays.  The enumeration
+reads primality from a table when given one; without one, each block sieves
+only the value segment it reaches, so nothing the size of the range is held.
 The membership test for a single prime p uses the floor identity
 
     floor(-phi(p)) - floor(-phi(p+1)) == 1,
@@ -45,28 +47,26 @@ from .errors import DomainError, NumericalError, ResourceError
 log = logging.getLogger(__name__)
 
 _BLOCK = 1 << 20
-# n per sub-block of the enumeration's floor step: its float scratch (512 KB
-# per array) stays in cache
+# n per sub-block of the guarded floor step: its float arrays (512 KB each)
+# stay in cache
 _SUB_BLOCK = 1 << 16
 # rows per joined run of blocks in enumerate_ps_primes (32 MB per column)
 _JOIN = 1 << 22
 _DEFAULT_BUDGET = 1 << 27
 
 
-def _near_int(x, slack=0.0, dist=None, out=None):
+def _near_int(x, slack=0.0):
     """True where x lies within max(1e-9, 4 ulp(max |x|) + slack) of an integer.
 
     One tolerance serves all of x, taken at its largest magnitude, so it is
     never narrower than 4 ulp(|x|) at any element, only wider where x spans
     binades; the enumeration passes sub-blocks of h, whose values span one
-    or two.  dist and out, when given, are float and bool arrays of x's
-    shape that receive |rint(x) - x| and the flags in place.
+    or two.
     """
     x = np.asarray(x)
     top = max(x.max(initial=0.0), -x.min(initial=0.0))
     tol = max(1e-9, 4 * float(np.spacing(top)) + slack)
-    d = np.subtract(np.rint(x, out=dist), x, out=dist)
-    return np.less(np.abs(d, out=dist), tol, out=out)
+    return abs(np.rint(x) - x) < tol
 
 
 # -- prime table -------------------------------------------------------------
@@ -371,25 +371,27 @@ def _risky_floors(spec, ns):
     return floors
 
 
-def _floor_guarded_h(inv, ns, slack=None, scratch=None):
-    """floor(h(n)) with the floors near an integer taken by _risky_floors.
+def _floor_guarded_h(inv, lo, hi):
+    """floor(h(n)) for the integers lo <= n < hi, as int64.
 
-    The guard covers the double's rounding and, for a rational exponent, the
-    distance of h at the double c from h at a/b: slack, by default that
-    distance at the largest n.  scratch, when given, is (h, dist, risky),
-    float, float and bool arrays of ns's size in which the floors are taken
-    in place; the floors are returned in h.
+    h is taken in sub-blocks of _SUB_BLOCK n, each with one near-integer
+    tolerance (_near_int); the floors near an integer come from
+    _risky_floors.  The guard covers the double's rounding and, for a
+    rational exponent, the distance of h at the double c from h at a/b,
+    taken once at hi - 1.
     """
     spec = inv.parent
-    ns = np.asarray(ns, dtype=float)
-    hs, dist, risky = (None, None, None) if scratch is None else scratch
-    if slack is None:
-        slack = _rounding_slack(ns.max(initial=0.0), spec.c, _rational_exponent(spec))
-    hs = hfun.eval_h(spec, ns, out=hs)
-    risky = _near_int(hs, slack, dist, risky)
-    floors = np.floor(hs, out=hs)
-    if np.any(risky):
-        floors[risky] = _risky_floors(spec, ns[risky])
+    slack = _rounding_slack(hi - 1, spec.c, _rational_exponent(spec))
+    floors = np.empty(hi - lo, dtype=np.int64)
+    for s in range(lo, hi, _SUB_BLOCK):
+        # n < 2^53, so the float n are exact
+        ns = np.arange(s, min(s + _SUB_BLOCK, hi), dtype=float)
+        hs = hfun.eval_h(spec, ns)
+        risky = _near_int(hs, slack)
+        sub = np.floor(hs, out=hs)
+        if np.any(risky):
+            sub[risky] = _risky_floors(spec, ns[risky])
+        floors[s - lo:s - lo + ns.size] = sub
     return floors
 
 
@@ -471,13 +473,10 @@ def enumerate_ps_primes(inv, N, table=None):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
     Walks the n-range in blocks of _BLOCK integers, so no array spans the
-    whole range.  Each block takes the guarded floors in sub-blocks of
-    _SUB_BLOCK n, in float scratch allocated once per call and written in
-    place, into one int64 buffer, also allocated once; each sub-block has
-    one near-integer tolerance (_near_int) and the block one rounding slack.
-    The block then keeps the primes and drops repeats; the last accepted p
-    is carried into the next block, so a p whose run of n straddles a
-    boundary keeps only its first witness.
+    whole range.  Each block takes its guarded floors (_floor_guarded_h),
+    keeps the primes and drops repeats; the last accepted p is carried into
+    the next block, so a p whose run of n straddles a boundary keeps only
+    its first witness.
     Primality is read from table when one is given; without one, each block
     segment-sieves its own values [first kept p, last kept p] with the base
     primes up to sqrt(N), so nothing the size of the value range is held.
@@ -500,13 +499,6 @@ def enumerate_ps_primes(inv, N, table=None):
         n_end -= 1
     p_lo = math.ceil(inv.y0)
     small = _primes_to(math.isqrt(N)) if table is None else None
-    exact = _rational_exponent(spec)
-    # the floor step's buffers, reused by every sub-block and block
-    width = min(_SUB_BLOCK, _BLOCK, n_end - n_start + 1)
-    steps = np.arange(width, dtype=float)
-    n_sub, h_sub, dist_sub = np.empty(width), np.empty(width), np.empty(width)
-    risky_sub = np.empty(width, dtype=bool)
-    floors = np.empty(min(_BLOCK, n_end - n_start + 1), dtype=np.int64)
     # blocks since the last join, and the joined runs of them as [members,
     # witnesses]: a run of _JOIN rows is large enough that the allocator maps
     # it apart from the heap, so it goes back to the system once poured
@@ -514,16 +506,7 @@ def enumerate_ps_primes(inv, N, table=None):
     last = -1
     below = below_bad = 0
     for lo in range(n_start, n_end + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n_end + 1)
-        # one rounding slack per block, taken at its largest n
-        slack = _rounding_slack(hi - 1, spec.c, exact)
-        for s in range(lo, hi, width):
-            k = min(width, hi - s)
-            # n < 2^53, so the float n are exact
-            floors[s - lo:s - lo + k] = _floor_guarded_h(
-                inv, np.add(steps[:k], s, out=n_sub[:k]), slack,
-                (h_sub[:k], dist_sub[:k], risky_sub[:k]))
-        ps = floors[:hi - lo]
+        ps = _floor_guarded_h(inv, lo, min(lo + _BLOCK, n_end + 1))
         keep = (ps >= 2) & (ps <= N)
         keep[keep] = _primality(ps[keep], table, small)
         ns = np.flatnonzero(keep) + lo

@@ -115,6 +115,18 @@ def test_psgen_degenerate_N(tmp_path):
     assert len(dens) == 1
 
 
+def test_psgen_N_list_above_N_exits_1(tmp_path, capsys):
+    # the 2000 row would count only the members up to N = 1000
+    cfg = write_config(tmp_path, N_list=[500, 2000])
+    assert run(tmp_path, "psgen", "--n", "1000", "--config", cfg) == 1
+    assert "N_list" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*manifest.json"))
+    cfg = write_config(tmp_path, N_list=[500, 1000])
+    assert run(tmp_path, "psgen", "--n", "1000", "--config", cfg) == 0
+    assert [row[0] for row in read_csv(tmp_path / "density.csv")] == ["N", "500", "1000"]
+
+
 def test_psgen_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -225,6 +237,17 @@ def test_roth_injected_set(tmp_path):
     rows = read_csv(tmp_path / "roth.csv")
     assert rows[0] == ["set_size", "lam3_ordered", "nontrivial_ordered", "witness"]
     assert rows[1] == ["3", "5", "2", "1|2|3"]
+
+
+def test_roth_injected_empty_set(tmp_path):
+    # an empty list is the empty set, not the transference run
+    cfg = write_config(tmp_path, inject_A=[])
+    assert run(tmp_path, "roth", "--config", cfg) == 0
+    rows = read_csv(tmp_path / "roth.csv")
+    assert rows == [["set_size", "lam3_ordered", "nontrivial_ordered", "witness"],
+                    ["0", "0", "0", ""]]
+    man = json.loads((tmp_path / "progression_count_manifest.json").read_text())
+    assert man["experiment"] == "progression count"
 
 
 def test_roth_full_pipeline(tmp_path):
