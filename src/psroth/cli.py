@@ -93,6 +93,10 @@ def load_config(args):
             raise ValueError(f"{key} must be null or a list of integers, got {val!r}")
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
+    # every N of a density series or an error-term ladder is divided by or
+    # logged, so it needs at least one prime below it
+    if min(cfg["N_list"] or [2]) < 2:
+        raise ValueError(f"N_list entries must be >= 2, got {cfg['N_list']}")
     # fail early on an unusable function block
     _inverse(cfg)
     return cfg
@@ -312,7 +316,7 @@ def build_parser():
     ap.add_argument("--seed", type=int)
     ap.add_argument("--threads", type=int,
                     help="worker threads (an integer >= 1, else exit 1) for "
-                         "errsweep (its N ladder) and restrict (its trials); "
+                         "errsweep (its N ladder) and restrict (its grid rows); "
                          "other commands ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")

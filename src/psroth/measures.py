@@ -187,13 +187,25 @@ def bohr_indicator(report):
 
 def smooth(a, report):
     """a1 = a * beta * beta (double cyclic convolution, mass preserved)."""
+    return WeightedSequence(report.N, _smoothed_with_transforms(a, report)[2], "smoothed")
+
+
+def _smoothed_with_transforms(a, report):
+    """(F[a], F[beta], the weights of a * beta * beta): smooth's result with the
+    transforms it took, which the smoothing chain reuses.
+
+    Both convolutions take the product rule with F[beta] transformed once:
+    step = a * beta from F[a] F[beta], then step * beta from F[step] F[beta],
+    each inverse normalized as zn_fourier.convolve's.
+    """
     weights = a.weights if isinstance(a, WeightedSequence) else np.asarray(a, dtype=float)
     if weights.size != report.N:
         raise ValueError("length mismatch")
-    beta = bohr_indicator(report)
-    step = zn_fourier.convolve(weights.astype(complex), beta.weights.astype(complex))
-    out = zn_fourier.convolve(step, beta.weights.astype(complex)).real
+    Fa = zn_fourier.dft(weights.astype(complex))
+    Fb = zn_fourier.dft(bohr_indicator(report).weights.astype(complex))
+    step = np.fft.ifft(Fa * Fb)
+    out = np.fft.ifft(np.fft.fft(step) * Fb).real
     tiny = -1e-12 * max(1.0, float(np.max(np.abs(out))))
     if np.min(out) < tiny:
         raise AssertionError("convolution produced materially negative weights")
-    return WeightedSequence(report.N, np.maximum(out, 0.0), "smoothed")
+    return Fa, Fb, np.maximum(out, 0.0)

@@ -18,13 +18,13 @@ restriction_ratio draws random unimodular coefficients on the floor-prime
 frequencies and compares L^r norms against the unsigned extremizer on a
 Riemann grid, with a doubling refinement guard on every accepted norm and a
 direct-summation control on the extremizer's transform; the doubled grid is
-streamed row by row and the trials run on a thread pool.
+streamed row by row, once for all the trials and the extremizer, and its rows
+run on a thread pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -298,18 +298,16 @@ def _norm_with_refinement(positions, weights, grid, r):
     return _refined_norm(total, even, 2 * grid, r)
 
 
-def _extremizer_norm(positions, grid, r, rng):
-    """_refined_norm of the unsigned sum sum_p e(p xi), and a control: the L^r
-    mean of that sum taken directly at seeded points j of the doubled grid
-    over the same mean of the transform at those points."""
-    size = 2 * grid
-    js = rng.choice(size, size=min(64, size), replace=False)
-    total, even, at_js = zn_fourier.grid_power_sums(
-        positions, np.ones(positions.size, dtype=complex), size, r, at=js)
+def _control_ratio(positions, size, r, js, at_js):
+    """The L^r mean of the unsigned sum sum_p e(p j/size) taken directly at the
+    points js over the same mean of its transform at_js at those points."""
     direct = np.array([abs(np.exp(2j * np.pi * (j * positions % size / size)).sum())
                        for j in js])
-    control = (np.mean(direct ** r) / np.mean(np.abs(at_js) ** r)) ** (1.0 / r)
-    return _refined_norm(total, even, size, r), float(control)
+    return float((np.mean(direct ** r) / np.mean(np.abs(at_js) ** r)) ** (1.0 / r))
+
+
+# restriction_ratio's weight rows per pass over the grid rows, in bytes
+_COEFF_BYTES = 8 << 20
 
 
 def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
@@ -322,13 +320,16 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
     G = S*L and S even, row s holds the points j = s mod S and is one
     length-L transform, so no G-point array is formed.  The even rows are
     exactly the base grid, whose norm the refinement guard compares with.
-    The control ratio compares the extremizer's transform with direct
-    summation at 64 seeded grid points (1 up to rounding); its points come
-    from a child seed after the trials'.
+    The extremizer's ones and the trials' coefficients are one matrix of
+    weight rows, so each pass over the grid rows serves every norm; a matrix
+    above _COEFF_BYTES is cut into several passes.  The control ratio
+    compares the extremizer's transform with direct summation at 64 seeded
+    grid points (1 up to rounding); its points come from a child seed after
+    the trials'.
 
-    The trials and the extremizer run on `threads` threads.  Each trial keeps
-    its own seed and its own summation order, so the ratios are the same for
-    every thread count.
+    The grid rows run on `threads` threads.  Each row sum has its own slot,
+    added in row order, so the ratios are the same for every thread count
+    and every pass size.
     """
     N = int(N)
     if r <= 0:
@@ -347,19 +348,30 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
     if pos.size == 0:
         raise ValueError("no floor-image primes up to N")
     *seqs, control_seq = np.random.SeedSequence(seed).spawn(trials + 1)
+    size = 2 * grid
+    js = np.random.Generator(np.random.Philox(control_seq)).choice(
+        size, size=min(64, size), replace=False)
 
-    def trial_norm(seq):
-        rng = np.random.Generator(np.random.Philox(seq))
-        coeff = np.exp(1j * 2.0 * np.pi * rng.random(pos.size))
-        return _norm_with_refinement(pos, coeff, grid, r)
+    def weight_row(t):
+        """Row 0 is the extremizer's ones, row t the coefficients of trial t."""
+        if t == 0:
+            return np.ones(pos.size, dtype=complex)
+        rng = np.random.Generator(np.random.Philox(seqs[t - 1]))
+        return np.exp(1j * 2.0 * np.pi * rng.random(pos.size))
 
-    # numpy's FFT releases the GIL, so the trials' transforms run in parallel
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        extremizer = pool.submit(_extremizer_norm, pos, grid, r,
-                                 np.random.Generator(np.random.Philox(control_seq)))
-        norms = list(pool.map(trial_norm, seqs))
-    denom, control = extremizer.result()
-    ratios = np.array(norms) / denom
+    per_pass = max(1, _COEFF_BYTES // (pos.size * np.dtype(complex).itemsize))
+    norms = []
+    for lo in range(0, trials + 1, per_pass):
+        W = np.empty((min(per_pass, trials + 1 - lo), pos.size), dtype=complex)
+        for i, w in enumerate(W):
+            w[:] = weight_row(lo + i)
+        totals, evens, values = zn_fourier.grid_power_sums(
+            pos, W, size, r, at=js, threads=threads)
+        if lo == 0:
+            control = _control_ratio(pos, size, r, js, values[0])
+        norms += [_refined_norm(float(tot), float(ev), size, r)
+                  for tot, ev in zip(totals, evens)]
+    ratios = np.array(norms[1:]) / norms[0]
     return RestrictionReport(ratios, float(np.max(ratios)), control,
                              grid, float(r), trials, seed)
 
@@ -377,12 +389,11 @@ def smoothing_bound_chain(a, report):
     N = a.N
     if N % 2 == 0:
         raise ValueError("need odd N")
-    beta = measures.bohr_indicator(report)
-    a1 = measures.smooth(a, report)
-    lam3_a = zn_fourier.trilinear_fft(*([a.weights.astype(complex)] * 3))
-    lam3_a1 = zn_fourier.trilinear_fft(*([a1.weights.astype(complex)] * 3))
-    Fa = zn_fourier.dft(a.weights.astype(complex))
-    Fb = zn_fourier.dft(beta.weights.astype(complex))
+    # a and beta are transformed once; a1 comes from real space, a * beta * beta
+    Fa, Fb, a1 = measures._smoothed_with_transforms(a, report)
+    Fa1 = zn_fourier.dft(a1.astype(complex))
+    lam3_a = zn_fourier._trilinear_from_transforms(Fa, Fa, Fa)
+    lam3_a1 = zn_fourier._trilinear_from_transforms(Fa1, Fa1, Fa1)
     idx = (-2 * np.arange(N)) % N
     mult = Fb ** 4 * Fb[idx] ** 2 - 1.0
     freq_sum = complex(np.sum(Fa ** 2 * Fa[idx] * mult) / N)

@@ -10,12 +10,15 @@ sign, F_Z[f](t) = sum_n f(n) e(+n t), evaluated at t = j/grid.
 
 Functions on Z_N are plain 1-d complex128 arrays.  Every transform is numpy's
 FFT, which handles every length N, prime N included.  grid_power_sums streams
-a grid transform row by row for L^r norms of grids too large to hold.
+grid transforms row by row for L^r norms of grids too large to hold: one
+pass over the grid rows serves a whole stack of weight rows, and the grid
+rows run on a thread pool.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +69,13 @@ def trilinear_fft(f, g, h):
     Ff = np.fft.fft(fv)
     Fg = Ff if g is f else np.fft.fft(gv)
     Fh = Ff if h is f else np.fft.fft(hv)
+    return _trilinear_from_transforms(Ff, Fg, Fh)
+
+
+def _trilinear_from_transforms(Ff, Fg, Fh):
+    """The frequency sum of trilinear_fft, N^{-1} sum_xi Ff(xi) Fg(-2xi) Fh(xi),
+    from transforms the caller already holds (odd N)."""
+    N = Ff.size
     idx = (-2 * np.arange(N)) % N
     return complex(np.sum(Ff * Fg[idx] * Fh) / N)
 
@@ -83,18 +93,21 @@ def trilinear_direct(f, g, h):
     return complex(fv @ np.einsum("xd,xd->x", G, H))
 
 
-def _positions_and_weights(positions, weights):
-    """int64 positions and weights, float64 weights kept real, others complex."""
+def _positions_and_weights(positions, weights, max_ndim=1):
+    """int64 positions and weights, float64 weights kept real, others complex.
+
+    weights is 1-d, or with max_ndim=2 one row of weights per transform; its
+    last axis matches the 1-d positions."""
     pos = np.asarray(positions, dtype=np.int64)
     w = np.asarray(weights)
     if w.dtype != np.float64:
         w = w.astype(np.complex128, copy=False)
-    if pos.shape != w.shape or pos.ndim != 1:
+    if pos.ndim != 1 or not 1 <= w.ndim <= max_ndim or w.shape[-1:] != pos.shape:
         raise ValueError("positions and weights must be matching 1-d arrays")
     return pos, w
 
 
-def _fold_and_transform(positions, weights, grid_size, out=None):
+def _fold_and_transform(positions, weights, grid_size):
     """sum_k w_k e(+p_k j/grid) for j = 0..grid-1.
 
     The phase only depends on p mod grid, so supports larger than the grid
@@ -102,22 +115,21 @@ def _fold_and_transform(positions, weights, grid_size, out=None):
     weights fold as reals (numpy's add.at casting each real to complex is
     slow) and the folded grid is cast once: the real parts add in the same
     order and the imaginary parts stay +0.0, so the transform is bitwise the
-    one of the same weights as complex.  out, when given, is a zeroed
-    complex128 array of grid_size that the weights fold into and that is
-    transformed in place, for callers that reuse one buffer.
+    one of the same weights as complex.
     """
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     pos, w = _positions_and_weights(positions, weights)
-    folded = np.zeros(grid_size, dtype=w.dtype) if out is None else out
+    folded = np.zeros(grid_size, dtype=w.dtype)
     np.add.at(folded, pos % grid_size, w)
     folded = folded.astype(np.complex128, copy=False)
     return np.fft.ifft(folded, norm="forward", out=folded)
 
 
-# grid_power_sums cuts its grid into rows of about this many points
-_ROW_LENGTH = 1 << 16
+# grid_power_sums cuts its grid into rows of about this many points: a
+# complex row of 512 KB, which stays in cache through its transform
+_ROW_LENGTH = (512 << 10) // np.dtype(np.complex128).itemsize
 
 
 def _row_count(grid_size):
@@ -129,49 +141,77 @@ def _row_count(grid_size):
                key=lambda S: (abs(math.log(grid_size / S / _ROW_LENGTH)), S))
 
 
-def grid_power_sums(positions, weights, grid_size, r, at=()):
+def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     """L^r data of F(j) = sum_k w_k e(+p_k j/grid) on an even grid, streamed.
 
     Returns (sum_j |F(j)|^r over j = 0..grid-1, the same sum over even j,
-    F at the indices `at`) while holding one row of the grid at a time, in
-    one complex and one real buffer reused by every row.
-    With grid = S*L, S even, the row s = 0..S-1 holds j = S*c + s, and
+    F at the indices `at`) while holding one row of the grid at a time.
+    weights may also be 2-d, one row w_t per transform F_t over the same
+    positions; then the two sums are arrays over t and the values have one
+    row per t, each bitwise what the 1-d call with w_t returns.
+    With grid = S*L, S even, the grid row s = 0..S-1 holds j = S*c + s, and
 
         F(S c + s) = sum_k w_k e(p_k s/grid) e(p_k c/L),   c = 0..L-1,
 
-    one _fold_and_transform of the twisted weights w_k e(p_k s/grid) onto
-    length L (the fold mod L is exact for any p).  As S is even, j and s
-    have the same parity: the even rows together are the base grid F(2i/grid),
-    i = 0..grid/2-1, whose power sum comes out on the side.  F(j) is read from
-    row j mod S, column j // S.  S is the even divisor of the grid whose row
-    length is nearest _ROW_LENGTH; grid/2 prime gives S = 2.
+    the twisted weights w_k e(p_k s/grid) folded mod L (exact for any p) and
+    transformed at length L.  The twist is taken once per grid row and shared
+    by every weight row.  As S is even, j and s have the same parity: the
+    even rows together are the base grid F(2i/grid), i = 0..grid/2-1, whose
+    power sum comes out on the side.  F(j) is read from grid row j mod S,
+    column j // S.  S is the even divisor of the grid whose row length is
+    nearest _ROW_LENGTH; grid/2 prime gives S = 2.
+
+    The grid rows are dealt to `threads` threads (s = k, k + threads, ...),
+    each with its own complex and real row buffer.  Every row sum lands in
+    its own slot and the slots are added in row order, so the result is
+    bitwise the same for every thread count.
     """
     grid_size = int(grid_size)
     if grid_size < 2 or grid_size % 2:
         raise ValueError("grid_size must be even and >= 2")
     if r <= 0:
         raise ValueError("r must be positive")
-    pos, w = _positions_and_weights(positions, weights)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    pos, w = _positions_and_weights(positions, weights, max_ndim=2)
     at = np.asarray(at, dtype=np.int64)
     if at.ndim != 1 or np.any((at < 0) | (at >= grid_size)):
         raise ValueError("indices must lie in [0, grid_size)")
+    W = w[None] if w.ndim == 1 else w
     S = _row_count(grid_size)
     L = grid_size // S
-    shift = pos % grid_size
-    sums = np.empty(S)
-    values = np.empty(at.size, dtype=np.complex128)
-    row, power = np.empty(L, dtype=np.complex128), np.empty(L)
-    for s in range(S):
-        twisted = w * np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
-        row[:] = 0
-        _fold_and_transform(pos, twisted, L, out=row)
-        # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
-        np.abs(row, out=power)
-        power **= r
-        sums[s] = np.sum(power)
-        in_row = at % S == s
-        values[in_row] = row[at[in_row] // S]
-    return float(sums.sum()), float(sums[::2].sum()), values
+    step = min(int(threads), S)
+    shift, fold = pos % grid_size, pos % L
+    sums = np.empty((W.shape[0], S))
+    values = np.empty((W.shape[0], at.size), dtype=np.complex128)
+
+    def grid_rows(first):
+        row, power = np.empty(L, dtype=np.complex128), np.empty(L)
+        for s in range(first, S, step):
+            twist = np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
+            in_row = at % S == s
+            cols = at[in_row] // S
+            for t, w_t in enumerate(W):
+                row[:] = 0
+                np.add.at(row, fold, w_t * twist)
+                np.fft.ifft(row, norm="forward", out=row)
+                # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
+                np.abs(row, out=power)
+                power **= r
+                sums[t, s] = np.sum(power)
+                values[t, in_row] = row[cols]
+
+    if step == 1:
+        grid_rows(0)
+    else:
+        # numpy's FFT releases the GIL, so the rows' transforms run in parallel
+        with ThreadPoolExecutor(max_workers=step) as pool:
+            list(pool.map(grid_rows, range(step)))
+    totals = np.array([row.sum() for row in sums])
+    evens = np.array([row[::2].sum() for row in sums])
+    if w.ndim == 1:
+        return float(totals[0]), float(evens[0]), values[0]
+    return totals, evens, values
 
 
 def fourier_on_grid(values, grid_size):

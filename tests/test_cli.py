@@ -127,6 +127,16 @@ def test_psgen_N_list_above_N_exits_1(tmp_path, capsys):
     assert [row[0] for row in read_csv(tmp_path / "density.csv")] == ["N", "500", "1000"]
 
 
+@pytest.mark.parametrize("N_list", [[0, 4096], [-5, 4096], [1, 4096]])
+def test_errsweep_N_list_below_2_exits_1(tmp_path, capsys, N_list):
+    # 0 divided the sup by zero; -5 wrote a junk row and exited 0
+    cfg = write_config(tmp_path, N_list=N_list, grid=256)
+    assert run(tmp_path, "errsweep", "--config", cfg) == 1
+    assert "N_list" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*manifest.json"))
+
+
 def test_psgen_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

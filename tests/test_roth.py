@@ -6,15 +6,20 @@ import pytest
 from psroth import (
     NumericalError,
     WeightedSequence,
+    bohr_indicator,
     count_3aps,
+    dft,
     enumerate_ps_primes,
     error_term_sup,
     inverse_of,
     pure_power,
     restriction_ratio,
+    roth,
+    smooth,
     smoothing_bound_chain,
     spectrum_and_bohr,
     transference_build,
+    trilinear_fft,
     varnavides_count,
     zn_fourier,
 )
@@ -277,7 +282,7 @@ def _dense_norm(positions, weights, grid, r):
 
 
 @pytest.mark.parametrize("N, grid, r", [
-    (10 ** 5, 8 * 10 ** 5, 3.0),   # the restrict default: 20 rows of 80000
+    (10 ** 5, 8 * 10 ** 5, 3.0),   # the restrict default: 50 rows of 32000
     (2000, 8009, 3.0),             # grid prime, so S = 2
     (2000, 16000, 4.5),
 ])
@@ -310,6 +315,31 @@ def test_restriction_threads_bitwise_equal(inv95, table_1e6):
     assert one.control_ratio == two.control_ratio
     with pytest.raises(ValueError):
         restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=0)
+
+
+def test_restriction_passes_and_threads_bitwise_equal(inv95, table_1e6, monkeypatch):
+    # one pass over the grid rows or several, on any thread count, gives
+    # bitwise the same ratios and control
+    want = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5)
+    got = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=3)
+    assert got.ratios.tobytes() == want.ratios.tobytes()
+    assert got.control_ratio == want.control_ratio
+    n = enumerate_ps_primes(inv95, 2000, table_1e6).members.size
+    calls = []
+    real = zn_fourier.grid_power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zn_fourier, "grid_power_sums", counted)
+    monkeypatch.setattr(roth, "_COEFF_BYTES", 3 * 16 * n)
+    for threads in (1, 2):
+        calls.clear()
+        got = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=threads)
+        assert calls == [3, 3, 2]
+        assert got.ratios.tobytes() == want.ratios.tobytes()
+        assert got.control_ratio == want.control_ratio
 
 
 def test_refinement_guard_raises(inv95, table_1e6, monkeypatch):
@@ -374,6 +404,31 @@ def test_smoothing_chain_random_triples():
         assert out["identity_gap"] <= 1e-9
         assert abs(out["frequency_sum"]) <= out["triangle_bound"] + 1e-9
         assert abs(out["difference"]) <= out["triangle_bound"] + 1e-9
+
+
+def test_smoothing_chain_bitwise_the_separate_transforms():
+    # the chain transforms a and beta once; it matches bitwise the composition
+    # of smooth with a fresh trilinear_fft or dft for every quantity
+    rng = np.random.default_rng(23)
+    N = 1009
+    for _ in range(3):
+        w = rng.random(N) * (rng.random(N) < 0.05)
+        a = WeightedSequence(N, w, "test")
+        report = spectrum_and_bohr(a, 0.4 * a.mass, 0.3)
+        beta = bohr_indicator(report)
+        a1 = smooth(a, report)
+        lam3_a = trilinear_fft(*([a.weights.astype(complex)] * 3))
+        lam3_a1 = trilinear_fft(*([a1.weights.astype(complex)] * 3))
+        Fa = dft(a.weights.astype(complex))
+        Fb = dft(beta.weights.astype(complex))
+        idx = (-2 * np.arange(N)) % N
+        mult = Fb ** 4 * Fb[idx] ** 2 - 1.0
+        freq_sum = complex(np.sum(Fa ** 2 * Fa[idx] * mult) / N)
+        diff = lam3_a1 - lam3_a
+        triangle = float(np.sum(np.abs(Fa) ** 2 * np.abs(Fa[idx]) * np.abs(mult)) / N)
+        assert smoothing_bound_chain(a, report) == {
+            "difference": diff, "frequency_sum": freq_sum,
+            "identity_gap": abs(diff - freq_sum), "triangle_bound": triangle}
 
 
 def test_smoothing_chain_degenerate_bohr():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,9 +247,39 @@ def test_grid_power_sums_bitwise_row_by_row(r, monkeypatch):
     assert vals.tolist() == [rows[3 % S][3 // S], rows[(G - 1) % S][(G - 1) // S]]
 
 
+@pytest.mark.parametrize("r", [2, 3.0, 4.5])
+def test_grid_power_sums_stacked_rows_bitwise(r, monkeypatch):
+    # a stack of weight rows, on any thread count, gives bitwise one 1-d call
+    # per row: the shared twist and the grid-row threads change no bit
+    monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", 64)
+    G = 1 << 12
+    positions = RNG.integers(0, 2 ** 40, 500)
+    W = np.exp(2j * np.pi * RNG.random((4, 500))) * RNG.random((4, 500))
+    W[0] = 1.0
+    at = [3, 64, G - 1]
+    want = [grid_power_sums(positions, w, G, r, at=at) for w in W]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads as often as possible
+    try:
+        for threads in (1, 2, 3, 5):
+            totals, evens, vals = grid_power_sums(positions, W, G, r, at=at,
+                                                  threads=threads)
+            assert totals.tolist() == [t for t, _, _ in want]
+            assert evens.tolist() == [e for _, e, _ in want]
+            assert vals.tobytes() == np.array([v for _, _, v in want]).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    with pytest.raises(ValueError):
+        grid_power_sums(positions, W, G, r, threads=0)
+    with pytest.raises(ValueError):
+        grid_power_sums(positions, W[:, :-1], G, r)
+
+
 def test_row_count():
-    assert zn_fourier._row_count(1_600_000) == 20    # rows of 80000, nearest 2^16
-    assert zn_fourier._row_count(1 << 20) == 16
+    # complex rows near 512 KB: 32000 points at both of criterion 6's grids
+    assert zn_fourier._row_count(1_600_000) == 50
+    assert zn_fourier._row_count(3_200_000) == 100
+    assert zn_fourier._row_count(1 << 20) == 32
     assert zn_fourier._row_count(2 * 8009) == 2
     assert zn_fourier._row_count(2 * 200003) == 2
     assert zn_fourier._row_count(2) == 2
