@@ -292,12 +292,6 @@ def _refined_norm(total, even, size, r):
     return norm2
 
 
-def _norm_with_refinement(positions, weights, grid, r):
-    """_refined_norm of sum_k w_k e(p_k xi) on the doubled grid."""
-    total, even, _ = zn_fourier.grid_power_sums(positions, weights, 2 * grid, r)
-    return _refined_norm(total, even, 2 * grid, r)
-
-
 def _control_ratio(positions, size, r, js, at_js):
     """The L^r mean of the unsigned sum sum_p e(p j/size) taken directly at the
     points js over the same mean of its transform at_js at those points."""
@@ -369,7 +363,7 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
             pos, W, size, r, at=js, threads=threads)
         if lo == 0:
             control = _control_ratio(pos, size, r, js, values[0])
-        norms += [_refined_norm(float(tot), float(ev), size, r)
+        norms += [_refined_norm(tot, ev, size, r)
                   for tot, ev in zip(totals, evens)]
     ratios = np.array(norms[1:]) / norms[0]
     return RestrictionReport(ratios, float(np.max(ratios)), control,

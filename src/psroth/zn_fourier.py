@@ -141,6 +141,21 @@ def _row_count(grid_size):
                key=lambda S: (abs(math.log(grid_size / S / _ROW_LENGTH)), S))
 
 
+def _grid_row_shares(S, T, threads):
+    """Each thread's share of grid_power_sums' work units (s, first, stop):
+    the weight rows first..stop-1 of T through grid row s of S.
+
+    With at least as many grid rows as threads, whole grid rows are dealt
+    round robin (s = k, k + threads, ...).  With fewer (a grid of twice a
+    prime has S = 2), each grid row's weight rows are also cut into blocks,
+    so that up to `threads` threads have work."""
+    parts = min(-(-threads // S), max(T, 1))
+    units = [(s, T * i // parts, T * (i + 1) // parts)
+             for s in range(S) for i in range(parts)]
+    step = min(threads, len(units))
+    return [units[k::step] for k in range(step)]
+
+
 def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     """L^r data of F(j) = sum_k w_k e(+p_k j/grid) on an even grid, streamed.
 
@@ -155,16 +170,16 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
 
     the twisted weights w_k e(p_k s/grid) folded mod L (exact for any p) and
     transformed at length L.  The twist is taken once per grid row and shared
-    by every weight row.  As S is even, j and s have the same parity: the
+    by its weight rows.  As S is even, j and s have the same parity: the
     even rows together are the base grid F(2i/grid), i = 0..grid/2-1, whose
     power sum comes out on the side.  F(j) is read from grid row j mod S,
     column j // S.  S is the even divisor of the grid whose row length is
     nearest _ROW_LENGTH; grid/2 prime gives S = 2.
 
-    The grid rows are dealt to `threads` threads (s = k, k + threads, ...),
-    each with its own complex and real row buffer.  Every row sum lands in
-    its own slot and the slots are added in row order, so the result is
-    bitwise the same for every thread count.
+    The grid rows run on `threads` threads, each with its own complex and
+    real row buffer (see _grid_row_shares).  Every row sum lands in its own
+    slot and the slots are added in row order, so the result is bitwise the
+    same for every thread count.
     """
     grid_size = int(grid_size)
     if grid_size < 2 or grid_size % 2:
@@ -177,41 +192,38 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     at = np.asarray(at, dtype=np.int64)
     if at.ndim != 1 or np.any((at < 0) | (at >= grid_size)):
         raise ValueError("indices must lie in [0, grid_size)")
-    W = w[None] if w.ndim == 1 else w
     S = _row_count(grid_size)
     L = grid_size // S
-    step = min(int(threads), S)
     shift, fold = pos % grid_size, pos % L
-    sums = np.empty((W.shape[0], S))
-    values = np.empty((W.shape[0], at.size), dtype=np.complex128)
+    # one slot per (weight row, grid row); 1-d weights give 1-d slots
+    sums = np.empty(w.shape[:-1] + (S,))
+    values = np.empty(w.shape[:-1] + (at.size,), dtype=np.complex128)
+    W, row_sums, row_values = np.atleast_2d(w, sums, values)
 
-    def grid_rows(first):
+    def work(units):
         row, power = np.empty(L, dtype=np.complex128), np.empty(L)
-        for s in range(first, S, step):
+        for s, first, stop in units:
             twist = np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
             in_row = at % S == s
             cols = at[in_row] // S
-            for t, w_t in enumerate(W):
+            for t in range(first, stop):
                 row[:] = 0
-                np.add.at(row, fold, w_t * twist)
+                np.add.at(row, fold, W[t] * twist)
                 np.fft.ifft(row, norm="forward", out=row)
                 # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
                 np.abs(row, out=power)
                 power **= r
-                sums[t, s] = np.sum(power)
-                values[t, in_row] = row[cols]
+                row_sums[t, s] = np.sum(power)
+                row_values[t, in_row] = row[cols]
 
-    if step == 1:
-        grid_rows(0)
+    shares = _grid_row_shares(S, W.shape[0], int(threads))
+    if len(shares) == 1:
+        work(shares[0])
     else:
         # numpy's FFT releases the GIL, so the rows' transforms run in parallel
-        with ThreadPoolExecutor(max_workers=step) as pool:
-            list(pool.map(grid_rows, range(step)))
-    totals = np.array([row.sum() for row in sums])
-    evens = np.array([row[::2].sum() for row in sums])
-    if w.ndim == 1:
-        return float(totals[0]), float(evens[0]), values[0]
-    return totals, evens, values
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            list(pool.map(work, shares))
+    return sums.sum(axis=-1), sums[..., ::2].sum(axis=-1), values
 
 
 def fourier_on_grid(values, grid_size):

@@ -23,7 +23,7 @@ from psroth import (
     varnavides_count,
     zn_fourier,
 )
-from psroth.roth import _next_prime_in, _norm_with_refinement, _refined_norm
+from psroth.roth import _next_prime_in, _refined_norm
 
 
 def brute_pair_count(A):
@@ -267,11 +267,17 @@ def test_restriction_control_and_determinism(inv95, table_1e6):
     assert rep1.grid == 16000
 
 
+def _streamed_norm(positions, weights, grid, r):
+    # restriction_ratio's route for one weight row: the streamed doubled grid
+    total, even, _ = zn_fourier.grid_power_sums(positions, weights, 2 * grid, r)
+    return _refined_norm(total, even, 2 * grid, r)
+
+
 def test_restriction_global_modulation(inv95, table_1e6):
     ps = enumerate_ps_primes(inv95, 2000, table_1e6)
     ones = np.ones(ps.members.size, dtype=complex)
-    base = _norm_with_refinement(ps.members, ones, 8192, 3.0)
-    rotated = _norm_with_refinement(ps.members, np.exp(0.7j) * ones, 8192, 3.0)
+    base = _streamed_norm(ps.members, ones, 8192, 3.0)
+    rotated = _streamed_norm(ps.members, np.exp(0.7j) * ones, 8192, 3.0)
     assert rotated == pytest.approx(base, rel=1e-12)
 
 
@@ -291,7 +297,7 @@ def test_streamed_norm_matches_dense(inv95, table_1e6, N, grid, r):
     rng = np.random.default_rng(N + grid)
     coeff = np.exp(2j * np.pi * rng.random(pos.size))
     for w in (coeff, np.ones(pos.size, dtype=complex)):
-        got = _norm_with_refinement(pos, w, grid, r)
+        got = _streamed_norm(pos, w, grid, r)
         assert got == pytest.approx(_dense_norm(pos, w, grid, r), rel=1e-12)
 
 
@@ -345,7 +351,7 @@ def test_restriction_passes_and_threads_bitwise_equal(inv95, table_1e6, monkeypa
 def test_refinement_guard_raises(inv95, table_1e6, monkeypatch):
     # 1 - e(j/2) vanishes on the even (base) points and is 2 on the odd ones
     with pytest.raises(NumericalError):
-        _norm_with_refinement(np.array([0, 4096]), np.array([1.0, -1.0]), 4096, 3.0)
+        _streamed_norm(np.array([0, 4096]), np.array([1.0, -1.0]), 4096, 3.0)
     real = zn_fourier.grid_power_sums
 
     def skewed(*args, **kwargs):
