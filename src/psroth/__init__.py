@@ -35,7 +35,6 @@ from .sieve import (
     PsPrimeSet,
     count_in_class,
     enumerate_ps_primes,
-    euler_phi,
     mangoldt,
     mobius,
     mobius_array,
@@ -73,8 +72,6 @@ from .expsums import (
     ErrorTermReport,
     PhaseParams,
     VaughanSplit,
-    abel_summation,
-    b_coefficient_bound,
     bilinear_check,
     default_bilinear_R,
     default_cutoff,
@@ -85,7 +82,6 @@ from .expsums import (
     sawtooth_phi,
     type_I_bound_check,
     vaughan_decompose,
-    vdc_single_bound,
 )
 from .roth import (
     ApReport,

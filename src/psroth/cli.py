@@ -51,7 +51,7 @@ DEFAULTS = {
 # each must be a JSON integer (W may also be null); commands read them uncast
 _INT_KEYS = ("N", "P", "q", "a", "M", "trials", "draws", "seed", "grid",
              "sieve_budget", "threads", "W")
-# r must be a JSON number and v null or one; the lists null or integer lists
+# r must be a finite JSON number and v null or one; lists null or int lists
 _NUMBER_KEYS = ("r", "v")
 _INT_LIST_KEYS = ("N_list", "inject_A")
 
@@ -85,8 +85,11 @@ def load_config(args):
         if not _is_int(cfg[key]) and not (key == "W" and cfg[key] is None):
             raise ValueError(f"{key} must be an integer, got {cfg[key]!r}")
     for key in _NUMBER_KEYS:
-        if type(cfg[key]) not in (int, float) and not (key == "v" and cfg[key] is None):
-            raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
+        val = cfg[key]
+        # json reads NaN and Infinity as floats
+        finite = type(val) in (int, float) and math.isfinite(val)
+        if not finite and not (key == "v" and val is None):
+            raise ValueError(f"{key} must be a finite number, got {val!r}")
     for key in _INT_LIST_KEYS:
         val = cfg[key]
         if val is not None and not (isinstance(val, list) and all(map(_is_int, val))):

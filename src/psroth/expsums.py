@@ -13,10 +13,10 @@ blocks of about _BLOCK: m*phi(k*l) is taken once per block and shared by
 every residue shift s mod q, and each shift pays one np.exp per block and
 one exactly rounded sum per segment (the k of one l) and piece.
 
-The bound checkers measure single sums and bilinear blocks against the
-second-derivative test and the differencing chain: Cauchy-Schwarz, then
-per-row Weyl differencing, then the triangle inequality, each step recorded
-with its slack so a failed inequality names the step that broke.
+The bound checkers measure single sums against the curvature envelope and
+bilinear blocks against the differencing chain: Cauchy-Schwarz, then per-row
+Weyl differencing, then the triangle inequality, each step recorded with its
+slack so a failed inequality names the step that broke.
 
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
@@ -125,16 +125,6 @@ def sawtooth_expansion(t, M):
     if approx.ndim == 0:
         return float(approx), float(err)
     return approx, err
-
-
-def b_coefficient_bound(mm, M):
-    """Envelope min(log M / M, 1/|mm|, M/mm^2) for the smoothed coefficients."""
-    M = int(M)
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    if mm == 0:
-        return math.log(M) / M
-    return min(math.log(M) / M, 1.0 / abs(mm), M / mm ** 2)
 
 
 # -- phases and direct sums --------------------------------------------------
@@ -276,44 +266,6 @@ def vaughan_decompose(inv, pp, table, v=None):
 
 
 # -- bound checks ------------------------------------------------------------
-
-def vdc_single_bound(eta, r, interval_len):
-    """Second-derivative-test envelope r * |I| * eta^(1/2) + eta^(-1/2)."""
-    if eta <= 0 or r < 1 or interval_len < 0:
-        raise ValueError("need eta > 0, r >= 1, interval_len >= 0")
-    return r * interval_len * math.sqrt(eta) + 1.0 / math.sqrt(eta)
-
-
-def abel_summation(u, g, g_prime, a, b, method="exact"):
-    """Recompute sum_{a<n<=b} u[n] g(n) as U(b)g(b) - int_a^b U(t)g'(t) dt.
-
-    U(t) = sum_{a<n<=t} u[n] is a step function, so the integral splits over
-    the pieces [n_i, n_{i+1}) on which U is constant.  method="exact" applies
-    the fundamental theorem per piece (the only float error is rounding);
-    method="quad" integrates g' per piece with adaptive quadrature, giving a
-    genuinely independent route through g_prime.  Returns (direct, by_parts).
-    """
-    u = np.asarray(u, dtype=float)
-    lo = math.floor(a) + 1
-    hi = math.floor(b)
-    ns = np.arange(lo, hi + 1)
-    if ns.size == 0:
-        return 0.0, 0.0
-    direct = math.fsum(u[n] * g(n) for n in ns)
-    U = np.cumsum(u[ns])
-    pieces = np.append(ns.astype(float), float(b))
-    if method == "exact":
-        integral = math.fsum(U[i] * (g(pieces[i + 1]) - g(pieces[i]))
-                             for i in range(ns.size))
-    elif method == "quad":
-        from scipy.integrate import quad
-        integral = math.fsum(
-            U[i] * quad(g_prime, pieces[i], pieces[i + 1], epsabs=1e-12)[0]
-            for i in range(ns.size))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return direct, float(U[-1]) * g(float(b)) - integral
-
 
 def type_I_bound_check(inv, l, j, X, mm, alpha):
     """Measure |sum_{k<=X} e(alpha j k l + mm phi(k l))| against the
@@ -472,8 +424,8 @@ def error_term_inputs(inv, top, q, a, table):
     top = int(top)
     if top > table.limit:
         raise ValueError("N beyond table limit")
-    if math.gcd(a, q) != 1:
-        raise ValueError("need gcd(a, q) = 1")
+    if q < 1 or math.gcd(a, q) != 1:
+        raise ValueError("need q >= 1 and gcd(a, q) = 1")
     ps = sieve.enumerate_ps_primes(inv, top, table)
     ks, lam = sieve.prime_powers(table, top, q, a)
     primes = ks[table.is_prime[ks]]

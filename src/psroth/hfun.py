@@ -6,16 +6,16 @@ vtheta driving the slowly varying factor
 
     l(x) = exp( integral_{x0}^{x} vtheta(t) / t dt ).
 
-Built-in kinds cover the standard examples:
+Four kinds cover the standard examples:
 
     pure_power     h(x) = C * x^c                      vtheta = 0
     power_log      h(x) = C * x^c * log(x)^A           vtheta = A / log x
     power_explog   h(x) = C * x^c * exp(A * log(x)^B)  vtheta = A*B*log(x)^(B-1)
     iterated_log   h(x) = C * x * l_m(x)               vtheta = 1/(l_1*...*l_m)
 
-where l_m is the m-fold iterated logarithm.  The generic kind requires user
-callables for vtheta and its first two derivatives and evaluates l(x) by
-adaptive quadrature.
+where l_m is the m-fold iterated logarithm.  eval_h_quadrature evaluates
+l(x) by adaptive quadrature instead, an independent route to the closed
+forms.
 
 Derivatives come from the first-order recursion
 
@@ -40,13 +40,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-KINDS = ("pure_power", "power_log", "power_explog", "iterated_log", "generic")
+KINDS = ("pure_power", "power_log", "power_explog", "iterated_log")
 
 # Default domain starts.  pure_power is globally defined so x0=1; the log
 # kinds need log x bounded away from 0; iterated_log additionally needs
 # l_m(x0) > 0, h(x0) >= 1 and convexity at x0.
-_DEFAULT_X0 = {"pure_power": 1.0, "power_log": 3.0, "power_explog": 3.0,
-               "generic": 3.0}
+_DEFAULT_X0 = {"pure_power": 1.0, "power_log": 3.0, "power_explog": 3.0}
 _ITERLOG_X0 = {1: 3.0, 2: 4.0, 3: 20.0}
 
 
@@ -65,8 +64,7 @@ class FunctionSpec:
     """Growth function h(x) = C_h * x^c * l(x) on [x0, infinity).
 
     params holds the kind-specific extras: A (and B for power_explog) for the
-    log-corrected kinds, integer m for iterated_log.  The generic kind takes
-    vtheta/vtheta_d1/vtheta_d2 callables instead.
+    log-corrected kinds, integer m for iterated_log.
     """
 
     kind: str
@@ -74,9 +72,6 @@ class FunctionSpec:
     C_h: float = 1.0
     x0: float | None = None
     params: dict = field(default_factory=dict)
-    vtheta_fn: object = None
-    vtheta_d1_fn: object = None
-    vtheta_d2_fn: object = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,9 +94,6 @@ class FunctionSpec:
                 raise ValueError("iterated_log needs integer params['m'] >= 1")
             if self.c != 1.0:
                 raise ValueError("iterated_log is a c = 1 kind")
-        if self.kind == "generic" and not all(
-                callable(f) for f in (self.vtheta_fn, self.vtheta_d1_fn, self.vtheta_d2_fn)):
-            raise ValueError("generic kind needs vtheta, vtheta_d1 and vtheta_d2 callables")
         if self.x0 is None:
             if self.kind == "iterated_log":
                 m = self.params["m"]
@@ -170,9 +162,7 @@ def vtheta(spec, x):
         return spec.A / np.log(x)
     if spec.kind == "power_explog":
         return spec.A * spec.B * np.log(x) ** (spec.B - 1.0)
-    if spec.kind == "iterated_log":
-        return 1.0 / _iterlogs(x, spec.m)[1][-1]
-    return np.asarray(spec.vtheta_fn(x))
+    return 1.0 / _iterlogs(x, spec.m)[1][-1]
 
 
 def vtheta_d1(spec, x):
@@ -185,11 +175,9 @@ def vtheta_d1(spec, x):
     if spec.kind == "power_explog":
         el = np.log(x)
         return spec.A * spec.B * (spec.B - 1.0) * el ** (spec.B - 2.0) / x
-    if spec.kind == "iterated_log":
-        parts = _iterlogs(x, spec.m)[1]
-        g = sum(1.0 / p for p in parts)
-        return -(1.0 / parts[-1]) * g / x
-    return np.asarray(spec.vtheta_d1_fn(x))
+    parts = _iterlogs(x, spec.m)[1]
+    g = sum(1.0 / p for p in parts)
+    return -(1.0 / parts[-1]) * g / x
 
 
 def vtheta_d2(spec, x):
@@ -203,24 +191,22 @@ def vtheta_d2(spec, x):
         el = np.log(x)
         return (spec.A * spec.B * (spec.B - 1.0) * el ** (spec.B - 3.0)
                 * (spec.B - 2.0 - el) / (x * x))
-    if spec.kind == "iterated_log":
-        parts = _iterlogs(x, spec.m)[1]
-        inv = [1.0 / p for p in parts]
-        g = sum(inv)
-        # s = sum_j (1/P_j) * sum_{i<=j} (1/P_i)
-        s = 0.0
-        run = 0.0
-        for v in inv:
-            run = run + v
-            s = s + v * run
-        return (1.0 / parts[-1]) * (g * g + g + s) / (x * x)
-    return np.asarray(spec.vtheta_d2_fn(x))
+    parts = _iterlogs(x, spec.m)[1]
+    inv = [1.0 / p for p in parts]
+    g = sum(inv)
+    # s = sum_j (1/P_j) * sum_{i<=j} (1/P_i)
+    s = 0.0
+    run = 0.0
+    for v in inv:
+        run = run + v
+        s = s + v * run
+    return (1.0 / parts[-1]) * (g * g + g + s) / (x * x)
 
 
 # -- evaluation of h and its derivatives -------------------------------------
 
 def eval_h(spec, x):
-    """h(x) in closed form for the built-in kinds, quadrature for generic."""
+    """h(x) in closed form."""
     x = np.asarray(x)
     _check_hdomain(spec, x)
     if spec.kind == "pure_power":
@@ -229,35 +215,26 @@ def eval_h(spec, x):
         return spec.C_h * x ** spec.c * np.log(x) ** spec.A
     if spec.kind == "power_explog":
         return spec.C_h * x ** spec.c * np.exp(spec.A * np.log(x) ** spec.B)
-    if spec.kind == "iterated_log":
-        return spec.C_h * x * _iterlogs(x, spec.m)[0]
-    return eval_h_quadrature(spec, x)
+    return spec.C_h * x * _iterlogs(x, spec.m)[0]
 
 
 def eval_h_quadrature(spec, x):
     """h(x) through the integral form C * (x/x0)^c * h(x0)-anchored l(x).
 
-    Independent of the closed forms above (adaptive Gauss-Kronrod on
-    vtheta(t)/t), so it doubles as the oracle for eval_h in tests.
+    Independent of the closed forms above apart from the anchor h(x0)
+    (adaptive Gauss-Kronrod on vtheta(t)/t), so eval_h is tested against it.
     """
     from scipy.integrate import quad
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     _check_hdomain(spec, xs)
-    anchor = _anchor_value(spec)
+    anchor = float(eval_h(spec, spec.x0))
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
         integral, _ = quad(lambda t: float(vtheta(spec, t)) / t, spec.x0, xi,
                            epsabs=1e-12, epsrel=1e-12, limit=200)
         out[i] = anchor * (xi / spec.x0) ** spec.c * math.exp(integral)
     return out[0] if scalar else out
-
-
-def _anchor_value(spec):
-    """h(x0); for the generic kind this is C_h * x0^c by convention."""
-    if spec.kind == "generic":
-        return spec.C_h * spec.x0 ** spec.c
-    return float(eval_h(spec, spec.x0))
 
 
 def _check_hdomain(spec, x):
@@ -464,8 +441,6 @@ def sigma_tau(inv, y):
 
 def spec_to_config(spec):
     """Serializable record: {kind, c, C_h, x0, params:{A,B,m}}."""
-    if spec.kind == "generic":
-        raise ValueError("generic specs carry callables and do not serialize")
     rec = {"kind": spec.kind, "c": spec.c, "C_h": spec.C_h, "x0": spec.x0}
     if spec.params:
         rec["params"] = dict(spec.params)

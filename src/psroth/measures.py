@@ -82,9 +82,9 @@ class SpectrumReport:
         return int(self.frequencies.size)
 
 
-def w_trick(N, table, override_W=None, b=None):
+def w_trick(N, table, override_W=None):
     """W = floor(log log N / 4) clamped to >= 1 (or the override), m the
-    primorial of W, b a unit residue (default 0 for m = 1, else 1)."""
+    primorial of W, and the unit residue b = 0 for m = 1, else 1."""
     N = int(N)
     if N < 16 and override_W is None:
         raise ValueError("N too small to derive W; pass override_W")
@@ -97,9 +97,7 @@ def w_trick(N, table, override_W=None, b=None):
     m = 1
     for p in _primes_upto(W, table):
         m *= int(p)
-    if b is None:
-        b = 0 if m == 1 else 1
-    return WTrickParams(W, m, int(b))
+    return WTrickParams(W, m, 0 if m == 1 else 1)
 
 
 def _primes_upto(W, table):

@@ -7,8 +7,8 @@ prime_powers, the one builder of the von Mangoldt weight, lists the prime
 powers of a residue class up to some top with Lambda(k); the direct sums,
 the prime-sum split, its coefficients and the error term read it, and
 PrimeTable.mangoldt_array scatters it into a dense array.  The scalar von
-Mangoldt, Moebius, and Euler phi functions factor their argument by trial
-division and never read the table beyond its limit check.
+Mangoldt and Moebius functions, the tests' oracles, factor their argument by
+trial division and never read the table beyond its limit check.
 
 PsPrimeSet holds the primes hit by floor(h(n)) for a growth spec h, which
 enumerate_ps_primes finds block by block over the n-range.  Each block's
@@ -197,10 +197,6 @@ def mobius(n, table):
     return -1 if len(fac) % 2 else 1
 
 
-def euler_phi(n, table):
-    return _totient(_checked(n, table))
-
-
 def mobius_array(limit, table):
     """mu(n) for all n <= limit (limit <= table.limit)."""
     if limit > table.limit:
@@ -254,8 +250,8 @@ def count_in_class(source, N, q, a, weight="unit"):
     source is a PrimeTable (weights unit/log) or PsPrimeSet (additionally
     log_over_phiprime, the derivative-compensated weight log(p)/phi'(p)).
     """
-    if math.gcd(int(a), int(q)) != 1:
-        raise ValueError("need gcd(a, q) = 1")
+    if q < 1 or math.gcd(int(a), int(q)) != 1:
+        raise ValueError("need q >= 1 and gcd(a, q) = 1")
     if isinstance(source, PsPrimeSet):
         ps = source.members
         if N > source.limit:

@@ -365,6 +365,27 @@ def test_untyped_number_and_list_keys_exit_1(tmp_path, capsys, command, key, val
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, key", [("restrict", "r"), ("vaughan", "v")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_number_keys_exit_1(tmp_path, capsys, command, key, value):
+    # json reads NaN and Infinity: r = NaN wrote nan ratios and exited 0
+    cfg = write_config(tmp_path, **{key: value})
+    assert run(tmp_path, command, "--config", cfg) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*manifest.json"))
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_errsweep_modulus_below_1_exits_1(tmp_path, capsys, q):
+    # q = 0 divided by zero in a % q; q = -3 wrote a sweep and exited 0
+    cfg = write_config(tmp_path, q=q, a=1, N_list=[4096], grid=256)
+    assert run(tmp_path, "errsweep", "--config", cfg) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*manifest.json"))
+
+
 @pytest.mark.parametrize("key, value", [
     ("r", 3), ("r", 2.5), ("v", None), ("v", 12), ("v", 12.5), ("N_list", None),
     ("N_list", [100, 200]), ("N_list", []), ("inject_A", None), ("inject_A", [0, 3, 7])])

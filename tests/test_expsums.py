@@ -6,8 +6,6 @@ import pytest
 
 from psroth import (
     PhaseParams,
-    abel_summation,
-    b_coefficient_bound,
     bilinear_check,
     checks,
     count_in_class,
@@ -32,7 +30,6 @@ from psroth import (
     type_I_bound_check,
     vaughan_coefficients,
     vaughan_decompose,
-    vdc_single_bound,
 )
 
 
@@ -72,16 +69,6 @@ def test_sawtooth_error_envelope():
     print(f"sawtooth fitted C at t=0.37: {[round(c, 4) for c in cs]}")
     assert max(cs) < 1.0
     assert max(cs) / max(min(cs), 1e-12) < 10.0
-
-
-def test_b_coefficient_bound():
-    assert b_coefficient_bound(1, 10) == pytest.approx(math.log(10) / 10)
-    assert b_coefficient_bound(100, 10) == pytest.approx(0.001)
-    assert b_coefficient_bound(0, 10) == pytest.approx(math.log(10) / 10)
-    # crossover |mm| = M: the last two branches coincide at 1/M
-    M = 50
-    assert 1.0 / M == pytest.approx(min(1.0 / M, M / M ** 2))
-    assert b_coefficient_bound(M, M) == pytest.approx(min(math.log(M) / M, 1.0 / M))
 
 
 def test_phase_params_validation():
@@ -315,31 +302,6 @@ def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
     assert set(vars(table)) == {"limit", "is_prime", "primes"}
 
 
-def test_vdc_single_bound_values():
-    assert vdc_single_bound(1.0, 1.0, 10.0) == pytest.approx(11.0)
-    assert vdc_single_bound(0.25, 1.0, 4.0) == pytest.approx(4.0)
-    assert vdc_single_bound(0.25, 2.0, 4.0) > vdc_single_bound(0.25, 1.0, 4.0)
-    assert vdc_single_bound(0.25, 1.0, 8.0) > vdc_single_bound(0.25, 1.0, 4.0)
-    with pytest.raises(ValueError):
-        vdc_single_bound(0.0, 1.0, 1.0)
-
-
-def test_abel_summation_routes(table_1e6):
-    lam = table_1e6.mangoldt_array()[: 10 ** 4 + 1]
-    g = lambda t: 1.0 / t
-    gp = lambda t: -1.0 / t ** 2
-    direct, parts = abel_summation(lam, g, gp, 1.5, 10 ** 4)
-    assert parts == pytest.approx(direct, rel=1e-12)
-    direct2, parts2 = abel_summation(lam, g, gp, 1.5, 10 ** 4, method="quad")
-    assert parts2 == pytest.approx(direct2, rel=1e-6)
-    assert direct2 == direct
-
-
-def test_abel_summation_empty_range(table_1e6):
-    lam = table_1e6.mangoldt_array()[:100]
-    assert abel_summation(lam, lambda t: t, lambda t: 1.0, 5.2, 5.8) == (0.0, 0.0)
-
-
 def test_type_I_geometric_oracle():
     # h = x collapses the phase to a geometric series
     inv = inverse_of(pure_power(1.0))
@@ -490,6 +452,13 @@ def test_error_term_prime_powers_match_mangoldt_array(table_1e6):
         want = dense[dense % q == a]
         assert np.array_equal(d.ks, want)
         assert np.array_equal(d.lam.view(np.int64), lam[want].view(np.int64))
+
+
+def test_error_term_inputs_need_modulus_at_least_1(table_1e6):
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    for q in (0, -3):
+        with pytest.raises(ValueError):
+            error_term_inputs(inv, 4096, q, 1, table_1e6)
 
 
 def test_error_term_inputs_blocked_phi_is_bitwise(table_1e6, monkeypatch):

@@ -178,23 +178,6 @@ def test_phi_budget_exhausted_raises_with_bracket(monkeypatch):
     assert spec.x0 <= lo <= hi < math.inf
 
 
-def test_generic_kind_matches_power_log():
-    # the generic kind fed power_log(1.2, 2)'s vtheta, anchored at the same
-    # h(x0) (generic anchors at C_h * x0^c), reproduces it through quadrature
-    ref = power_log(1.2, 2.0)
-    gen = FunctionSpec("generic", ref.c, C_h=math.log(ref.x0) ** ref.A, x0=ref.x0,
-                       vtheta_fn=lambda x: vtheta(ref, x),
-                       vtheta_d1_fn=lambda x: vtheta_d1(ref, x),
-                       vtheta_d2_fn=lambda x: vtheta_d2(ref, x))
-    xs = np.array([4.0, 50.0, 3e4])
-    assert np.allclose(eval_h(gen, xs), eval_h(ref, xs), rtol=1e-9, atol=0)
-    assert np.allclose(eval_h_deriv(gen, xs, 2), eval_h_deriv(ref, xs, 2),
-                       rtol=1e-9, atol=0)
-    ys = inverse_of(ref).y0 * np.array([1.5, 20.0, 3e4])
-    assert np.allclose(eval_phi(inverse_of(gen), ys), eval_phi(inverse_of(ref), ys),
-                       rtol=1e-9, atol=0)
-
-
 def test_phi_pinned_value():
     # bisection-to-1e-12 oracle for 10^(2/3)
     inv = inverse_of(pure_power(1.5))
@@ -304,9 +287,9 @@ def test_spec_validation():
         ps_exponent_spec(0.4)
     with pytest.raises(ValueError):
         FunctionSpec(kind="nonsense", c=1.2)
-    # generic needs vtheta and both of its derivatives
+    # every kind has closed forms: there is no generic kind of callables
     with pytest.raises(ValueError):
-        FunctionSpec(kind="generic", c=1.2, vtheta_fn=lambda x: 0.0 * x)
+        FunctionSpec(kind="generic", c=1.2)
 
 
 def test_ps_exponent_round_trip():

@@ -42,8 +42,8 @@ def test_w_trick_auto_clamp(table_1e6):
 
 def test_w_trick_b_validation(table_1e6):
     with pytest.raises(ValueError):
-        w_trick(100, table_1e6, override_W=2, b=0)  # gcd(0, 2) != 1
-    assert w_trick(100, table_1e6, override_W=2, b=1).b == 1
+        WTrickParams(2, 2, 0)  # gcd(0, 2) != 1
+    assert w_trick(100, table_1e6, override_W=2).b == 1
 
 
 def test_lambda_basic_support(table_1e6):

@@ -8,11 +8,11 @@ import pytest
 
 from psroth import (
     DomainError,
+    WTrickParams,
     NumericalError,
     ResourceError,
     count_in_class,
     enumerate_ps_primes,
-    euler_phi,
     eval_phi,
     hfun,
     inverse_of,
@@ -133,13 +133,17 @@ def test_mobius_scalar(table_1e6):
         mobius(0, table_1e6)
 
 
-def test_euler_phi(table_1e6):
-    assert euler_phi(30, table_1e6) == 8
-    assert euler_phi(1, table_1e6) == 1
+def test_euler_phi():
+    # the W-trick's phi(m) is the package's one totient
+    def phi(n):
+        return WTrickParams(1, n, 0 if n == 1 else 1).phi_m
+
+    assert phi(30) == 8
+    assert phi(1) == 1
     # brute oracle on a stretch
     for n in range(1, 500):
         brute = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        assert euler_phi(n, table_1e6) == brute
+        assert phi(n) == brute
 
 
 def test_mangoldt_array_matches_scalar(table_1e6):
@@ -394,6 +398,9 @@ def test_count_in_class(table_1e6):
     assert logsum == pytest.approx(math.log(2 * 3 * 5 * 7))
     with pytest.raises(ValueError):
         count_in_class(table_1e6, 100, 4, 2)
+    for q in (0, -3):  # a % 0 would divide by zero
+        with pytest.raises(ValueError):
+            count_in_class(table_1e6, 100, q, 1)
 
 
 def test_weighted_count_needs_ps_source(table_1e6):
