@@ -17,7 +17,7 @@ inv = hfun.inverse_of(hfun.ps_exponent_spec(0.95))
 table = sieve.sieve_primes(10 ** 6)
 
 rep = roth.transference_build(inv, table, 10 ** 5, override_W=2)
-print(f"n=1e5, W={rep.params.W}: m={rep.params.m} b={rep.params.b} "
+print(f"n=1e5, W={rep.W}: m={rep.m} b={rep.b} "
       f"N={rep.N}")
 print(f"|A|={rep.A.size}, A within [1, N/2]: "
       f"[{rep.A.min()}, {rep.A.max()}] vs {rep.N // 2}")
@@ -32,12 +32,11 @@ print(f"ordered 3APs in the image: {ap.lam3} ({ap.nontrivial} nontrivial)")
 N = 1009
 rng = np.random.default_rng(5)
 w = rng.random(N) * (rng.random(N) < 0.05)
-a = measures.WeightedSequence(N, w, "demo")
-report = measures.spectrum_and_bohr(a, 0.4 * a.mass, 0.25)
+report = measures.spectrum_and_bohr(w, 0.4 * w.sum(), 0.25)
 print(f"\nZ_{N} toy measure: spectrum size k={report.k}, "
       f"Bohr set size {report.bohr.size} "
       f"(pigeonhole floor {0.25 ** report.k * N:.1f})")
-out = roth.smoothing_bound_chain(a, report)
+out = roth.smoothing_bound_chain(w, report)
 print(f"smoothing shifts lam3 by {abs(out['difference']):.4f}; "
       f"triangle bound {out['triangle_bound']:.4f}; "
       f"identity gap {out['identity_gap']:.2e}")

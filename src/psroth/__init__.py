@@ -56,15 +56,11 @@ from .zn_fourier import (
 )
 from .measures import (
     SpectrumReport,
-    WTrickParams,
     WeightedSequence,
     bohr_indicator,
     bohr_set,
-    build_lambda,
-    build_lambda_h,
     smooth,
     spectrum_and_bohr,
-    w_trick,
 )
 from .expsums import (
     BoundReport,

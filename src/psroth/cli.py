@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import checks, expsums, hfun, measures, roth, sieve
+from . import checks, expsums, hfun, roth, sieve
 from .errors import NumericalError, ResourceError
 
 DEFAULTS = {
@@ -278,7 +278,7 @@ def cmd_roth(cfg):
                       "set_size", "mass_dimensionless", "window_mass_dimensionless",
                       "lam3_ordered", "nontrivial_ordered", "good_pairs",
                       "Z_lower_rational", "witness"],
-               [(trep.n, trep.params.W, trep.params.m, trep.params.b, trep.N,
+               [(trep.n, trep.W, trep.m, trep.b, trep.N,
                  int(trep.A.size), trep.mass, trep.window_mass,
                  arep.lam3, arep.nontrivial, vrep.good_pairs,
                  str(vrep.Z_lower),

@@ -1,12 +1,7 @@
-"""Normalized prime measures on {0..N-1}, spectra, Bohr sets, smoothing.
+"""Weights on {0..N-1}: large spectra, Bohr sets and smoothing.
 
-build_lambda puts weight phi(m) * log(m n + b) / (m N) on the n whose
-image m n + b is prime; build_lambda_h keeps only images in a floor-image
-prime set and divides each weight by phi'(m n + b), compensating the thinner
-set so both measures carry unit mass asymptotically.  The W-trick parameters
-(W, m = product of primes <= W, residue b) strip small-prime bias before the
-transference step; WTrickParams.phi_m supplies phi(m) to every measure.
-
+The weights come as a plain float array or a WeightedSequence; the W-trick
+measure of the floor-image primes is roth.transference_build's.
 spectrum_and_bohr computes large-coefficient frequencies by exhaustive scan
 and the corresponding Bohr set B = {x : ||x xi / N|| <= eps for all xi}; the
 pigeonhole lower bound |B| >= eps^k N is rechecked on construction.
@@ -15,35 +10,14 @@ smoothing convolves twice with the normalized Bohr indicator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hfun, sieve, zn_fourier
+from . import zn_fourier
 
 # bohr_set scans the x in chunks of this many points
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class WTrickParams:
-    W: int
-    m: int
-    b: int
-
-    def __post_init__(self):
-        if self.W < 1 or self.m < 1:
-            raise ValueError("W and m must be >= 1")
-        if not (0 <= self.b < self.m):
-            raise ValueError("b must be a residue mod m")
-        if math.gcd(self.b, self.m) != 1:
-            raise ValueError("need gcd(b, m) = 1")
-
-    @property
-    def phi_m(self):
-        """Euler phi of m, the numerator of the W-trick factor phi(m)/m."""
-        return sieve._totient(self.m)
 
 
 @dataclass
@@ -80,64 +54,6 @@ class SpectrumReport:
     @property
     def k(self):
         return int(self.frequencies.size)
-
-
-def w_trick(N, table, override_W=None):
-    """W = floor(log log N / 4) clamped to >= 1 (or the override), m the
-    primorial of W, and the unit residue b = 0 for m = 1, else 1."""
-    N = int(N)
-    if N < 16 and override_W is None:
-        raise ValueError("N too small to derive W; pass override_W")
-    if override_W is not None:
-        W = int(override_W)
-        if W < 1:
-            raise ValueError("override_W must be >= 1")
-    else:
-        W = max(1, math.floor(math.log(math.log(N)) / 4.0))
-    m = 1
-    for p in _primes_upto(W, table):
-        m *= int(p)
-    return WTrickParams(W, m, 0 if m == 1 else 1)
-
-
-def _primes_upto(W, table):
-    if table.limit < W:
-        raise ValueError("table too small for W")
-    return table.primes[table.primes <= W]
-
-
-def build_lambda(N, params, table):
-    """Prime-measure weights phi(m) log(mn+b) / (mN) on {0..N-1}."""
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    top = params.m * (N - 1) + params.b
-    if top > table.limit:
-        raise ValueError(f"need table limit >= {top}")
-    ns = np.arange(N, dtype=np.int64)
-    vals = params.m * ns + params.b
-    w = np.zeros(N)
-    hit = table.is_prime[vals]
-    w[hit] = params.phi_m * np.log(vals[hit]) / (params.m * N)
-    return WeightedSequence(N, w, "lambda")
-
-
-def build_lambda_h(N, params, inv, ps):
-    """Same as build_lambda but restricted to floor-image primes and
-    compensated by 1/phi'(mn+b)."""
-    N = int(N)
-    top = params.m * (N - 1) + params.b
-    if top > ps.limit:
-        raise ValueError(f"need enumerated prime set covering {top}")
-    ns = np.arange(N, dtype=np.int64)
-    vals = params.m * ns + params.b
-    hit = np.isin(vals, ps.members)
-    w = np.zeros(N)
-    if np.any(hit):
-        pv = vals[hit].astype(float)
-        dphi = hfun.eval_phi_clamped(inv, pv)
-        w[hit] = params.phi_m * np.log(pv) / (params.m * N * dphi)
-    return WeightedSequence(N, w, "lambda_h")
 
 
 def bohr_set(freqs, N, epsilon):

@@ -5,10 +5,11 @@ cyclically in Z_N or inside the integers: by the frequency-side trilinear form
 (integer sets embedded in Z_{2N-1}), and up to N = 4096 also by brute force
 over the differences, the two routes checked against each other.
 
-transference_build runs the downshift: pick W and the primorial m, choose the
-residue b carrying the most derivative-compensated weight, move the window
-(n/2, n] of floor-image primes into {1..N/2} for a prime modulus N in
-[2n/m, 4n/m], and report the measure mass the image set carries.
+transference_build runs the W-trick downshift: pick W and the primorial m,
+choose the unit residue b carrying the most derivative-compensated weight,
+move the window (n/2, n] of floor-image primes in that class into {1..N/2}
+for a prime modulus N in [2n/m, 4n/m], and report the measure mass, with
+weight phi(m) log p / (m N phi'(p)), of the image and of the whole window.
 
 varnavides_count tallies how many length-M subprogressions of Z_N meet a set
 densely, exposing the averaging identity and the good-pair count that feed
@@ -145,7 +146,9 @@ def count_3aps(A, N, mode="cyclic", method="auto"):
 @dataclass
 class TransferReport:
     A: np.ndarray
-    params: measures.WTrickParams
+    W: int
+    m: int
+    b: int
     N: int
     mass: float
     window_mass: float
@@ -160,52 +163,56 @@ def _next_prime_in(start, stop):
     raise NumericalError(f"no prime in [{start}, {stop}]")
 
 
-def transference_build(inv, table, n, override_W=None, A0=None):
+def _w_trick(n, table, override_W):
+    """(W, m): W = floor(log log n / 4) clamped to >= 1 (or the override) and
+    m the product of the primes up to W, at most n/2."""
+    if override_W is None:
+        W = max(1, math.floor(math.log(math.log(n)) / 4.0))
+    else:
+        W = int(override_W)
+        if W < 1:
+            raise ValueError("override_W must be >= 1")
+    if table.limit < W:
+        raise ValueError("table too small for W")
+    m = math.prod(int(p) for p in table.primes[table.primes <= W])
+    if 2 * m > n:
+        raise ValueError(f"W={W} is too large for n={n}: its primorial m={m} "
+                         f"exceeds n/2")
+    return W, m
+
+
+def transference_build(inv, table, n, override_W=None):
     """Downshift the window (n/2, n] of floor-image primes into {1..N/2}.
 
-    Returns the image set, the (W, m, b) parameters with b chosen by maximal
-    compensated weight, the prime modulus N, the measure mass carried by the
-    image, and the unrestricted mass of the whole window for comparison.
+    Returns the image set, W, the primorial m, the unit residue b with the
+    most compensated weight log p / phi'(p), the prime modulus N, the
+    measure mass carried by the image, and the mass of the whole window
+    under the same weight for comparison.
     """
     n = int(n)
     if n < 16:
         raise ValueError("n must be >= 16")
-    wt = measures.w_trick(n, table, override_W=override_W)
-    W, m = wt.W, wt.m
+    W, m = _w_trick(n, table, override_W)
     ps = sieve.enumerate_ps_primes(inv, n, table)
     window = ps.members[(ps.members > n // 2) & (ps.members <= n)]
-    dphi_window = hfun.eval_phi_clamped(inv, window)
-    if A0 is None:
-        A0, dphi_A0 = window, dphi_window
-    else:
-        A0 = np.asarray(sorted(A0), dtype=np.int64)
-        if not np.all(np.isin(A0, ps.members)):
-            raise ValueError("A0 must be a subset of the floor-image primes")
-        A0 = A0[(A0 > n // 2) & (A0 <= n)]
-        dphi_A0 = dphi_window[np.searchsorted(window, A0)]
-
-    best_b, best_w = None, -1.0
-    for b in range(m):
-        if math.gcd(b, m) != 1:
-            continue
-        sel = A0 % m == b
-        wgt = float(np.sum(np.log(A0[sel].astype(float)) / dphi_A0[sel]))
-        if wgt > best_w:
-            best_b, best_w = b, wgt
-    params = measures.WTrickParams(W, m, best_b)
+    dphi = hfun.eval_phi_clamped(inv, window)
+    residues = window % m
+    share = np.log(window.astype(float)) / dphi
+    # the first unit class of maximal weight
+    b = max((c for c in range(m) if math.gcd(c, m) == 1),
+            key=lambda c: float(np.sum(share[residues == c])))
     N = _next_prime_in(math.ceil(2 * n / m), 4 * n // m)
-    sel = A0 % m == params.b
-    picked = A0[sel]
-    A = (picked - params.b) // m
+    sel = residues == b
+    A = (window[sel] - b) // m
     if A.size and (A.min() < 1 or A.max() > N // 2):
         raise NumericalError("image set escaped {1..N/2}")
+    phi_m = sieve._totient(m)
 
     def mass_of(ks, dphi):
-        return float(np.sum(params.phi_m * np.log(ks.astype(float)) / (m * N * dphi)))
+        return float(np.sum(phi_m * np.log(ks.astype(float)) / (m * N * dphi)))
 
-    in_class = window % m == params.b
-    return TransferReport(A, params, N, mass_of(picked, dphi_A0[sel]),
-                          mass_of(window[in_class], dphi_window[in_class]), n)
+    return TransferReport(A, W, m, b, N, mass_of(window[sel], dphi[sel]),
+                          mass_of(window, dphi), n)
 
 
 # -- positive-proportion counting ---------------------------------------------
@@ -379,8 +386,9 @@ def smoothing_bound_chain(a, report):
     N^{-1} sum_xi F[a](xi)^2 F[a](-2xi) (F[beta](xi)^4 F[beta](-2xi)^2 - 1),
     and in absolute value is at most the same sum with every factor replaced
     by its modulus.  Returns the three quantities and the identity gap.
+    a is a plain weight array or a WeightedSequence.
     """
-    N = a.N
+    N = report.N
     if N % 2 == 0:
         raise ValueError("need odd N")
     # a and beta are transformed once; a1 comes from real space, a * beta * beta

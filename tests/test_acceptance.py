@@ -120,7 +120,7 @@ def test_criterion_6_restriction_stability(inv95, table_1e6):
 def test_criterion_7_transference_smoke(inv95, table_1e6):
     t0 = time.perf_counter()
     rep = roth.transference_build(inv95, table_1e6, 10 ** 5)
-    n, m = rep.n, rep.params.m
+    n, m = rep.n, rep.m
     in_range = rep.A.size > 0 and rep.A.min() >= 1 and rep.A.max() <= rep.N // 2
     prime_ok = bool(table_1e6.is_prime[rep.N])
     window_ok = math.ceil(2 * n / m) <= rep.N <= 4 * n // m

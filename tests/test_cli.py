@@ -274,6 +274,16 @@ def test_roth_full_pipeline(tmp_path):
     assert man["summary"]["mass_ratio"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("W, N, m", [(11, 2000, 2310), (7, 300, 210)])
+def test_roth_W_too_large_for_N_exits_1(tmp_path, capsys, W, N, m):
+    # the primorial m must not exceed N/2
+    cfg = write_config(tmp_path, W=W, N=N)
+    assert run(tmp_path, "roth", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"W={W} " in err and f"m={m} " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_roth_reads_config_N(tmp_path):
     cfg = write_config(tmp_path, N=2000)
     assert run(tmp_path, "roth", "--config", cfg, "--gamma", "0.95") == 0

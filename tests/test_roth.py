@@ -8,6 +8,7 @@ from psroth import (
     WeightedSequence,
     bohr_indicator,
     count_3aps,
+    count_in_class,
     dft,
     enumerate_ps_primes,
     error_term_sup,
@@ -23,7 +24,7 @@ from psroth import (
     varnavides_count,
     zn_fourier,
 )
-from psroth.roth import _next_prime_in, _refined_norm
+from psroth.roth import _next_prime_in, _refined_norm, _w_trick
 
 
 def brute_pair_count(A):
@@ -207,9 +208,28 @@ def test_varnavides_validation():
 
 # -- transference --------------------------------------------------------------
 
+def test_w_trick_overrides(table_1e6):
+    assert [_w_trick(1000, table_1e6, W)[1] for W in (2, 3, 5, 7)] == [2, 6, 30, 210]
+
+
+def test_w_trick_auto_clamp(table_1e6):
+    # log log 10^8 ~ 2.91, so the quarter floors to 0 and clamps to 1
+    assert _w_trick(10 ** 8, table_1e6, None) == (1, 1)
+    assert _w_trick(10, table_1e6, 2) == (2, 2)
+
+
+def test_w_trick_rejects_primorial_above_half_n(table_1e6):
+    # m = 210 fits n = 420 exactly and not n = 419
+    assert _w_trick(420, table_1e6, 7) == (7, 210)
+    with pytest.raises(ValueError, match="W=7 .*m=210"):
+        _w_trick(419, table_1e6, 7)
+    with pytest.raises(ValueError):
+        _w_trick(1000, table_1e6, 0)
+
+
 def test_transfer_trivial_modulus(inv95, table_1e6):
     rep = transference_build(inv95, table_1e6, 10 ** 4)
-    assert rep.params.W == 1 and rep.params.m == 1 and rep.params.b == 0
+    assert rep.W == 1 and rep.m == 1 and rep.b == 0
     assert rep.mass == rep.window_mass
     assert rep.mass > 0
     ps = enumerate_ps_primes(inv95, 10 ** 4, table_1e6)
@@ -220,19 +240,38 @@ def test_transfer_trivial_modulus(inv95, table_1e6):
 def test_transfer_override(inv95, table_1e6):
     n = 10 ** 5
     rep = transference_build(inv95, table_1e6, n, override_W=2)
-    assert rep.params.m == 2 and rep.params.b == 1
+    assert rep.m == 2 and rep.b == 1
     assert rep.N == 100003
-    assert math.ceil(2 * n / rep.params.m) <= rep.N <= 4 * n // rep.params.m
+    assert math.ceil(2 * n / rep.m) <= rep.N <= 4 * n // rep.m
     assert table_1e6.is_prime[rep.N]
     assert rep.A.min() >= 1 and rep.A.max() <= rep.N // 2
     # every odd member carries its weight over: window mass is preserved
     assert rep.mass == pytest.approx(rep.window_mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("W", [3, 5])
+def test_transfer_window_mass_spans_every_class(inv95, table_1e6, W):
+    n = 10 ** 5
+    rep = transference_build(inv95, table_1e6, n, override_W=W)
+    phi_m = {3: 2, 5: 8}[W]
+    # the best of phi(m) unit classes holds at least their mean
+    assert rep.window_mass > rep.mass >= rep.window_mass / phi_m
+    # both masses again as differences of class sums of log p / phi'(p)
+    ps = enumerate_ps_primes(inv95, n, table_1e6)
+
+    def window_sum(q, a):
+        return (count_in_class(ps, n, q, a, "log_over_phiprime")
+                - count_in_class(ps, n // 2, q, a, "log_over_phiprime"))
+
+    scale = phi_m / (rep.m * rep.N)
+    assert rep.window_mass == pytest.approx(scale * window_sum(1, 0), rel=1e-12)
+    assert rep.mass == pytest.approx(scale * window_sum(rep.m, rep.b), rel=1e-12)
+
+
 def test_transfer_preserves_progressions(inv95, table_1e6):
     n = 2000
     rep = transference_build(inv95, table_1e6, n, override_W=2)
-    m, b = rep.params.m, rep.params.b
+    m, b = rep.m, rep.b
     picked = rep.A * m + b
     down = count_3aps(rep.A, int(rep.A.max()) + 1, mode="integer")
     up = count_3aps(picked, int(picked.max()) + 1, mode="integer")
@@ -250,8 +289,8 @@ def test_next_prime_in():
 def test_transfer_validation(inv95, table_1e6):
     with pytest.raises(ValueError):
         transference_build(inv95, table_1e6, 8)
-    with pytest.raises(ValueError):
-        transference_build(inv95, table_1e6, 10 ** 4, A0=[4, 6, 8])
+    with pytest.raises(ValueError, match="m=2310"):
+        transference_build(inv95, table_1e6, 2000, override_W=11)
 
 
 # -- restriction ensemble -------------------------------------------------------
@@ -446,6 +485,15 @@ def test_smoothing_chain_degenerate_bohr():
     report = spectrum_and_bohr(a, 0.5, 1e-3)  # tiny eps forces B = {0}
     out = smoothing_bound_chain(a, report)
     assert out["identity_gap"] <= 1e-9
+
+
+def test_smoothing_chain_takes_plain_arrays():
+    rng = np.random.default_rng(29)
+    N = 1009
+    w = rng.random(N) * (rng.random(N) < 0.05)
+    report = spectrum_and_bohr(w, 0.4 * w.sum(), 0.3)
+    assert smoothing_bound_chain(w, report) == smoothing_bound_chain(
+        WeightedSequence(N, w, "test"), report)
 
 
 def test_smoothing_chain_even_N():

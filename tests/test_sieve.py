@@ -8,7 +8,6 @@ import pytest
 
 from psroth import (
     DomainError,
-    WTrickParams,
     NumericalError,
     ResourceError,
     count_in_class,
@@ -135,8 +134,7 @@ def test_mobius_scalar(table_1e6):
 
 def test_euler_phi():
     # the W-trick's phi(m) is the package's one totient
-    def phi(n):
-        return WTrickParams(1, n, 0 if n == 1 else 1).phi_m
+    phi = sieve._totient
 
     assert phi(30) == 8
     assert phi(1) == 1
