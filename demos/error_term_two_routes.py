@@ -17,11 +17,14 @@ from psroth import expsums, hfun, sieve
 inv = hfun.inverse_of(hfun.ps_exponent_spec(0.99))
 Ns = [2 ** k for k in range(16, 21)]
 table = sieve.sieve_primes(Ns[-1])
+# the enumeration and the inversion of phi are built once, at the largest N;
+# every smaller N reads their prefixes
+inputs = expsums.error_term_inputs(inv, Ns[-1], 1, 0, table)
 
 print("N, sup |difference|, sup/N, route gap:")
 sups = []
 for N in Ns:
-    rep = expsums.error_term_sup(inv, N, 1, 0, table, grid=2048)
+    rep = expsums.error_term_sup(inputs, N, grid=2048)
     sups.append(rep.sup_diff)
     print(f"  2^{round(math.log2(N))}: {rep.sup_diff:10.1f}  "
           f"{rep.sup_diff / N:.5f}  {rep.route_gap:8.1f}")
@@ -32,5 +35,6 @@ print(f"\nfitted log-log slope: {slope:.4f}  (< 1 means a power saving)")
 # control: for h(x) = x the floor image is every prime and both weights
 # collapse to log p, so the difference vanishes identically
 invx = hfun.inverse_of(hfun.pure_power(1.0))
-rep = expsums.error_term_sup(invx, Ns[0], 1, 0, table, grid=2048)
+rep = expsums.error_term_sup(expsums.error_term_inputs(invx, Ns[0], 1, 0, table),
+                             Ns[0], grid=2048)
 print(f"h(x)=x control: sup={rep.sup_diff} route_gap={rep.route_gap}")

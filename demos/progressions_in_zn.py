@@ -9,7 +9,7 @@ the same integers, plus an explicit witness.
 
 import numpy as np
 
-from psroth import count_3aps, varnavides_count
+from psroth import count_3aps, trilinear_fft, varnavides_count
 
 # a small set with exactly one progression (two ordered copies)
 rep = count_3aps({1, 2, 3, 7}, 11, mode="cyclic")
@@ -21,14 +21,18 @@ rep = count_3aps({1, 2, 4, 5}, 6, mode="integer")
 print(f"A = {{1,2,4,5}} integers: nontrivial={rep.nontrivial} "
       f"witness={rep.witness}")
 
-# frequency route and difference walk agree on random sets
+# frequency route and difference walk agree on random sets: count_3aps walks
+# the differences at this N, and the trilinear form of the indicator 1_A
+# counts the same progressions in frequency space
 rng = np.random.default_rng(1)
 N = 1009
 A = np.flatnonzero(rng.random(N) < 0.2)
-brute = count_3aps(A, N, mode="cyclic", method="brute")
-fft = count_3aps(A, N, mode="cyclic", method="fft")
-print(f"\nrandom |A|={A.size} in Z_{N}: brute lam3={brute.lam3}, "
-      f"fft lam3={fft.lam3}")
+walk = count_3aps(A, N, mode="cyclic")
+indicator = np.zeros(N)
+indicator[A] = 1.0
+freq = trilinear_fft(indicator, indicator, indicator)
+print(f"\nrandom |A|={A.size} in Z_{N}: difference walk lam3={walk.lam3}, "
+      f"frequency route lam3={freq.real:.6f}")
 
 # the averaging step: every length-M subprogression P_{a,d} meets a dense
 # set about M |A| / N times on average, so a positive proportion of the

@@ -24,7 +24,7 @@ print(f"|A|={rep.A.size}, A within [1, N/2]: "
 print(f"measure mass: {rep.mass:.4f} of window {rep.window_mass:.4f}")
 
 # count progressions in the image set
-ap = roth.count_3aps(rep.A, rep.N, mode="cyclic", method="auto")
+ap = roth.count_3aps(rep.A, rep.N, mode="cyclic")
 print(f"ordered 3APs in the image: {ap.lam3} ({ap.nontrivial} nontrivial)")
 
 # the smoothing step behind the upper-bound chain: convolve twice with the

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import logging
@@ -56,11 +57,6 @@ _NUMBER_KEYS = ("r", "v")
 _INT_LIST_KEYS = ("N_list", "inject_A")
 
 
-def _is_int(x):
-    # bool is an int subclass, but JSON true is not an integer
-    return type(x) is int
-
-
 def load_config(args):
     cfg = dict(DEFAULTS)
     cfg["function"] = dict(DEFAULTS["function"])
@@ -81,18 +77,16 @@ def load_config(args):
             cfg[key] = val
     if args.n is not None:
         cfg["N"] = args.n
+    is_int = functools.partial(hfun._is_number, integer=True)
     for key in _INT_KEYS:
-        if not _is_int(cfg[key]) and not (key == "W" and cfg[key] is None):
+        if not is_int(cfg[key]) and not (key == "W" and cfg[key] is None):
             raise ValueError(f"{key} must be an integer, got {cfg[key]!r}")
     for key in _NUMBER_KEYS:
-        val = cfg[key]
-        # json reads NaN and Infinity as floats
-        finite = type(val) in (int, float) and math.isfinite(val)
-        if not finite and not (key == "v" and val is None):
-            raise ValueError(f"{key} must be a finite number, got {val!r}")
+        if not hfun._is_number(cfg[key]) and not (key == "v" and cfg[key] is None):
+            raise ValueError(f"{key} must be a finite number, got {cfg[key]!r}")
     for key in _INT_LIST_KEYS:
         val = cfg[key]
-        if val is not None and not (isinstance(val, list) and all(map(_is_int, val))):
+        if val is not None and not (isinstance(val, list) and all(map(is_int, val))):
             raise ValueError(f"{key} must be null or a list of integers, got {val!r}")
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
@@ -186,14 +180,12 @@ def cmd_errsweep(cfg):
     Ns = cfg["N_list"] or [2 ** k for k in range(16, 23)]
     top = max(Ns)
     table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
-    q, a = cfg["q"], cfg["a"]
     # every N of the ladder reads prefixes of one enumeration and one
     # inversion of phi at the top
-    inputs = expsums.error_term_inputs(inv, top, q, a, table)
+    inputs = expsums.error_term_inputs(inv, top, cfg["q"], cfg["a"], table)
 
     def one(Ni):
-        rep = expsums.error_term_sup(inv, Ni, q, a, table, cfg["grid"],
-                                     inputs=inputs)
+        rep = expsums.error_term_sup(inputs, Ni, cfg["grid"])
         return (Ni, rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
@@ -271,7 +263,7 @@ def cmd_roth(cfg):
     n = cfg["N"]
     table = sieve.sieve_primes(n, budget=cfg["sieve_budget"])
     trep = roth.transference_build(inv, table, n, override_W=cfg["W"])
-    arep = roth.count_3aps(trep.A, trep.N, mode="cyclic", method="auto")
+    arep = roth.count_3aps(trep.A, trep.N, mode="cyclic")
     vrep = roth.varnavides_count(trep.A, trep.N, cfg["M"])
     path = _out_path(cfg, "roth.csv")
     _write_csv(path, ["n", "W", "m_primorial", "b_residue", "N_prime",

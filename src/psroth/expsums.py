@@ -231,7 +231,7 @@ def vaughan_decompose(inv, pp, table, v=None):
     pk, pl = sieve.prime_powers(table, pp.P1)
     mu = sieve.mobius_array(int(math.floor(v)), table)
     L = int(math.floor(max(v * v, pp.P1 / v)))
-    pi_arr, xi_arr = sieve.vaughan_coefficients(v, v, min(L, table.limit), table)
+    pi_arr, xi_arr = sieve.vaughan_coefficients(v, min(L, table.limit), table)
     alphas = [pp.xi + s / pp.q for s in range(pp.q)]
     parts = [[0.0 + 0.0j] * 4 for _ in alphas]
     segments = _split_segments(pp.P, pp.P1, v, pk, pl, mu, pi_arr, xi_arr)
@@ -388,7 +388,7 @@ def bilinear_check(inv, K, L, mm, alpha, R=None, D1=None, D2=None, rng=None):
 # -- the two-route error term ------------------------------------------------
 
 class ErrorTermInputs(NamedTuple):
-    """Everything the error term reads up to limit in the class a mod q.
+    """Everything the error term reads up to limit in one class a mod q.
 
     ks are the prime powers k <= limit in the class, ascending, with lam =
     Lambda(k), phi_k = phi(k), phi_k1 = phi(k + 1) and dphi_k = phi'(k)
@@ -397,8 +397,6 @@ class ErrorTermInputs(NamedTuple):
     """
 
     limit: int
-    q: int
-    a: int
     ks: np.ndarray
     lam: np.ndarray
     phi_k: np.ndarray
@@ -439,10 +437,10 @@ def error_term_inputs(inv, top, q, a, table):
         dphi_k[i:j] = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k[i:j], 1)
     mem = ps.members[ps.members % q == a % q]
     w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
-    return ErrorTermInputs(top, q, a, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)
+    return ErrorTermInputs(top, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)
 
 
-def error_term_sup(inv, N, q, a, table, grid=4096, inputs=None):
+def error_term_sup(inputs, N, grid=4096):
     """Sup over the xi-grid of the floor-prime vs plain-prime weighted gap.
 
     Route one: sum_{p in P_h, p <= N, p = a (q)} log(p)/phi'(p) e(xi p)
@@ -451,22 +449,18 @@ def error_term_sup(inv, N, q, a, table, grid=4096, inputs=None):
     sum_k Lambda_{a,q}(k)/phi'(k) (Phi(-phi(k+1)) - Phi(-phi(k))) e(xi k).
 
     Returns the sup of route one, both per-xi profiles, and the sup gap
-    between the routes.  inputs, if given, is error_term_inputs(inv, top, q,
-    a, table) for some top >= N; otherwise it is built at N.  Every array in
-    it is sorted by k and every value is elementwise, so the prefixes up to
-    N are bit for bit the data built at N: a ladder of N builds (and inverts
-    phi) once at its top.
+    between the routes.  inputs is error_term_inputs(inv, top, q, a, table)
+    for the class a mod q and some top >= N.  Every array in it is sorted by
+    k and every value is elementwise, so the prefixes up to N are bit for
+    bit the data built at N: a ladder of N builds (and inverts phi) once at
+    its top.
     """
     N = int(N)
-    if N > table.limit:
-        raise ValueError("N beyond table limit")
+    if N > inputs.limit:
+        raise ValueError(f"N={N} beyond the inputs' limit {inputs.limit}")
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if inputs is None:
-        inputs = error_term_inputs(inv, N, q, a, table)
-    elif inputs.limit < N or (inputs.q, inputs.a) != (q, a):
-        raise ValueError("inputs must be built for the same class up to at least N")
     d = inputs
     nk = np.searchsorted(d.ks, N, side="right")
     nm = np.searchsorted(d.members, N, side="right")

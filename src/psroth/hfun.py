@@ -34,19 +34,23 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-KINDS = ("pure_power", "power_log", "power_explog", "iterated_log")
+# the params each kind reads: all of them and no others
+_KIND_PARAMS = {"pure_power": (), "power_log": ("A",),
+                "power_explog": ("A", "B"), "iterated_log": ("m",)}
+KINDS = tuple(_KIND_PARAMS)
 
-# Default domain starts.  pure_power is globally defined so x0=1; the log
-# kinds need log x bounded away from 0; iterated_log additionally needs
-# l_m(x0) > 0, h(x0) >= 1 and convexity at x0.
-_DEFAULT_X0 = {"pure_power": 1.0, "power_log": 3.0, "power_explog": 3.0}
-_ITERLOG_X0 = {1: 3.0, 2: 4.0, 3: 20.0}
+# Default domain starts, by kind and for iterated_log by m.  pure_power is
+# globally defined so x0=1; the log kinds need log x bounded away from 0;
+# iterated_log additionally needs l_m(x0) > 0, h(x0) >= 1 and convexity at x0.
+_DEFAULT_X0 = {"pure_power": 1.0, "power_log": 3.0, "power_explog": 3.0,
+               ("iterated_log", 1): 3.0, ("iterated_log", 2): 4.0, ("iterated_log", 3): 20.0}
 
 
 def _iterlogs(x, m):
@@ -59,12 +63,21 @@ def _iterlogs(x, m):
     return cur, parts
 
 
+def _is_number(val, integer=False):
+    """A finite real, or an integer if asked, and not a bool: json reads NaN
+    and Infinity as floats, and true as an int."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral if integer else numbers.Real):
+        return False
+    return isinstance(val, numbers.Integral) or math.isfinite(val)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Growth function h(x) = C_h * x^c * l(x) on [x0, infinity).
 
-    params holds the kind-specific extras: A (and B for power_explog) for the
-    log-corrected kinds, integer m for iterated_log.
+    params holds the kind-specific extras, exactly those of _KIND_PARAMS: A
+    (and B for power_explog) for the log-corrected kinds, integer m for
+    iterated_log.  Every number must be finite.
     """
 
     kind: str
@@ -76,34 +89,29 @@ class FunctionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        wanted = _KIND_PARAMS[self.kind]
+        if not isinstance(self.params, dict) or set(self.params) != set(wanted):
+            raise ValueError(f"{self.kind} takes params {wanted}, got {self.params!r}")
+        # the spec is frozen, so it keeps its own copy of the caller's dict
+        object.__setattr__(self, "params", dict(self.params))
+        for key, val in (("c", self.c), ("C_h", self.C_h), *self.params.items()):
+            if not _is_number(val, integer=key == "m"):
+                raise ValueError(f"{key} must be a finite number (m an integer), got {val!r}")
         if not (1.0 <= self.c < 2.0):
             raise ValueError(f"c must lie in [1, 2), got {self.c}")
         if not self.C_h > 0:
             raise ValueError("C_h must be positive")
-        if self.kind == "power_explog":
-            b = self.params.get("B")
-            if b is None or not (0.0 < b < 1.0):
-                raise ValueError("power_explog needs params['B'] in (0, 1)")
-            if "A" not in self.params:
-                raise ValueError("power_explog needs params['A']")
-        if self.kind == "power_log" and "A" not in self.params:
-            raise ValueError("power_log needs params['A']")
-        if self.kind == "iterated_log":
-            m = self.params.get("m")
-            if not isinstance(m, int) or m < 1:
-                raise ValueError("iterated_log needs integer params['m'] >= 1")
-            if self.c != 1.0:
-                raise ValueError("iterated_log is a c = 1 kind")
+        if self.kind == "power_explog" and not 0.0 < self.params["B"] < 1.0:
+            raise ValueError("power_explog needs params['B'] in (0, 1)")
+        if self.kind == "iterated_log" and (self.params["m"] < 1 or self.c != 1.0):
+            raise ValueError("iterated_log is a c = 1 kind with integer params['m'] >= 1")
         if self.x0 is None:
-            if self.kind == "iterated_log":
-                m = self.params["m"]
-                if m not in _ITERLOG_X0:
-                    raise ValueError(f"no default x0 for iterated_log m={m}; pass x0 explicitly")
-                object.__setattr__(self, "x0", _ITERLOG_X0[m])
-            else:
-                object.__setattr__(self, "x0", _DEFAULT_X0[self.kind])
-        if not self.x0 >= 1.0:
-            raise ValueError("x0 must be >= 1")
+            key = ("iterated_log", self.params["m"]) if self.kind == "iterated_log" else self.kind
+            if key not in _DEFAULT_X0:
+                raise ValueError(f"no default x0 for {key}; pass x0 explicitly")
+            object.__setattr__(self, "x0", _DEFAULT_X0[key])
+        if not _is_number(self.x0) or self.x0 < 1.0:
+            raise ValueError(f"x0 must be a finite number >= 1, got {self.x0!r}")
 
     @property
     def A(self):
@@ -448,16 +456,11 @@ def spec_to_config(spec):
 
 
 def spec_from_config(rec):
-    rec = dict(rec)
-    params = dict(rec.get("params") or {})
-    # c = 1 texts usually write the log coefficient as C; accept the alias
-    if "C" in params and "A" not in params:
-        params["A"] = params.pop("C")
-    if "m" in params:
-        params["m"] = int(params["m"])
-    try:
-        return FunctionSpec(rec["kind"], float(rec["c"]),
-                            float(rec.get("C_h", 1.0)),
-                            rec.get("x0"), params)
-    except KeyError as exc:
-        raise ValueError(f"function config missing field {exc}") from exc
+    """The FunctionSpec of a config record, as spec_to_config writes it:
+    kind and c, and optionally C_h, x0 (null: the kind's default) and params
+    (null: none).  FunctionSpec checks the values."""
+    fields = {"kind", "c", "C_h", "x0", "params"}
+    if not isinstance(rec, dict) or not {"kind", "c"} <= set(rec) <= fields:
+        raise ValueError(f"function config needs kind and c and takes only "
+                         f"{sorted(fields)}, got {rec!r}")
+    return FunctionSpec(**{**rec, "params": rec.get("params") or {}})

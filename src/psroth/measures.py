@@ -46,8 +46,6 @@ class SpectrumReport:
     """Large spectrum and Bohr set of a weighted sequence."""
 
     N: int
-    delta: float
-    epsilon: float
     frequencies: np.ndarray
     bohr: np.ndarray
 
@@ -84,12 +82,11 @@ def spectrum_and_bohr(a, delta, epsilon):
     N = weights.size
     freqs = np.flatnonzero(np.abs(F) >= delta).astype(np.int64)
     bohr = bohr_set(freqs, N, epsilon)
-    report = SpectrumReport(N, float(delta), float(epsilon), freqs, bohr)
-    lower = epsilon ** report.k * N * (1.0 - 1e-12)
+    lower = epsilon ** freqs.size * N * (1.0 - 1e-12)
     if bohr.size < lower:
         raise AssertionError(
             f"Bohr set size {bohr.size} below pigeonhole bound {lower}")
-    return report
+    return SpectrumReport(N, freqs, bohr)
 
 
 def bohr_indicator(report):

@@ -1,9 +1,9 @@
 """Three-term progression counting, transference, and restriction ensembles.
 
 count_3aps counts ordered progressions (x, x+d, x+2d) with d != 0, either
-cyclically in Z_N or inside the integers: by the frequency-side trilinear form
-(integer sets embedded in Z_{2N-1}), and up to N = 4096 also by brute force
-over the differences, the two routes checked against each other.
+cyclically in Z_N or inside the integers: up to N = 4096 by brute force over
+the differences, checked against the frequency-side trilinear form (integer
+sets embedded in Z_{2N-1}), and above it by the trilinear form alone.
 
 transference_build runs the W-trick downshift: pick W and the primorial m,
 choose the unit residue b carrying the most derivative-compensated weight,
@@ -42,7 +42,6 @@ class ApReport:
     lam3: int
     nontrivial: int
     witness: tuple | None
-    mode: str
 
 
 _BRUTE_MAX_N = 4096
@@ -86,33 +85,35 @@ def _rounded(c):
     return int(lam3)
 
 
-def count_3aps(A, N, mode="cyclic", method="auto"):
+def _index_set(A, N):
+    """The distinct elements of A, ascending as int64; raises unless they lie in [0, N)."""
+    idx = np.unique(np.asarray(sorted(A), dtype=np.int64))
+    if idx.size and (idx.min() < 0 or idx.max() >= N):
+        raise ValueError("elements out of range")
+    return idx
+
+
+def count_3aps(A, N, mode="cyclic"):
     """Ordered 3-progression count for A inside Z_N or [0, N).
 
-    method 'brute' walks every difference and cross-checks against the
-    frequency route (on Z_N for odd N in cyclic mode; on Z_{2N-1} in integer
-    mode, where cyclic and integer progressions coincide).  'fft' uses the
-    frequency route alone: no witness in cyclic mode, while integer mode scans
-    d upward only until the first progression for its witness (smallest d,
-    then smallest x, as brute force reports it).  'auto' picks brute up to
-    N = 4096 and fft above, in both modes.
+    Up to N = _BRUTE_MAX_N every difference is walked, and the count is
+    cross-checked against the frequency route (on Z_N for odd N in cyclic
+    mode; on Z_{2N-1} in integer mode, where cyclic and integer progressions
+    coincide).  Above it the frequency route alone counts: cyclic mode needs
+    odd N and reports no witness, while integer mode scans d upward only
+    until the first progression for its witness (smallest d, then smallest
+    x, as the walk reports it).
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode not in ("cyclic", "integer"):
         raise ValueError("mode must be 'cyclic' or 'integer'")
-    if method not in ("brute", "fft", "auto"):
-        raise ValueError("method must be 'brute', 'fft' or 'auto'")
-    idx = np.unique(np.asarray(sorted(A), dtype=np.int64))
-    if idx.size and (idx.min() < 0 or idx.max() >= N):
-        raise ValueError("elements out of range")
+    idx = _index_set(A, N)
     mask = np.zeros(N, dtype=bool)
     mask[idx] = True
     size = int(idx.size)
-    if method == "auto":
-        method = "brute" if N <= _BRUTE_MAX_N else "fft"
-    if method == "fft":
+    if N > _BRUTE_MAX_N:
         if mode == "cyclic" and N % 2 == 0:
             raise ValueError("frequency route needs odd N")
         lam3 = _rounded(_fft_lam3(mask, mode))
@@ -123,7 +124,7 @@ def count_3aps(A, N, mode="cyclic", method="auto"):
                 if hits[x]:
                     witness = _witness(x, d, N)
                     break
-        return ApReport(N, size, lam3, lam3 - size, witness, mode)
+        return ApReport(N, size, lam3, lam3 - size, witness)
     witness = None
     nontrivial = 0
     for d, hits in _progression_hits(mask, mode):
@@ -138,7 +139,7 @@ def count_3aps(A, N, mode="cyclic", method="auto"):
         if abs(fft_lam3.real - lam3) > 1e-6 * max(1.0, lam3) or abs(fft_lam3.imag) > 1e-6:
             raise NumericalError(
                 f"trilinear routes disagree: brute {lam3} vs fft {fft_lam3}")
-    return ApReport(N, size, lam3, nontrivial, witness, mode)
+    return ApReport(N, size, lam3, nontrivial, witness)
 
 
 # -- transference ------------------------------------------------------------
@@ -238,9 +239,7 @@ def varnavides_count(Aprime, N, M, threshold=None, d_list=None,
     N, M = int(N), int(M)
     if not (3 <= M <= N):
         raise ValueError("need 3 <= M <= N")
-    idx = np.unique(np.asarray(sorted(Aprime), dtype=np.int64))
-    if idx.size and (idx.min() < 0 or idx.max() >= N):
-        raise ValueError("elements out of range")
+    idx = _index_set(Aprime, N)
     if d_list is None:
         stride = max(1, (N - 1) // 2048)
         d_list = range(1, N, stride)
@@ -283,9 +282,6 @@ class RestrictionReport:
     max_ratio: float
     control_ratio: float
     grid: int
-    r: float
-    trials: int
-    seed: int
 
 
 def _refined_norm(total, even, size, r):
@@ -333,12 +329,8 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
     and every pass size.
     """
     N = int(N)
-    if r <= 0:
-        raise ValueError("r must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if grid is None:
         grid = 8 * N
     grid = int(grid)
@@ -373,8 +365,7 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
         norms += [_refined_norm(tot, ev, size, r)
                   for tot, ev in zip(totals, evens)]
     ratios = np.array(norms[1:]) / norms[0]
-    return RestrictionReport(ratios, float(np.max(ratios)), control,
-                             grid, float(r), trials, seed)
+    return RestrictionReport(ratios, float(np.max(ratios)), control, grid)
 
 
 # -- the smoothing chain -----------------------------------------------------

@@ -213,31 +213,31 @@ def mobius_array(limit, table):
     return mu
 
 
-def vaughan_coefficients(v, w, L, table):
+def vaughan_coefficients(v, L, table):
     """Arrays (Pi, Xi) on [0, L] for the combinatorial prime-sum split.
 
-    Pi[l] = sum over factorizations l = r*s with r <= v, s <= w of
-    Lambda(r)*mu(s); Xi[l] = sum of mu(d) over divisors d > w of l.
+    Pi[l] = sum over factorizations l = r*s with r, s <= v of
+    Lambda(r)*mu(s); Xi[l] = sum of mu(d) over divisors d > v of l.
     """
     L = int(L)
     if L > table.limit:
         raise ValueError("L beyond table limit")
-    if v < 1 or w < 1:
-        raise ValueError("v and w must be >= 1")
-    pk, pl = prime_powers(table, min(int(v), L))
-    wi = min(int(w), L)
-    mu = mobius_array(wi, table) if wi >= 1 else np.zeros(1, np.int8)
+    if v < 1:
+        raise ValueError("v must be >= 1")
+    vi = min(int(v), L)
+    pk, pl = prime_powers(table, vi)
+    mu = mobius_array(vi, table) if vi >= 1 else np.zeros(1, np.int8)
     pi = np.zeros(L + 1)
-    for s in range(1, wi + 1):
+    for s in range(1, vi + 1):
         ms = int(mu[s])
         if ms == 0:
             continue
-        n = np.searchsorted(pk, min(int(v), L // s), side="right")
+        n = np.searchsorted(pk, min(vi, L // s), side="right")
         pi[s * pk[:n]] += ms * pl[:n]
     xi = np.zeros(L + 1, dtype=np.int64)
     if L >= 1:
         xi[1] = 1
-    for d in range(1, wi + 1):
+    for d in range(1, vi + 1):
         md = int(mu[d])
         if md:
             xi[d::d] -= md

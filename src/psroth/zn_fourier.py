@@ -93,20 +93,6 @@ def trilinear_direct(f, g, h):
     return complex(fv @ np.einsum("xd,xd->x", G, H))
 
 
-def _positions_and_weights(positions, weights, max_ndim=1):
-    """int64 positions and weights, float64 weights kept real, others complex.
-
-    weights is 1-d, or with max_ndim=2 one row of weights per transform; its
-    last axis matches the 1-d positions."""
-    pos = np.asarray(positions, dtype=np.int64)
-    w = np.asarray(weights)
-    if w.dtype != np.float64:
-        w = w.astype(np.complex128, copy=False)
-    if pos.ndim != 1 or not 1 <= w.ndim <= max_ndim or w.shape[-1:] != pos.shape:
-        raise ValueError("positions and weights must be matching 1-d arrays")
-    return pos, w
-
-
 def _fold_and_transform(positions, weights, grid_size):
     """sum_k w_k e(+p_k j/grid) for j = 0..grid-1.
 
@@ -120,7 +106,12 @@ def _fold_and_transform(positions, weights, grid_size):
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    pos, w = _positions_and_weights(positions, weights)
+    pos = np.asarray(positions, dtype=np.int64)
+    w = np.asarray(weights)
+    if w.dtype != np.float64:
+        w = w.astype(np.complex128, copy=False)
+    if pos.ndim != 1 or w.shape != pos.shape:
+        raise ValueError("positions and weights must be matching 1-d arrays")
     folded = np.zeros(grid_size, dtype=w.dtype)
     np.add.at(folded, pos % grid_size, w)
     folded = folded.astype(np.complex128, copy=False)
@@ -157,13 +148,13 @@ def _grid_row_shares(S, T, threads):
 
 
 def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
-    """L^r data of F(j) = sum_k w_k e(+p_k j/grid) on an even grid, streamed.
+    """L^r data of F_t(j) = sum_k w_tk e(+p_k j/grid) on an even grid, streamed.
 
-    Returns (sum_j |F(j)|^r over j = 0..grid-1, the same sum over even j,
-    F at the indices `at`) while holding one row of the grid at a time.
-    weights may also be 2-d, one row w_t per transform F_t over the same
-    positions; then the two sums are arrays over t and the values have one
-    row per t, each bitwise what the 1-d call with w_t returns.
+    weights holds one row w_t per transform F_t over the same positions.
+    Returns, as arrays over t, sum_j |F_t(j)|^r over j = 0..grid-1 and the
+    same sum over even j, and F_t at the indices `at` as one row per t,
+    while holding one row of the grid at a time.  Each row's results are
+    bitwise what a call with that row alone returns.
     With grid = S*L, S even, the grid row s = 0..S-1 holds j = S*c + s, and
 
         F(S c + s) = sum_k w_k e(p_k s/grid) e(p_k c/L),   c = 0..L-1,
@@ -188,17 +179,19 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
         raise ValueError("r must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    pos, w = _positions_and_weights(positions, weights, max_ndim=2)
+    pos = np.asarray(positions, dtype=np.int64)
+    W = np.asarray(weights, dtype=np.complex128)
+    if pos.ndim != 1 or W.ndim != 2 or W.shape[1] != pos.size:
+        raise ValueError("weights must hold one row per transform over the 1-d positions")
     at = np.asarray(at, dtype=np.int64)
     if at.ndim != 1 or np.any((at < 0) | (at >= grid_size)):
         raise ValueError("indices must lie in [0, grid_size)")
     S = _row_count(grid_size)
     L = grid_size // S
     shift, fold = pos % grid_size, pos % L
-    # one slot per (weight row, grid row); 1-d weights give 1-d slots
-    sums = np.empty(w.shape[:-1] + (S,))
-    values = np.empty(w.shape[:-1] + (at.size,), dtype=np.complex128)
-    W, row_sums, row_values = np.atleast_2d(w, sums, values)
+    # one slot per (weight row, grid row)
+    sums = np.empty((W.shape[0], S))
+    values = np.empty((W.shape[0], at.size), dtype=np.complex128)
 
     def work(units):
         row, power = np.empty(L, dtype=np.complex128), np.empty(L)
@@ -213,8 +206,8 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
                 # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
                 np.abs(row, out=power)
                 power **= r
-                row_sums[t, s] = np.sum(power)
-                row_values[t, in_row] = row[cols]
+                sums[t, s] = np.sum(power)
+                values[t, in_row] = row[cols]
 
     shares = _grid_row_shares(S, W.shape[0], int(threads))
     if len(shares) == 1:
@@ -223,7 +216,7 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
         # numpy's FFT releases the GIL, so the rows' transforms run in parallel
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             list(pool.map(work, shares))
-    return sums.sum(axis=-1), sums[..., ::2].sum(axis=-1), values
+    return sums.sum(axis=1), sums[:, ::2].sum(axis=1), values
 
 
 def fourier_on_grid(values, grid_size):

@@ -413,3 +413,32 @@ def test_psgen_builds_no_prime_table(tmp_path, monkeypatch):
     assert run(tmp_path, "psgen", "--n", "20000") == 0
     cfg = write_config(tmp_path, sieve_budget=19999)
     assert run(tmp_path, "psgen", "--n", "20000", "--config", cfg) == 2
+
+
+@pytest.mark.parametrize("function", [
+    {**H1, "c": None}, {**H1, "x0": "3"}, {**H1, "x0": math.inf},
+    {**H1, "params": {"A": "x"}}, {**H1, "gama": 2},
+    {**H1, "params": {"A": 2.0, "B": 0.5}},
+    {"kind": "iterated_log", "c": 1.0, "params": {"m": 2.7}}],
+    ids=["c_null", "x0_string", "x0_infinite", "A_string", "unknown_key",
+         "unread_param", "m_fraction"])
+def test_bad_function_block_exits_1(tmp_path, capsys, function):
+    # each raised a TypeError or OverflowError, or was silently ignored,
+    # truncated or hashed into config_sha256
+    cfg = write_config(tmp_path, function=function)
+    assert run(tmp_path, "psgen", "--n", "2000", "--config", cfg) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*manifest.json"))
+
+
+@pytest.mark.parametrize("function, spec", [
+    (cli.DEFAULTS["function"], hfun.ps_exponent_spec(0.95)),
+    (H1, hfun.power_log(1.2, 2.0, x0=3.0)),
+    ({"kind": "iterated_log", "c": 1, "params": {"m": 2}}, hfun.iterated_log(2))])
+def test_function_blocks_load_unchanged(tmp_path, function, spec):
+    # the block is hashed as written, and read as the same spec
+    cfg = write_config(tmp_path, function=function)
+    loaded = cli.load_config(cli.build_parser().parse_args(["psgen", "--config", cfg]))
+    assert loaded["function"] == function
+    assert hfun.spec_from_config(loaded["function"]) == spec

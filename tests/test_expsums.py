@@ -163,7 +163,7 @@ def test_vaughan_identity_per_n():
     lam = table.mangoldt_array()[: L + 1]
     mu = mobius_array(L, table)
     for v in (10, 50, 316):
-        pi_arr, xi_arr = vaughan_coefficients(v, v, L, table)
+        pi_arr, xi_arr = vaughan_coefficients(v, L, table)
         c = np.zeros(L + 1)
         for l in range(1, v + 1):
             if mu[l]:
@@ -195,7 +195,7 @@ def _split_per_l(inv, pp, table, v):
     vi = int(math.floor(v))
     mu = mobius_array(vi, table)
     L = int(math.floor(max(v * v, pp.P1 / v)))
-    pi_arr, xi_arr = vaughan_coefficients(v, v, min(L, table.limit), table)
+    pi_arr, xi_arr = vaughan_coefficients(v, min(L, table.limit), table)
     tot = [0.0 + 0.0j] * 4
     for s in range(pp.q):
         alpha = pp.xi + s / pp.q
@@ -295,7 +295,7 @@ def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
     split = vaughan_decompose(inv95m, PhaseParams(0.3, 2, 1, 3, 1000, 2000), table)
     assert split.residual < 1e-6 * max(1.0, abs(split.direct))
     assert exp_sum_direct(inv95m, PhaseParams(0.3, 2, 0, 1, 1000, 2000), table) != 0
-    pi_arr, _ = vaughan_coefficients(12.0, 12.0, 1000, table)
+    pi_arr, _ = vaughan_coefficients(12.0, 1000, table)
     assert pi_arr[2] == pytest.approx(math.log(2))
     name, passed, _ = checks.check_chebyshev_identity()
     assert passed
@@ -358,9 +358,14 @@ def test_default_bilinear_R_in_range(inv95m):
         assert 1 <= R <= K
 
 
+def _sup_built_at(inv, N, q, a, table, grid):
+    # the error term with its inputs built at N itself
+    return error_term_sup(error_term_inputs(inv, N, q, a, table), N, grid)
+
+
 def test_error_term_identity_map_control(table_1e6):
     inv = inverse_of(pure_power(1.0))
-    rep = error_term_sup(inv, 10 ** 5, 1, 0, table_1e6, grid=512)
+    rep = _sup_built_at(inv, 10 ** 5, 1, 0, table_1e6, 512)
     assert rep.sup_diff == 0.0
     assert rep.route_gap == 0.0
     assert np.all(rep.per_xi == 0.0)
@@ -368,7 +373,7 @@ def test_error_term_identity_map_control(table_1e6):
 
 def test_error_term_empty_class(inv95):
     # no prime or prime power <= 50 is 48 mod 49: every route sums nothing
-    rep = error_term_sup(inv95, 50, 49, 48, sieve_primes(50), grid=64)
+    rep = _sup_built_at(inv95, 50, 49, 48, sieve_primes(50), 64)
     assert rep.sup_diff == 0.0
     assert rep.route_gap == 0.0
     assert np.all(rep.per_xi == 0.0) and np.all(rep.per_xi_middle == 0.0)
@@ -378,7 +383,7 @@ def test_error_term_empty_class(inv95):
 def test_error_term_zero_frequency_consistency(table_1e6, inv95):
     N = 10 ** 5
     ps = enumerate_ps_primes(inv95, N, table_1e6)
-    rep = error_term_sup(inv95, N, 1, 0, table_1e6, grid=256)
+    rep = _sup_built_at(inv95, N, 1, 0, table_1e6, 256)
     weighted = count_in_class(ps, N, 1, 0, weight="log_over_phiprime")
     plain = count_in_class(table_1e6, N, 1, 0, weight="log")
     assert rep.per_xi[0] == pytest.approx(abs(weighted - plain), rel=1e-9)
@@ -387,7 +392,7 @@ def test_error_term_zero_frequency_consistency(table_1e6, inv95):
 def test_error_term_residue_class(table_1e6, inv95):
     N = 10 ** 5
     ps = enumerate_ps_primes(inv95, N, table_1e6)
-    rep = error_term_sup(inv95, N, 4, 1, table_1e6, grid=256)
+    rep = _sup_built_at(inv95, N, 4, 1, table_1e6, 256)
     weighted = count_in_class(ps, N, 4, 1, weight="log_over_phiprime")
     plain = count_in_class(table_1e6, N, 4, 1, weight="log")
     assert rep.per_xi[0] == pytest.approx(abs(weighted - plain), rel=1e-9)
@@ -397,7 +402,7 @@ def test_error_term_route_gap_envelope(table_1e6, inv99):
     # the middle-form route differs from the direct difference by the
     # prime-power and constant corrections; envelope recorded from dev runs
     for N in (2 ** 16, 2 ** 18):
-        rep = error_term_sup(inv99, N, 1, 0, table_1e6, grid=1024)
+        rep = _sup_built_at(inv99, N, 1, 0, table_1e6, 1024)
         assert rep.route_gap <= 0.5 * math.sqrt(N), N
 
 
@@ -410,16 +415,15 @@ def test_error_term_reads_top_enumeration(table_1e6):
     for q, a in ((1, 0), (4, 3)):
         top = error_term_inputs(inv, max(ladder), q, a, table_1e6)
         for N in ladder:
-            own = error_term_sup(inv, N, q, a, table_1e6, grid=512)
-            shared = error_term_sup(inv, N, q, a, table_1e6, grid=512, inputs=top)
+            own = _sup_built_at(inv, N, q, a, table_1e6, 512)
+            shared = error_term_sup(top, N, 512)
             assert shared.sup_diff == own.sup_diff
             assert shared.route_gap == own.route_gap
-            assert np.array_equal(shared.per_xi, own.per_xi)
-            assert np.array_equal(shared.per_xi_middle, own.per_xi_middle)
+            assert shared.per_xi.tobytes() == own.per_xi.tobytes()
+            assert shared.per_xi_middle.tobytes() == own.per_xi_middle.tobytes()
+    # N above the inputs' limit
     with pytest.raises(ValueError):
-        error_term_sup(inv, 2 ** 17, 4, 3, table_1e6, inputs=top)
-    with pytest.raises(ValueError):
-        error_term_sup(inv, 2 ** 12, 1, 0, table_1e6, inputs=top)
+        error_term_sup(top, 2 ** 17)
 
 
 def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
@@ -437,7 +441,7 @@ def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
         return real(inv, y)
 
     monkeypatch.setattr(hfun, "_newton_phi", counting)
-    error_term_sup(inv, N, 1, 0, table_1e6, grid=512)
+    _sup_built_at(inv, N, 1, 0, table_1e6, 512)
     assert len(calls) == 2
 
 

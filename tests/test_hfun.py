@@ -290,6 +290,17 @@ def test_spec_validation():
     # every kind has closed forms: there is no generic kind of callables
     with pytest.raises(ValueError):
         FunctionSpec(kind="generic", c=1.2)
+    # params are exactly the ones the kind reads, every number finite
+    for kind, params in (("pure_power", {"A": 1.0}), ("power_log", {"A": 1.0, "B": 0.5}),
+                         ("power_log", {})):
+        with pytest.raises(ValueError, match="takes params"):
+            FunctionSpec(kind, 1.2, params=params)
+    for bad in (dict(c=math.nan), dict(C_h=math.inf), dict(x0=math.inf), dict(x0="3"),
+                dict(c=True)):
+        with pytest.raises(ValueError, match="finite number"):
+            FunctionSpec(**{"kind": "pure_power", "c": 1.2, **bad})
+    with pytest.raises(ValueError, match="integer"):
+        FunctionSpec("iterated_log", 1.0, params={"m": 2.0})
 
 
 def test_ps_exponent_round_trip():
@@ -303,10 +314,11 @@ def test_config_round_trip():
     for name, spec in ALL:
         again = spec_from_config(spec_to_config(spec))
         assert again == spec, name
-    # legacy alias for the log-power exponent field
+    # A has one spelling: power_log reads no field C
     cfg = spec_to_config(power_log(1.0, 1.5))
     cfg["params"] = {"C": 1.5}
-    assert spec_from_config(cfg).A == 1.5
+    with pytest.raises(ValueError, match="takes params"):
+        spec_from_config(cfg)
 
 
 def test_iterated_log_depths():

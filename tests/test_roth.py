@@ -11,6 +11,7 @@ from psroth import (
     count_in_class,
     dft,
     enumerate_ps_primes,
+    error_term_inputs,
     error_term_sup,
     inverse_of,
     pure_power,
@@ -74,28 +75,37 @@ def test_integer_count_against_pair_oracle():
         assert rep.nontrivial == brute_pair_count(A)
 
 
-def test_cyclic_fft_matches_brute():
+def _routes(monkeypatch, A, N, mode):
+    """count_3aps on each side of the route switch: the difference walk with
+    its frequency cross-check, then the frequency route alone."""
+    with monkeypatch.context() as mp:
+        mp.setattr(roth, "_BRUTE_MAX_N", N)
+        walk = count_3aps(A, N, mode=mode)
+        mp.setattr(roth, "_BRUTE_MAX_N", N - 1)
+        return walk, count_3aps(A, N, mode=mode)
+
+
+def test_cyclic_fft_matches_brute(monkeypatch):
     rng = np.random.default_rng(3)
     for N in (101, 1009):
         for _ in range(4):
             A = np.flatnonzero(rng.random(N) < 0.25)
-            # brute mode already cross-checks internally for odd N
-            br = count_3aps(A, N, mode="cyclic", method="brute")
-            ff = count_3aps(A, N, mode="cyclic", method="fft")
+            # the walk already cross-checks internally for odd N
+            br, ff = _routes(monkeypatch, A, N, "cyclic")
             assert br.lam3 == ff.lam3
-            assert ff.witness is None
+            assert br.witness is not None and ff.witness is None
 
 
-def test_integer_fft_matches_brute_and_pair_oracle():
-    # both sides of N = 4096, where 'auto' switches from brute force to FFT
+def test_integer_fft_matches_brute_and_pair_oracle(monkeypatch):
+    # both sides of N = 4096, where count_3aps switches from the walk to FFT
     rng = np.random.default_rng(12)
     for N in (600, 4096, 4097, 9000):
         for density in (0.01, 0.04):
             A = np.flatnonzero(rng.random(N) < density)
             auto = count_3aps(A, N, mode="integer")
-            brute = count_3aps(A, N, mode="integer", method="brute")
-            fft = count_3aps(A, N, mode="integer", method="fft")
+            brute, fft = _routes(monkeypatch, A, N, "integer")
             assert auto.nontrivial == brute_pair_count(A)
+            # witnesses too: the FFT route scans d upward like the walk
             assert auto == brute == fft
 
 
@@ -104,12 +114,11 @@ def salem_spencer(digits):
     return [sum(3 ** i for i in range(digits) if k >> i & 1) for k in range(2 ** digits)]
 
 
-def test_integer_progression_free_above_brute_range():
+def test_integer_progression_free_above_brute_range(monkeypatch):
     A = salem_spencer(8)
     N = 3 ** 8
-    assert N > 4096
-    for method in ("auto", "brute"):
-        rep = count_3aps(A, N, mode="integer", method=method)
+    assert N > roth._BRUTE_MAX_N
+    for rep in _routes(monkeypatch, A, N, "integer"):
         assert rep.nontrivial == 0 and rep.witness is None
         assert rep.lam3 == rep.size == 256
 
@@ -124,13 +133,20 @@ def test_fft_count_off_integer_raises(monkeypatch):
         count_3aps(A[A < 1000], 1000, mode="integer")  # brute cross-check
 
 
-def test_count_validation():
+def test_count_validation(monkeypatch):
     with pytest.raises(ValueError):
         count_3aps({0, 12}, 10, mode="cyclic")
     with pytest.raises(ValueError):
-        count_3aps({0, 1}, 8, mode="cyclic", method="fft")
-    with pytest.raises(ValueError):
         count_3aps({0, 1}, 8, mode="diagonal")
+    # the frequency route needs odd N in cyclic mode: even N above the walk's
+    # range raises, here and at the real switch, while the walk takes it
+    with pytest.raises(ValueError, match="odd N"):
+        count_3aps({0, 1}, 4098, mode="cyclic")
+    assert count_3aps({0, 1, 2}, 4096, mode="cyclic").nontrivial == 2
+    monkeypatch.setattr(roth, "_BRUTE_MAX_N", 7)
+    with pytest.raises(ValueError, match="odd N"):
+        count_3aps({0, 1}, 8, mode="cyclic")
+    assert count_3aps({0, 1, 2}, 8, mode="integer").nontrivial == 2
 
 
 def test_empty_set_counts():
@@ -308,8 +324,8 @@ def test_restriction_control_and_determinism(inv95, table_1e6):
 
 def _streamed_norm(positions, weights, grid, r):
     # restriction_ratio's route for one weight row: the streamed doubled grid
-    total, even, _ = zn_fourier.grid_power_sums(positions, weights, 2 * grid, r)
-    return _refined_norm(total, even, 2 * grid, r)
+    total, even, _ = zn_fourier.grid_power_sums(positions, [weights], 2 * grid, r)
+    return _refined_norm(total[0], even[0], 2 * grid, r)
 
 
 def test_restriction_global_modulation(inv95, table_1e6):
@@ -418,7 +434,8 @@ def sup_decay(inv, table, N_list):
     """Sup over nonzero grid frequencies of |F[lambda_h - lambda]| on {0..N-1}
     (W = 1) for each N, read off the error term's route one, and the log-log
     slope of the sups."""
-    sups = [float(np.max(error_term_sup(inv, N - 1, 1, 0, table).per_xi[1:])) / N
+    inputs = error_term_inputs(inv, max(N_list) - 1, 1, 0, table)
+    sups = [float(np.max(error_term_sup(inputs, N - 1).per_xi[1:])) / N
             for N in N_list]
     slope = np.polyfit(np.log(N_list), np.log(np.maximum(sups, 1e-300)), 1)[0]
     return sups, float(slope)

@@ -188,11 +188,11 @@ def test_mobius_divisor_sum(table_1e6):
 
 
 def test_vaughan_coefficient_values(table_1e6):
-    pi_arr, xi_arr = vaughan_coefficients(10, 10, 100, table_1e6)
+    pi_arr, xi_arr = vaughan_coefficients(10, 100, table_1e6)
     assert pi_arr[1] == 0.0
     assert pi_arr[6] == pytest.approx(-math.log(2) - math.log(3))
     assert xi_arr[1] == 0
-    # l squarefree and <= w: no divisor exceeds w, so Xi picks up -mu-sum = -[l=1]
+    # l squarefree and <= v: no divisor exceeds v, so Xi picks up -mu-sum = -[l=1]
     for l in (2, 3, 5, 6, 7, 10):
         assert xi_arr[l] == 0
 
@@ -200,7 +200,7 @@ def test_vaughan_coefficient_values(table_1e6):
 def test_pi_v_log_bound(table_1e6):
     # |Pi_v(l)| <= log l
     for v in (10.0, 50.0, 316.0):
-        pi_arr, _ = vaughan_coefficients(v, v, 10 ** 5, table_1e6)
+        pi_arr, _ = vaughan_coefficients(v, 10 ** 5, table_1e6)
         ls = np.arange(2, 10 ** 5 + 1)
         assert np.all(np.abs(pi_arr[2:]) <= np.log(ls) + 1e-9), v
 

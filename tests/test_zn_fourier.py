@@ -208,6 +208,12 @@ def _dense_power_sums(positions, weights, G, r, at):
     return pw.sum(), pw[::2].sum(), vals[at]
 
 
+def _one_row(positions, weights, G, r, at=()):
+    # grid_power_sums for a single weight row
+    total, even, vals = grid_power_sums(positions, [weights], G, r, at=at)
+    return total[0], even[0], vals[0]
+
+
 @pytest.mark.parametrize("G, r, row_length", [
     (2 * 8009, 3.0, None),  # G/2 prime: two rows of prime length 8009
     (1 << 18, 4.5, None),   # four rows of 2^16
@@ -222,7 +228,7 @@ def test_grid_power_sums_match_dense(G, r, row_length, monkeypatch):
     positions = np.sort(RNG.choice(5 * G, size=n, replace=False))  # folds
     weights = np.exp(2j * np.pi * RNG.random(n)) * RNG.random(n)
     at = RNG.choice(G, size=min(G, 64), replace=False)
-    total, even, vals = grid_power_sums(positions, weights, G, r, at=at)
+    total, even, vals = _one_row(positions, weights, G, r, at=at)
     ref_total, ref_even, ref_vals = _dense_power_sums(positions, weights, G, r, at)
     assert total == pytest.approx(ref_total, rel=1e-12)
     assert even == pytest.approx(ref_even, rel=1e-12)
@@ -242,7 +248,7 @@ def test_grid_power_sums_bitwise_row_by_row(r, monkeypatch):
         positions, weights * np.exp(2j * np.pi * (positions % G * s % G / G)), G // S)
         for s in range(S)]
     sums = np.array([np.sum(np.abs(row) ** r) for row in rows])
-    total, even, vals = grid_power_sums(positions, weights, G, r, at=[3, G - 1])
+    total, even, vals = _one_row(positions, weights, G, r, at=[3, G - 1])
     assert (total, even) == (float(sums.sum()), float(sums[::2].sum()))
     assert vals.tolist() == [rows[3 % S][3 // S], rows[(G - 1) % S][(G - 1) // S]]
 
@@ -250,14 +256,14 @@ def test_grid_power_sums_bitwise_row_by_row(r, monkeypatch):
 @pytest.mark.parametrize("r", [2, 3.0, 4.5])
 @pytest.mark.parametrize("G", [1 << 12, 2 * 1031])   # S = 64, and S = 2
 def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch):
-    # a stack of weight rows, on any thread count, gives bitwise one 1-d call
-    # per row: the shared twist and the threads' shares change no bit
+    # a stack of weight rows, on any thread count, gives bitwise one one-row
+    # call per row: the shared twist and the threads' shares change no bit
     monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", 64)
     positions = RNG.integers(0, 2 ** 40, 500)
     W = np.exp(2j * np.pi * RNG.random((4, 500))) * RNG.random((4, 500))
     W[0] = 1.0
     at = [3, 64, G - 1]
-    want = [grid_power_sums(positions, w, G, r, at=at) for w in W]
+    want = [_one_row(positions, w, G, r, at=at) for w in W]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads as often as possible
     try:
@@ -301,15 +307,17 @@ def test_row_count():
 
 
 def test_grid_power_sums_edge_cases():
-    total, even, vals = grid_power_sums([], [], 1 << 17, 3.0, at=[0, 5])
+    total, even, vals = _one_row([], [], 1 << 17, 3.0, at=[0, 5])
     assert total == even == 0.0 and np.all(vals == 0)
-    for bad in (dict(grid_size=15), dict(grid_size=0), dict(r=0.0), dict(at=[16])):
-        args = dict(positions=[1, 2], weights=[1, 1], grid_size=16, r=3.0)
+    # no weight rows: empty sums and values
+    total, even, vals = grid_power_sums([1, 2], np.empty((0, 2)), 16, 3.0, at=[0])
+    assert total.shape == even.shape == (0,) and vals.shape == (0, 1)
+    for bad in (dict(grid_size=15), dict(grid_size=0), dict(r=0.0), dict(at=[16]),
+                dict(weights=[[1]]), dict(weights=[1, 1]), dict(weights=[[[1, 1]]])):
+        args = dict(positions=[1, 2], weights=[[1, 1]], grid_size=16, r=3.0)
         args.update(bad)
         with pytest.raises(ValueError):
             grid_power_sums(**args)
-    with pytest.raises(ValueError):
-        grid_power_sums([1, 2], [1], 16, 3.0)
 
 
 def test_real_weights_fold_bitwise_as_complex():
