@@ -21,9 +21,9 @@ rep = count_3aps({1, 2, 4, 5}, 6, mode="integer")
 print(f"A = {{1,2,4,5}} integers: nontrivial={rep.nontrivial} "
       f"witness={rep.witness}")
 
-# frequency route and difference walk agree on random sets: count_3aps walks
-# the differences at this N, and the trilinear form of the indicator 1_A
-# counts the same progressions in frequency space
+# frequency route and difference walk agree on random sets: count_3aps takes
+# the trilinear form of the indicator 1_A and, at this N, also walks the
+# differences, raising unless the two counts are equal
 rng = np.random.default_rng(1)
 N = 1009
 A = np.flatnonzero(rng.random(N) < 0.2)

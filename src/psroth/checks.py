@@ -75,14 +75,16 @@ def check_varnavides_identity():
 
 
 def check_lam3_decomposition():
-    """Lam3(1_A) = |A| + ordered nontrivial count, FFT vs brute."""
+    """count_3aps's Lam3(1_A) = |A| + nontrivial against the O(N^2) double sum."""
     rng = _rng(2030)
     ok = True
     for N in (101, 1009):
         for _ in range(5):
             A = np.flatnonzero(rng.random(N) < 0.25)
             rep = roth.count_3aps(A, N, mode="cyclic")
-            ok &= rep.lam3 == rep.size + rep.nontrivial
+            ind = np.zeros(N)
+            ind[A] = 1.0
+            ok &= rep.lam3 == round(zn_fourier.trilinear_direct(ind, ind, ind).real)
     return "lam3_decomposition", ok, "lam3 = |A| + nontrivial, both routes"
 
 

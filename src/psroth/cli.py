@@ -235,10 +235,8 @@ def cmd_restrict(cfg):
     inv = _inverse(cfg)
     N = cfg["N"]
     table = sieve.sieve_primes(N, budget=cfg["sieve_budget"])
-    # a config grid below 4N falls back to restriction_ratio's default
-    grid = cfg["grid"] if cfg["grid"] >= 4 * N else None
     rep = roth.restriction_ratio(inv, table, N, cfg["r"], cfg["trials"],
-                                 cfg["seed"], grid=grid, threads=cfg["threads"])
+                                 cfg["seed"], threads=cfg["threads"])
     path = _out_path(cfg, "restrict.csv")
     _write_csv(path, ["trial", "ratio_dimensionless"],
                [(t, float(x)) for t, x in enumerate(rep.ratios)])
@@ -316,7 +314,8 @@ def build_parser():
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N)")
-    ap.add_argument("--grid", type=int)
+    ap.add_argument("--grid", type=int,
+                    help="errsweep's frequency grid (restrict always uses 8N)")
     ap.add_argument("-v", "--verbose", action="count", default=0,
                     help="show log lines: -v info, -vv debug (not part of the "
                          "config, so outputs and config_sha256 do not change)")

@@ -1,9 +1,10 @@
 """Three-term progression counting, transference, and restriction ensembles.
 
 count_3aps counts ordered progressions (x, x+d, x+2d) with d != 0, either
-cyclically in Z_N or inside the integers: up to N = 4096 by brute force over
-the differences, checked against the frequency-side trilinear form (integer
-sets embedded in Z_{2N-1}), and above it by the trilinear form alone.
+cyclically in Z_N (odd N) or inside the integers, by the frequency-side
+trilinear form on one odd modulus: Z_N, or Z_{2N-1} for integer sets, whose
+cyclic progressions are the integer ones.  Up to N = 4096 a walk over the
+differences counts again and must agree exactly.
 
 transference_build runs the W-trick downshift: pick W and the primorial m,
 choose the unit residue b carrying the most derivative-compensated weight,
@@ -47,34 +48,16 @@ class ApReport:
 _BRUTE_MAX_N = 4096
 
 
-def _progression_hits(mask, mode):
-    """Yield (d, hits) for d = 1, 2, ...; hits[x] marks x, x+d, x+2d all in the set.
-
-    Cyclic shifts are slices of the doubled mask; integer mode runs d up to
-    (N-1)/2 on plain slices, one d standing for the pair d and -d.
-    """
-    N = mask.size
-    if mode == "cyclic":
-        mask2 = np.concatenate([mask, mask])
-        for d in range(1, N):
-            s = 2 * d % N
-            yield d, mask & mask2[d:d + N] & mask2[s:s + N]
-    else:
-        for d in range(1, (N - 1) // 2 + 1):
-            yield d, mask[:N - 2 * d] & mask[d:N - d] & mask[2 * d:]
-
-
-def _witness(x, d, N):
-    return (x, (x + d) % N, (x + 2 * d) % N)
-
-
-def _fft_lam3(mask, mode):
-    """Lam3(1_A) by the frequency route: on Z_N in cyclic mode, on Z_M with
-    M = 2N - 1 in integer mode, where x + z = 2y mod M forces x + z = 2y."""
-    N = mask.size
-    z = np.zeros(N if mode == "cyclic" else 2 * N - 1, dtype=complex)
-    z[:N] = mask
-    return zn_fourier.trilinear_fft(z, z, z)
+def _progression_hits(mask, M, d_top):
+    """Yield (d, hits) for d = 1..d_top; hits[x] marks x, x+d, x+2d (mod M)
+    all in the set, which lies in [0, mask.size) of Z_M.  Each shift is a
+    slice of the set doubled in Z_M (2 d_top < M), so a step costs
+    mask.size, not M."""
+    n = mask.size
+    mask2 = np.zeros(2 * M, dtype=bool)
+    mask2[:n] = mask2[M:M + n] = mask
+    for d in range(1, d_top + 1):
+        yield d, mask & mask2[d:d + n] & mask2[2 * d:2 * d + n]
 
 
 def _rounded(c):
@@ -94,52 +77,50 @@ def _index_set(A, N):
 
 
 def count_3aps(A, N, mode="cyclic"):
-    """Ordered 3-progression count for A inside Z_N or [0, N).
+    """Ordered 3-progression count for A inside Z_N (odd N) or [0, N).
 
-    Up to N = _BRUTE_MAX_N every difference is walked, and the count is
-    cross-checked against the frequency route (on Z_N for odd N in cyclic
-    mode; on Z_{2N-1} in integer mode, where cyclic and integer progressions
-    coincide).  Above it the frequency route alone counts: cyclic mode needs
-    odd N and reports no witness, while integer mode scans d upward only
-    until the first progression for its witness (smallest d, then smallest
-    x, as the walk reports it).
+    Both modes count on one odd modulus M: M = N in cyclic mode, M = 2N - 1
+    in integer mode, where x + z = 2y mod M forces x + z = 2y, so the
+    integer progressions of [0, N) are exactly the cyclic ones of Z_M.  The
+    frequency route (the trilinear form of 1_A on Z_M) always counts.  Up to
+    N = _BRUTE_MAX_N the differences d = 1..(N-1)/2 are walked as well, each
+    hit standing for d and -d (the same progression reversed), and the two
+    counts must agree exactly.  The witness is the progression with the
+    smallest d, then the smallest x; above _BRUTE_MAX_N integer mode walks
+    only until it finds it, and cyclic mode reports none.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode not in ("cyclic", "integer"):
         raise ValueError("mode must be 'cyclic' or 'integer'")
+    if mode == "cyclic" and N % 2 == 0:
+        raise ValueError("cyclic mode needs odd N")
     idx = _index_set(A, N)
+    M = N if mode == "cyclic" else 2 * N - 1
     mask = np.zeros(N, dtype=bool)
     mask[idx] = True
+    z = np.zeros(M, dtype=complex)
+    z[idx] = 1.0
     size = int(idx.size)
-    if N > _BRUTE_MAX_N:
-        if mode == "cyclic" and N % 2 == 0:
-            raise ValueError("frequency route needs odd N")
-        lam3 = _rounded(_fft_lam3(mask, mode))
-        witness = None
-        if mode == "integer" and lam3 > size:
-            for d, hits in _progression_hits(mask, mode):
-                x = int(np.argmax(hits))
-                if hits[x]:
-                    witness = _witness(x, d, N)
-                    break
-        return ApReport(N, size, lam3, lam3 - size, witness)
+    lam3 = _rounded(zn_fourier.trilinear_fft(z, z, z))
+    checked = N <= _BRUTE_MAX_N
+    walked = checked or (mode == "integer" and lam3 > size)
     witness = None
     nontrivial = 0
-    for d, hits in _progression_hits(mask, mode):
+    for d, hits in _progression_hits(mask, M, (N - 1) // 2 if walked else 0):
         c = int(np.count_nonzero(hits))
-        # in integer mode d stands for d and -d, the reversed progression
-        nontrivial += c if mode == "cyclic" else 2 * c
         if c and witness is None:
-            witness = _witness(int(np.flatnonzero(hits)[0]), d, N)
-    lam3 = size + nontrivial
-    if mode == "integer" or N % 2 == 1:
-        fft_lam3 = _fft_lam3(mask, mode)
-        if abs(fft_lam3.real - lam3) > 1e-6 * max(1.0, lam3) or abs(fft_lam3.imag) > 1e-6:
-            raise NumericalError(
-                f"trilinear routes disagree: brute {lam3} vs fft {fft_lam3}")
-    return ApReport(N, size, lam3, nontrivial, witness)
+            x = int(np.argmax(hits))
+            witness = (x, (x + d) % M, (x + 2 * d) % M)
+            if not checked:
+                break
+        # every progression has difference d or -d in 1..(N-1)/2, in both modes
+        nontrivial += 2 * c
+    if checked and size + nontrivial != lam3:
+        raise NumericalError(
+            f"progression routes disagree: walk {size + nontrivial} vs frequency {lam3}")
+    return ApReport(N, size, lam3, lam3 - size, witness)
 
 
 # -- transference ------------------------------------------------------------
@@ -307,14 +288,14 @@ def _control_ratio(positions, size, r, js, at_js):
 _COEFF_BYTES = 8 << 20
 
 
-def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
+def restriction_ratio(inv, table, N, r, trials, seed, threads=1):
     """Random-coefficient L^r ratios against the unsigned extremizer.
 
     Each trial draws independent unimodular coefficients on the floor-image
     primes up to N and measures ||sum a_p e(p xi)||_r / ||sum e(p xi)||_r on
-    a Riemann grid (default 8N, at least 4N).  Every norm is taken on the
-    doubled grid G = 2*grid, streamed by zn_fourier.grid_power_sums: with
-    G = S*L and S even, row s holds the points j = s mod S and is one
+    a Riemann grid of grid = 8N points.  Every norm is taken on the doubled
+    grid G = 2*grid, streamed by zn_fourier.grid_power_sums: with G = S*L
+    and S even, row s holds the points j = s mod S and is one
     length-L transform, so no G-point array is formed.  The even rows are
     exactly the base grid, whose norm the refinement guard compares with.
     The extremizer's ones and the trials' coefficients are one matrix of
@@ -331,11 +312,7 @@ def restriction_ratio(inv, table, N, r, trials, seed, grid=None, threads=1):
     N = int(N)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if grid is None:
-        grid = 8 * N
-    grid = int(grid)
-    if grid < 4 * N:
-        raise ValueError("grid must be at least 4N")
+    grid = 8 * N
     ps = sieve.enumerate_ps_primes(inv, N, table)
     pos = ps.members
     if pos.size == 0:

@@ -132,21 +132,6 @@ def _row_count(grid_size):
                key=lambda S: (abs(math.log(grid_size / S / _ROW_LENGTH)), S))
 
 
-def _grid_row_shares(S, T, threads):
-    """Each thread's share of grid_power_sums' work units (s, first, stop):
-    the weight rows first..stop-1 of T through grid row s of S.
-
-    With at least as many grid rows as threads, whole grid rows are dealt
-    round robin (s = k, k + threads, ...).  With fewer (a grid of twice a
-    prime has S = 2), each grid row's weight rows are also cut into blocks,
-    so that up to `threads` threads have work."""
-    parts = min(-(-threads // S), max(T, 1))
-    units = [(s, T * i // parts, T * (i + 1) // parts)
-             for s in range(S) for i in range(parts)]
-    step = min(threads, len(units))
-    return [units[k::step] for k in range(step)]
-
-
 def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     """L^r data of F_t(j) = sum_k w_tk e(+p_k j/grid) on an even grid, streamed.
 
@@ -167,10 +152,10 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     column j // S.  S is the even divisor of the grid whose row length is
     nearest _ROW_LENGTH; grid/2 prime gives S = 2.
 
-    The grid rows run on `threads` threads, each with its own complex and
-    real row buffer (see _grid_row_shares).  Every row sum lands in its own
-    slot and the slots are added in row order, so the result is bitwise the
-    same for every thread count.
+    The grid rows run on n = min(threads, S) threads: thread k takes grid
+    rows k, k + n, ..., with its own complex and real row buffer.  Every row
+    sum lands in its own slot and the slots are added in row order, so the
+    result is bitwise the same for every thread count.
     """
     grid_size = int(grid_size)
     if grid_size < 2 or grid_size % 2:
@@ -193,13 +178,13 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     sums = np.empty((W.shape[0], S))
     values = np.empty((W.shape[0], at.size), dtype=np.complex128)
 
-    def work(units):
+    def work(k):
         row, power = np.empty(L, dtype=np.complex128), np.empty(L)
-        for s, first, stop in units:
+        for s in range(k, S, n):
             twist = np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
             in_row = at % S == s
             cols = at[in_row] // S
-            for t in range(first, stop):
+            for t in range(W.shape[0]):
                 row[:] = 0
                 np.add.at(row, fold, W[t] * twist)
                 np.fft.ifft(row, norm="forward", out=row)
@@ -209,13 +194,13 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
                 sums[t, s] = np.sum(power)
                 values[t, in_row] = row[cols]
 
-    shares = _grid_row_shares(S, W.shape[0], int(threads))
-    if len(shares) == 1:
-        work(shares[0])
+    n = min(int(threads), S)
+    if n == 1:
+        work(0)
     else:
         # numpy's FFT releases the GIL, so the rows' transforms run in parallel
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            list(pool.map(work, shares))
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            list(pool.map(work, range(n)))
     return sums.sum(axis=1), sums[:, ::2].sum(axis=1), values
 
 

@@ -241,6 +241,19 @@ def test_restrict_threads_do_not_change_outputs(tmp_path):
     assert runs["1"] == runs["2"]
 
 
+def test_restrict_ignores_grid(tmp_path):
+    # restrict's grid is always 8N; the grid key is errsweep's alone
+    runs = []
+    for grid in (4096, 10 ** 7):
+        d = tmp_path / str(grid)
+        cfg = write_config(tmp_path, N=1500, trials=3, grid=grid)
+        assert main(["restrict", "--config", cfg, "--out-dir", str(d)]) == 0
+        man = json.loads((d / "restriction_ensemble_manifest.json").read_text())
+        assert man["summary"]["grid"] == 8 * 1500
+        runs.append((d / "restrict.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
 def test_roth_injected_set(tmp_path):
     cfg = write_config(tmp_path, inject_A=[1, 2, 3])
     assert run(tmp_path, "roth", "--config", cfg) == 0

@@ -125,28 +125,58 @@ def test_integer_progression_free_above_brute_range(monkeypatch):
 
 def test_fft_count_off_integer_raises(monkeypatch):
     exact = zn_fourier.trilinear_fft
-    monkeypatch.setattr(zn_fourier, "trilinear_fft", lambda f, g, h: exact(f, g, h) + 0.5)
     A = np.flatnonzero(np.random.default_rng(4).random(5000) < 0.02)
-    with pytest.raises(NumericalError):
-        count_3aps(A, 5000, mode="integer")  # rounding guard of the FFT route
-    with pytest.raises(NumericalError):
-        count_3aps(A[A < 1000], 1000, mode="integer")  # brute cross-check
+    # off an integer by 0.5: the rounding guard of the frequency route
+    monkeypatch.setattr(zn_fourier, "trilinear_fft", lambda f, g, h: exact(f, g, h) + 0.5)
+    with pytest.raises(NumericalError, match="not near an integer"):
+        count_3aps(A, 5000, mode="integer")
+    with pytest.raises(NumericalError, match="not near an integer"):
+        count_3aps(A[A < 1000], 1000, mode="integer")
+    # off by 1.0 passes the rounding guard, so the walk's cross-check catches it
+    monkeypatch.setattr(zn_fourier, "trilinear_fft", lambda f, g, h: exact(f, g, h) + 1.0)
+    for N, mode in ((999, "cyclic"), (4095, "cyclic"), (1000, "integer"), (4096, "integer")):
+        with pytest.raises(NumericalError, match="routes disagree"):
+            count_3aps(A[A < N], N, mode=mode)
 
 
-def test_count_validation(monkeypatch):
+def test_count_validation():
     with pytest.raises(ValueError):
-        count_3aps({0, 12}, 10, mode="cyclic")
+        count_3aps({0, 11}, 11, mode="cyclic")
     with pytest.raises(ValueError):
-        count_3aps({0, 1}, 8, mode="diagonal")
-    # the frequency route needs odd N in cyclic mode: even N above the walk's
-    # range raises, here and at the real switch, while the walk takes it
-    with pytest.raises(ValueError, match="odd N"):
-        count_3aps({0, 1}, 4098, mode="cyclic")
-    assert count_3aps({0, 1, 2}, 4096, mode="cyclic").nontrivial == 2
-    monkeypatch.setattr(roth, "_BRUTE_MAX_N", 7)
-    with pytest.raises(ValueError, match="odd N"):
-        count_3aps({0, 1}, 8, mode="cyclic")
-    assert count_3aps({0, 1, 2}, 8, mode="integer").nontrivial == 2
+        count_3aps({0, 1}, 9, mode="diagonal")
+    # cyclic mode needs odd N at every size, on both sides of the walk's
+    # range; integer mode counts on Z_{2N-1} and takes every N
+    for N in (8, 4096, 4098):
+        with pytest.raises(ValueError, match="odd N"):
+            count_3aps({0, 1}, N, mode="cyclic")
+        assert count_3aps({0, 1, 2}, N, mode="integer").nontrivial == 2
+
+
+def _triple_loop(A, N, mode):
+    """(lam3, nontrivial, witness) by trying every x and d: cyclic
+    d in 1..N-1 mod N, or integer d != 0 with all three terms in A; the
+    witness has the smallest positive d, then the smallest x."""
+    s = set(A)
+    ds = range(1, N) if mode == "cyclic" else [d for d in range(1 - N, N) if d]
+    aps = [(x, y, z) for d in ds for x in range(N)
+           for y, z in [(x + d, x + 2 * d) if mode == "integer"
+                        else ((x + d) % N, (x + 2 * d) % N)]
+           if x in s and y in s and z in s]
+    forward = [(x, y, z) for x, y, z in aps if mode == "cyclic" or y > x]
+    witness = min(forward, key=lambda ap: ((ap[1] - ap[0]) % N, ap[0]), default=None)
+    return len(s) + len(aps), len(aps), witness
+
+
+def test_counts_and_witness_against_triple_loop():
+    rng = np.random.default_rng(20)
+    for N in (7, 11, 31):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(5):
+                A = np.flatnonzero(rng.random(N) < density).tolist()
+                for mode in ("cyclic", "integer"):
+                    rep = count_3aps(A, N, mode=mode)
+                    assert (rep.lam3, rep.nontrivial, rep.witness) == \
+                        _triple_loop(A, N, mode)
 
 
 def test_empty_set_counts():
@@ -420,8 +450,6 @@ def test_refinement_guard_raises(inv95, table_1e6, monkeypatch):
 
 
 def test_restriction_validation(inv95, table_1e6):
-    with pytest.raises(ValueError):
-        restriction_ratio(inv95, table_1e6, 2000, 3.0, 5, 1, grid=4000)
     with pytest.raises(ValueError):
         restriction_ratio(inv95, table_1e6, 2000, 0.0, 5, 1)
     with pytest.raises(ValueError):

@@ -257,7 +257,7 @@ def test_grid_power_sums_bitwise_row_by_row(r, monkeypatch):
 @pytest.mark.parametrize("G", [1 << 12, 2 * 1031])   # S = 64, and S = 2
 def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch):
     # a stack of weight rows, on any thread count, gives bitwise one one-row
-    # call per row: the shared twist and the threads' shares change no bit
+    # call per row: the shared twist and the deal of grid rows change no bit
     monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", 64)
     positions = RNG.integers(0, 2 ** 40, 500)
     W = np.exp(2j * np.pi * RNG.random((4, 500))) * RNG.random((4, 500))
@@ -279,21 +279,6 @@ def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch):
         grid_power_sums(positions, W, G, r, threads=0)
     with pytest.raises(ValueError):
         grid_power_sums(positions, W[:, :-1], G, r)
-
-
-@pytest.mark.parametrize("S, T, threads, busy", [
-    (50, 51, 2, 2), (2, 51, 4, 4), (2, 3, 8, 6), (2, 1, 4, 2), (4, 0, 3, 3)])
-def test_grid_row_shares(S, T, threads, busy):
-    # every (grid row, weight row) pair is worked once, and a grid with
-    # fewer rows than threads cuts its weight rows so that more threads work
-    shares = zn_fourier._grid_row_shares(S, T, threads)
-    assert len(shares) == busy and all(shares)
-    pairs = sorted((s, t) for share in shares for s, first, stop in share
-                   for t in range(first, stop))
-    assert pairs == [(s, t) for s in range(S) for t in range(T)]
-    if S >= threads:
-        # whole grid rows, dealt round robin
-        assert shares[1] == [(s, 0, T) for s in range(1, S, threads)]
 
 
 def test_row_count():
