@@ -22,7 +22,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -148,9 +147,9 @@ def cmd_psgen(cfg):
     # the enumeration sieves its value segments itself, up to N
     if N > cfg["sieve_budget"]:
         raise ResourceError(f"limit {N} exceeds budget {cfg['sieve_budget']}")
-    ps = sieve.enumerate_ps_primes(inv, N)
+    ps = sieve.enumerate_ps_primes(inv, N, threads=cfg["threads"])
     ps_path = _out_path(cfg, "psprimes.csv")
-    ps.to_csv(ps_path)
+    ps.to_csv(ps_path, threads=cfg["threads"])
     dens_rows = []
     Ns = [Ni for Ni in cfg["N_list"] or _halvings(N) if Ni >= 2]
     # the members ascend, so the count up to Ni is a search position
@@ -182,15 +181,15 @@ def cmd_errsweep(cfg):
     table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
     # every N of the ladder reads prefixes of one enumeration and one
     # inversion of phi at the top
-    inputs = expsums.error_term_inputs(inv, top, cfg["q"], cfg["a"], table)
+    inputs = expsums.error_term_inputs(inv, top, cfg["q"], cfg["a"], table,
+                                       threads=cfg["threads"])
 
     def one(Ni):
         rep = expsums.error_term_sup(inputs, Ni, cfg["grid"])
         return (Ni, rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        rows = list(pool.map(one, Ns))
+    rows = list(sieve._in_order(one, Ns, cfg["threads"]))
     path = _out_path(cfg, "errsweep.csv")
     _write_csv(path, ["N", "sup_diff_weighted", "sup_diff_over_N",
                       "middle_sup_weighted", "route_gap_weighted"], rows)
@@ -309,8 +308,9 @@ def build_parser():
     ap.add_argument("--seed", type=int)
     ap.add_argument("--threads", type=int,
                     help="worker threads (an integer >= 1, else exit 1) for "
-                         "errsweep (its N ladder) and restrict (its grid rows); "
-                         "other commands ignore it")
+                         "psgen (enumeration and CSV blocks), errsweep (phi "
+                         "inversion blocks and its N ladder) and restrict (its "
+                         "grid rows); vaughan, roth and check ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N)")

@@ -407,7 +407,7 @@ class ErrorTermInputs(NamedTuple):
     primes: np.ndarray
 
 
-def error_term_inputs(inv, top, q, a, table):
+def error_term_inputs(inv, top, q, a, table, threads=1):
     """The error term's data up to top: enumeration, prime powers and phi.
 
     The prime powers of the class and their Lambda come from
@@ -416,8 +416,10 @@ def error_term_inputs(inv, top, q, a, table):
     and at k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and
     the members, primes of the same class, read their phi' from that array.
     The inversion runs over blocks of _PHI_BLOCK of the sorted k into arrays
-    allocated once; phi is elementwise and each Newton point stops on its
-    own, so the values do not depend on the block size.
+    allocated once, on `threads` threads (sieve._in_order), each block
+    writing its own slice; phi is elementwise and each Newton point stops on
+    its own, so the values depend on neither the block size nor the thread
+    count.
     """
     top = int(top)
     if top > table.limit:
@@ -428,13 +430,17 @@ def error_term_inputs(inv, top, q, a, table):
     ks, lam = sieve.prime_powers(table, top, q, a)
     primes = ks[table.is_prime[ks]]
     phi_k, phi_k1, dphi_k = (np.empty(ks.size) for _ in range(3))
-    for i in range(0, ks.size, _PHI_BLOCK):
+
+    def invert(i):
         j = i + _PHI_BLOCK
         kf = ks[i:j].astype(float)
         phi_k[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
         kf += 1.0
         phi_k1[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
         dphi_k[i:j] = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k[i:j], 1)
+
+    for _ in sieve._in_order(invert, range(0, ks.size, _PHI_BLOCK), threads):
+        pass
     mem = ps.members[ps.members % q == a % q]
     w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
     return ErrorTermInputs(top, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)

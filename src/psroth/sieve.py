@@ -16,6 +16,8 @@ floors come from _floor_guarded_h, the one place floor(h(n)) is taken over
 a range of n, in cache-sized sub-blocks of fresh arrays.  The enumeration
 reads primality from a table when given one; without one, each block sieves
 only the value segment it reaches, so nothing the size of the range is held.
+The blocks, and PsPrimeSet.to_csv's blocks of rows, can run on threads
+through _in_order, which hands their results back in order.
 The membership test for a single prime p uses the floor identity
 
     floor(-phi(p)) - floor(-phi(p+1)) == 1,
@@ -36,6 +38,8 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +57,35 @@ _SUB_BLOCK = 1 << 16
 # rows per joined run of blocks in enumerate_ps_primes (32 MB per column)
 _JOIN = 1 << 22
 _DEFAULT_BUDGET = 1 << 27
+
+
+def _in_order(fn, items, threads):
+    """Yield fn(item) for each item, in item order.
+
+    At threads = 1, or with at most one item, fn runs inline on the calling
+    thread.  Otherwise it runs on min(threads, len(items)) threads, never
+    more than threads + 1 results ahead of the consumer, so at most that
+    many results wait in memory.  Results are read in order, so the
+    exception of the earliest failing item is the one raised.  On leaving,
+    early or by an exception, the items not yet started are cancelled and
+    the pool's threads are joined.
+    """
+    items = list(items)
+    n = min(int(threads), len(items))
+    if n <= 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=n)
+    try:
+        ahead = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _near_int(x, slack=0.0):
@@ -285,29 +318,36 @@ class PsPrimeSet:
     witnesses: np.ndarray
     p_min: float
 
-    def to_csv(self, path):
+    def to_csv(self, path, threads=1):
         """Write the (witness, member) rows in csv.writer's format (CRLF line
         ends), in blocks of 2^16 rows.
 
         Both columns ascend, so their digit counts are constant on runs of
         rows cut at the powers of ten.  Each run is one uint8 matrix of
-        digits, comma and CRLF, written as its bytes.
+        digits, comma and CRLF, written as its bytes.  The blocks are
+        formatted on `threads` threads (_in_order) and written in order.
         """
         block = 1 << 16
+
+        def formatted(i):
+            ns, ps = self.witnesses[i:i + block], self.members[i:i + block]
+            cuts = np.union1d(np.searchsorted(ns, _POW10), np.searchsorted(ps, _POW10))
+            bounds = np.union1d(cuts, [0, ns.size]).tolist()
+            runs = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                wn, wp = len(str(ns[lo])), len(str(ps[lo]))
+                rows = np.empty((hi - lo, wn + wp + 3), dtype=np.uint8)
+                _put_digits(ns[lo:hi], rows[:, :wn])
+                rows[:, wn] = ord(",")
+                _put_digits(ps[lo:hi], rows[:, wn + 1:-2])
+                rows[:, -2:] = (ord("\r"), ord("\n"))
+                runs.append(rows)
+            return runs
+
         with open(path, "wb") as fh:
             fh.write(b"n_witness_index,p_prime\r\n")
-            for i in range(0, self.members.size, block):
-                ns, ps = self.witnesses[i:i + block], self.members[i:i + block]
-                cuts = np.union1d(np.searchsorted(ns, _POW10), np.searchsorted(ps, _POW10))
-                bounds = np.union1d(cuts, [0, ns.size]).tolist()
-                for lo, hi in zip(bounds, bounds[1:]):
-                    wn, wp = len(str(ns[lo])), len(str(ps[lo]))
-                    rows = np.empty((hi - lo, wn + wp + 3), dtype=np.uint8)
-                    _put_digits(ns[lo:hi], rows[:, :wn])
-                    rows[:, wn] = ord(",")
-                    _put_digits(ps[lo:hi], rows[:, wn + 1:-2])
-                    rows[:, -2:] = (ord("\r"), ord("\n"))
-                    fh.write(rows.tobytes())
+            for runs in _in_order(formatted, range(0, self.members.size, block), threads):
+                fh.writelines(runs)
 
 
 # 10, 100, ..., 10^18: where a nonnegative int64 gains a digit
@@ -465,7 +505,7 @@ def _primality(vals, table, small):
     return _segment_flags(int(vals[0]), int(vals[-1]), small)[vals - vals[0]]
 
 
-def enumerate_ps_primes(inv, N, table=None):
+def enumerate_ps_primes(inv, N, table=None, threads=1):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
     Walks the n-range in blocks of _BLOCK integers, so no array spans the
@@ -479,6 +519,10 @@ def enumerate_ps_primes(inv, N, table=None):
     Every block's members are cross-validated against the floor identity
     above the small-p threshold (NumericalError names the first rejected p);
     below it, disagreements are summed over the blocks and logged only.
+    The blocks' own work runs on `threads` threads (_in_order), each holding
+    one block's working set; the carry, the checks and the join take the
+    blocks in n order, so the result and the errors are the same for every
+    thread count.
     """
     N = int(N)
     if table is not None and N > table.limit:
@@ -495,38 +539,56 @@ def enumerate_ps_primes(inv, N, table=None):
         n_end -= 1
     p_lo = math.ceil(inv.y0)
     small = _primes_to(math.isqrt(N)) if table is None else None
+
+    def block(lo):
+        """The block's members (first in the block), their witnesses, and
+        each member's floor-identity verdict (True below p_lo).  Above and
+        below p_min the identity runs on separate arrays, as its guard is
+        taken at an array's largest value: the members ascend strictly, so
+        dropping a carried duplicate, always the smallest, changes no other
+        verdict."""
+        ps = _floor_guarded_h(inv, lo, min(lo + _BLOCK, n_end + 1))
+        # the floors ascend, so the values in [2, N] are one slice of them
+        i, j = np.searchsorted(ps, [2, N + 1]).tolist()
+        prime = _primality(ps[i:j], table, small)
+        ns = np.flatnonzero(prime) + (lo + i)
+        ps = ps[i:j][prime]
+        first = np.diff(ps, prepend=-1) != 0
+        ns, ps = ns[first], ps[first]
+        ok = np.ones(ps.size, dtype=bool)
+        checked = ps >= p_lo
+        for part in (checked & (ps >= p_min), checked & (ps < p_min)):
+            if np.any(part):
+                ok[part] = _floor_identity(inv, ps[part])
+        return ps, ns, ok
+
     # blocks since the last join, and the joined runs of them as [members,
     # witnesses]: a run of _JOIN rows is large enough that the allocator maps
     # it apart from the heap, so it goes back to the system once poured
     pending, runs, rows = [], [], 0
     last = -1
     below = below_bad = 0
-    for lo in range(n_start, n_end + 1, _BLOCK):
-        ps = _floor_guarded_h(inv, lo, min(lo + _BLOCK, n_end + 1))
-        keep = (ps >= 2) & (ps <= N)
-        keep[keep] = _primality(ps[keep], table, small)
-        ns = np.flatnonzero(keep) + lo
-        ps = ps[ns - lo]
-        first = np.diff(ps, prepend=last) != 0
-        ns, ps = ns[first], ps[first]
+    for ps, ns, ok in _in_order(block, range(n_start, n_end + 1, _BLOCK), threads):
+        if ps.size and ps[0] == last:
+            ps, ns, ok = ps[1:], ns[1:], ok[1:]
         if ps.size:
             last = int(ps[-1])
-        above = ps[(ps >= p_min) & (ps >= p_lo)]
-        if above.size:
-            ok = _floor_identity(inv, above)
-            if not np.all(ok):
-                raise NumericalError(
-                    f"floor identity rejects enumerated member p={int(above[~ok][0])} "
-                    f"({int(np.sum(~ok))} rejected in its block of n)")
-        sub = ps[(ps < p_min) & (ps >= p_lo)]
-        if sub.size:
-            below += int(sub.size)
-            below_bad += int(np.sum(~_floor_identity(inv, sub)))
+        bad = ~ok & (ps >= p_min)
+        if np.any(bad):
+            raise NumericalError(
+                f"floor identity rejects enumerated member p={int(ps[bad][0])} "
+                f"({int(np.sum(bad))} rejected in its block of n)")
+        sub = (ps < p_min) & (ps >= p_lo)
+        below += int(np.sum(sub))
+        below_bad += int(np.sum(sub & ~ok))
         pending.append((ps, ns))
         rows += ps.size
-        if rows >= _JOIN or lo + _BLOCK > n_end:
+        if rows >= _JOIN:
             runs.append([np.concatenate(col) for col in zip(*pending)])
             pending, rows = [], 0
+    if pending:
+        runs.append([np.concatenate(col) for col in zip(*pending)])
+        pending.clear()   # the blocks go before _pour copies their run
     if below:
         # sufficiently-large regime not reached: enumeration decides, the
         # floor identity is informational here

@@ -1,6 +1,17 @@
+import sys
+
 import pytest
 
 from psroth import hfun, sieve
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads as often as possible, so an ordering race shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 @pytest.fixture(scope="session")

@@ -191,7 +191,21 @@ def test_errsweep_threads_do_not_change_outputs(tmp_path):
     assert runs["1"] == runs["2"]
 
 
-@pytest.mark.parametrize("command", ["errsweep", "restrict"])
+def test_psgen_threads_do_not_change_outputs(tmp_path):
+    # N = 5e6 spans three blocks of n and three CSV blocks of rows
+    runs = {}
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        assert main(["psgen", "--n", "5000000", "--threads", threads,
+                     "--out-dir", str(d)]) == 0
+        man = json.loads((d / "ps-prime_generation_manifest.json").read_text())
+        runs[threads] = ((d / "psprimes.csv").read_bytes(),
+                         (d / "density.csv").read_bytes(), man["config_sha256"])
+    assert runs["1"][0].count(b"\n") > 2 * 2 ** 16
+    assert runs["1"] == runs["2"]
+
+
+@pytest.mark.parametrize("command", ["psgen", "errsweep", "restrict"])
 @pytest.mark.parametrize("threads", [0, -1])
 def test_bad_threads_exit_1(tmp_path, capsys, command, threads):
     assert run(tmp_path, command, "--threads", str(threads)) == 1

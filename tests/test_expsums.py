@@ -465,16 +465,19 @@ def test_error_term_inputs_need_modulus_at_least_1(table_1e6):
             error_term_inputs(inv, 4096, q, 1, table_1e6)
 
 
-def test_error_term_inputs_blocked_phi_is_bitwise(table_1e6, monkeypatch):
-    # the inversion in blocks of the sorted k gives bitwise the arrays of
-    # one inversion over all of them
+def test_error_term_inputs_blocked_phi_is_bitwise(table_1e6, monkeypatch, fast_switching):
+    # the inversion in blocks of the sorted k, on any thread count, gives
+    # bitwise the arrays of one inversion over all of them
     inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
     whole = error_term_inputs(inv, table_1e6.limit, 1, 0, table_1e6)
     assert whole.ks.size > 10 * 4099
     monkeypatch.setattr(expsums, "_PHI_BLOCK", 4099)
-    blocked = error_term_inputs(inv, table_1e6.limit, 1, 0, table_1e6)
-    for name in ("phi_k", "phi_k1", "dphi_k", "member_weights"):
-        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+    for threads in (1, 2, 3):
+        blocked = error_term_inputs(inv, table_1e6.limit, 1, 0, table_1e6,
+                                    threads=threads)
+        for name in ("phi_k", "phi_k1", "dphi_k", "member_weights"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), \
+                (threads, name)
 
 
 def test_error_term_inputs_memory_is_blocked():

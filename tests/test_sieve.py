@@ -1,6 +1,8 @@
 import csv
 import logging
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -258,23 +260,31 @@ def test_enumeration_invariants(table_1e6, inv95, inv99):
     (ps_exponent_spec(0.95), 10 ** 6, 4099),
 ])
 def test_blocked_enumeration_matches_one_block(table_1e6, monkeypatch, caplog,
-                                               spec, N, block):
+                                               fast_switching, spec, N, block):
     inv = inverse_of(spec)
     whole = enumerate_ps_primes(inv, N, table_1e6)
     assert whole.witnesses[-1] < sieve._BLOCK   # the reference is one block
-    monkeypatch.setattr(sieve, "_BLOCK", block)
-    with caplog.at_level(logging.INFO, logger="psroth.sieve"):
-        blocked = enumerate_ps_primes(inv, N, table_1e6)
     assert whole.witnesses[-1] > 100 * block
-    assert np.array_equal(blocked.members, whole.members)
-    assert np.array_equal(blocked.witnesses, whole.witnesses)
-    # the sub-threshold disagreements are summed into one line over the blocks
+    monkeypatch.setattr(sieve, "_BLOCK", block)
     below = int(np.sum(whole.members < whole.p_min))
-    lines = [r.getMessage() for r in caplog.records if "threshold" in r.getMessage()]
-    assert len(lines) == 1 and lines[0].startswith(f"{below} members below")
+    lines = {}
+    for threads in (1, 2, 3):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="psroth.sieve"):
+            blocked = enumerate_ps_primes(inv, N, table_1e6, threads=threads)
+        assert np.array_equal(blocked.members, whole.members)
+        assert np.array_equal(blocked.witnesses, whole.witnesses)
+        # the sub-threshold disagreements are summed into one line over the
+        # blocks, the same line on every thread count
+        lines[threads] = [r.getMessage() for r in caplog.records
+                          if "threshold" in r.getMessage()]
+        assert len(lines[threads]) == 1
+        assert lines[threads][0].startswith(f"{below} members below")
+    assert lines[1] == lines[2] == lines[3]
 
 
-def test_blocked_enumeration_names_rejected_member(table_1e6, inv95, monkeypatch):
+def test_blocked_enumeration_names_rejected_member(table_1e6, inv95, monkeypatch,
+                                                   fast_switching):
     whole = enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
     target = int(whole.members[-100])
     assert target > whole.p_min
@@ -286,8 +296,13 @@ def test_blocked_enumeration_names_rejected_member(table_1e6, inv95, monkeypatch
     # whose members are checked above p_min
     first_above = whole.witnesses[np.searchsorted(whole.members, whole.p_min)]
     assert (whole.witnesses[-100] - 1) // 4099 > (first_above - 1) // 4099
-    with pytest.raises(NumericalError, match=rf"p={target}\b"):
-        enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
+    # the same member is named on every thread count, and the pool's
+    # threads are gone once the error is out
+    before = threading.active_count()
+    for threads in (1, 2, 3):
+        with pytest.raises(NumericalError, match=rf"p={target} \(1 rejected"):
+            enumerate_ps_primes(inv95, 10 ** 6, table_1e6, threads=threads)
+        assert threading.active_count() == before
 
 
 def floor_h_20_19(n):
@@ -428,19 +443,20 @@ def test_ps_csv_round_trip(tmp_path, table_1e6):
     assert all(math.floor(n ** 1.5) == p for n, p in got)
 
 
-def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7):
-    # several write blocks, and the empty set
+def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7, fast_switching):
+    # several write blocks, and the empty set, on any thread count
     assert ps95_1e7.members.size > 2 ** 17
     for ps in (ps95_1e7, enumerate_ps_primes(inv95, 1, table_1e6)):
-        path = tmp_path / "ps.csv"
-        ps.to_csv(path)
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["n_witness_index", "p_prime"])
             for n, p in zip(ps.witnesses, ps.members):
                 wr.writerow([int(n), int(p)])
-        assert path.read_bytes() == ref.read_bytes()
+        for threads in (1, 2, 3):
+            path = tmp_path / "ps.csv"
+            ps.to_csv(path, threads=threads)
+            assert path.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("spec, N, block", [
@@ -449,21 +465,23 @@ def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7):
     (hfun.power_log(1.2, 2.0, x0=3.0), 10 ** 6 - 17, 61),
     (hfun.power_log(1.05, 1.5, x0=20.0), 654_321, 89),
 ])
-def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, spec, N, block):
+def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, fast_switching,
+                                              spec, N, block):
     # N ends inside a block; a small _BLOCK makes every value segment cross
     # sieve chunks and n-blocks, and a small _JOIN pours many runs of
     # blocks; the reference reads the table at the defaults
     inv = inverse_of(spec)
     want = enumerate_ps_primes(inv, N, table_1e6)
+    assert want.members.size > 10
     if block is not None:
         monkeypatch.setattr(sieve, "_BLOCK", block)
         monkeypatch.setattr(sieve, "_JOIN", 5 * block)
         assert want.witnesses[-1] > 50 * block
-    got = enumerate_ps_primes(inv, N)
-    assert want.members.size > 10
-    assert np.array_equal(got.members, want.members)
-    assert np.array_equal(got.witnesses, want.witnesses)
-    assert got.p_min == want.p_min
+    for threads in (1, 2, 3):
+        got = enumerate_ps_primes(inv, N, threads=threads)
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.witnesses, want.witnesses)
+        assert got.p_min == want.p_min
 
 
 @pytest.mark.parametrize("N", [-3, 0, 1, 2, 3, 10])
@@ -476,17 +494,20 @@ def test_table_free_enumeration_tiny_N(table_1e6, inv95, N):
 
 def test_table_free_enumeration_memory_is_blocked(inv95):
     # N = 2^26 spans 26 blocks of n: the traced peak above the result (about
-    # 28 MiB) holds one block's floors and masks and one sub-block's float
-    # arrays, so it stays under 32 MiB
-    tracemalloc.start()
-    try:
-        got = enumerate_ps_primes(inv95, 1 << 26)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    result = got.members.nbytes + got.witnesses.nbytes
-    assert got.members.size > 10 ** 6
-    assert peak - result < 32 << 20
+    # 25 MiB) holds one block's floors, sieve segment and masks and one
+    # sub-block's float arrays, so it stays under 32 MiB; on two threads
+    # (about 29 MiB) a second block's working set adds at most its int64
+    # floors and gather index, 8 MiB each
+    for threads, bound in ((1, 32 << 20), (2, (32 + 16) << 20)):
+        tracemalloc.start()
+        try:
+            got = enumerate_ps_primes(inv95, 1 << 26, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = got.members.nbytes + got.witnesses.nbytes
+        assert got.members.size > 10 ** 6
+        assert peak - result < bound, threads
 
 
 @pytest.mark.parametrize("block, limits", [
@@ -512,6 +533,51 @@ def test_segment_flags_match_reference(monkeypatch):
     for lo, hi in ((0, 0), (0, 1), (1, 2), (2, 2), (4, 4), (0, 5000), (49, 151),
                    (2500, 2549), (4900, 5000), (97, 97)):
         assert np.array_equal(sieve._segment_flags(lo, hi, small), want[lo:hi + 1])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_in_order_holds_at_most_threads_plus_one_ahead(threads, fast_switching):
+    # a slow consumer: the workers may run ahead of it, but by at most
+    # threads + 1 items, counting the one it was just handed
+    got, ahead, workers = [], [], set()
+
+    def square(i):
+        ahead.append(i + 1 - len(got))
+        workers.add(threading.get_ident())
+        return i * i
+
+    for x in sieve._in_order(square, range(40), threads):
+        got.append(x)
+        time.sleep(0.001)
+    assert got == [i * i for i in range(40)]
+    assert max(ahead) <= threads + 1
+    assert len(workers) <= threads
+    # never more workers than items
+    workers.clear()
+    assert list(sieve._in_order(square, range(2), threads)) == [0, 1]
+    assert len(workers) <= 2
+
+
+def test_in_order_raises_earliest_failure_and_joins(fast_switching):
+    # item 3 fails 20 ms late, after item 5 has failed on a pool; its error
+    # is the one raised, after the results before it, and no pool thread
+    # outlives it
+    def fn(i):
+        if i == 3:
+            time.sleep(0.02)
+        if i in (3, 5):
+            raise ValueError(i)
+        return i
+
+    for threads in (1, 2, 3):
+        before = threading.active_count()
+        got = []
+        with pytest.raises(ValueError) as err:
+            for x in sieve._in_order(fn, range(20), threads):
+                got.append(x)
+        assert err.value.args == (3,)
+        assert got == [0, 1, 2]
+        assert threading.active_count() == before
 
 
 def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -255,7 +253,7 @@ def test_grid_power_sums_bitwise_row_by_row(r, monkeypatch):
 
 @pytest.mark.parametrize("r", [2, 3.0, 4.5])
 @pytest.mark.parametrize("G", [1 << 12, 2 * 1031])   # S = 64, and S = 2
-def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch):
+def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch, fast_switching):
     # a stack of weight rows, on any thread count, gives bitwise one one-row
     # call per row: the shared twist and the deal of grid rows change no bit
     monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", 64)
@@ -264,17 +262,12 @@ def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch):
     W[0] = 1.0
     at = [3, 64, G - 1]
     want = [_one_row(positions, w, G, r, at=at) for w in W]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads as often as possible
-    try:
-        for threads in (1, 2, 3, 5):
-            totals, evens, vals = grid_power_sums(positions, W, G, r, at=at,
-                                                  threads=threads)
-            assert totals.tolist() == [t for t, _, _ in want]
-            assert evens.tolist() == [e for _, e, _ in want]
-            assert vals.tobytes() == np.array([v for _, _, v in want]).tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in (1, 2, 3, 5):
+        totals, evens, vals = grid_power_sums(positions, W, G, r, at=at,
+                                              threads=threads)
+        assert totals.tolist() == [t for t, _, _ in want]
+        assert evens.tolist() == [e for _, e, _ in want]
+        assert vals.tobytes() == np.array([v for _, _, v in want]).tobytes()
     with pytest.raises(ValueError):
         grid_power_sums(positions, W, G, r, threads=0)
     with pytest.raises(ValueError):
