@@ -4,11 +4,8 @@ Splitting a weighted prime sum into smooth and bilinear pieces
 
 The ranged sum sum_{P<k<=P1} Lambda(k) e(xi k + m phi(k)) splits as
 S1 - S21 - S22 + S3 through the classical coefficient identity.  The split
-re-sums to the direct evaluation to roundoff; the pieces are then the ones
-the curvature and differencing bounds apply to.
+re-sums to the direct evaluation to roundoff.
 """
-
-import numpy as np
 
 from psroth import expsums, hfun, sieve
 
@@ -26,23 +23,3 @@ print(f"direct     = {split.direct:.6f}")
 print(f"recombined = {split.recombined:.6f}")
 print(f"residual   = {split.residual:.2e}")
 
-# the sawtooth expansion that turns floor counts into exponential sums:
-# truncation error is controlled by min(1, 1/(M ||t||))
-print("\nsawtooth truncation at t = 0.37:")
-for M in (10, 100, 1000):
-    approx, err = expsums.sawtooth_expansion(0.37, M)
-    print(f"  M={M:5d}: approx={approx:9.6f} err={err:.2e}")
-
-# type-I piece against the curvature envelope over a frequency sweep
-print("\ntype-I measured/bound over a small frequency grid:")
-for alpha in np.linspace(0.05, 0.85, 5):
-    rep = expsums.type_I_bound_check(inv, l=1, j=1, X=10 ** 4, mm=3, alpha=alpha)
-    print(f"  alpha={alpha:.2f}: measured={rep.measured:10.2f} "
-          f"ratio={rep.ratio_type_I:.4f}")
-
-# bilinear block: every link of the differencing chain checked
-rep = expsums.bilinear_check(inv, 64, 64, 1, 0.37,
-                             rng=np.random.default_rng(2))
-print(f"\nbilinear block 64x64: measured={rep.measured:.2f} "
-      f"R={rep.details['R']}")
-print(f"chain checks: {rep.details['checks']}")

@@ -63,20 +63,15 @@ from .measures import (
     spectrum_and_bohr,
 )
 from .expsums import (
-    BoundReport,
     ErrorTermInputs,
     ErrorTermReport,
     PhaseParams,
     VaughanSplit,
-    bilinear_check,
-    default_bilinear_R,
     default_cutoff,
     error_term_inputs,
     error_term_sup,
     exp_sum_direct,
-    sawtooth_expansion,
     sawtooth_phi,
-    type_I_bound_check,
     vaughan_decompose,
 )
 from .roth import (

@@ -13,11 +13,6 @@ blocks of about _BLOCK: m*phi(k*l) is taken once per block and shared by
 every residue shift s mod q, and each shift pays one np.exp per block and
 one exactly rounded sum per segment (the k of one l) and piece.
 
-The bound checkers measure single sums against the curvature envelope and
-bilinear blocks against the differencing chain: Cauchy-Schwarz, then per-row
-Weyl differencing, then the triangle inequality, each step recorded with its
-slack so a failed inequality names the step that broke.
-
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
 whole transference argument) and also returns the sawtooth middle form that
@@ -29,13 +24,12 @@ shares one build at its top.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import hfun, sieve, zn_fourier
-from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 # points k*l per block of the Vaughan split
@@ -84,16 +78,6 @@ class VaughanSplit:
         return self.S1 - self.S21 - self.S22 + self.S3
 
 
-@dataclass
-class BoundReport:
-    measured: float
-    bound_type_I: float = math.nan
-    bound_bilinear: float = math.nan
-    ratio_type_I: float = math.nan
-    ratio_bilinear: float = math.nan
-    details: dict = field(default_factory=dict)
-
-
 class ErrorTermReport(NamedTuple):
     sup_diff: float
     per_xi: np.ndarray
@@ -108,23 +92,6 @@ def sawtooth_phi(t):
     t = np.asarray(t, dtype=float)
     out = t - np.floor(t) - 0.5
     return out if out.ndim else float(out)
-
-
-def sawtooth_expansion(t, M):
-    """Truncated Fourier series of the sawtooth and its absolute error.
-
-    sum_{0<|mm|<=M} e(-mm t) / (2 pi i mm) = -sum_{mm=1..M} sin(2 pi mm t)/(pi mm).
-    """
-    M = int(M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    t = np.asarray(t, dtype=float)
-    ms = np.arange(1, M + 1)
-    approx = -np.sum(np.sin(TWO_PI * np.multiply.outer(t, ms)) / (np.pi * ms), axis=-1)
-    err = np.abs(sawtooth_phi(t) - approx)
-    if approx.ndim == 0:
-        return float(approx), float(err)
-    return approx, err
 
 
 # -- phases and direct sums --------------------------------------------------
@@ -263,126 +230,6 @@ def vaughan_decompose(inv, pp, table, v=None):
     recombined = tot[0] - tot[1] - tot[2] + tot[3]
     return VaughanSplit(float(v), tot[0], tot[1], tot[2], tot[3], direct,
                         abs(recombined - direct))
-
-
-# -- bound checks ------------------------------------------------------------
-
-def type_I_bound_check(inv, l, j, X, mm, alpha):
-    """Measure |sum_{k<=X} e(alpha j k l + mm phi(k l))| against the
-    curvature envelope |mm|^(1/2) log(lX) lX (sigma(lX) phi(lX))^(-1/2)."""
-    l, X = int(l), int(X)
-    if l < 1 or X < 2:
-        raise ValueError("need l >= 1 and X >= 2")
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    if mm == 0:
-        raise ValueError("mm must be nonzero")
-    ks = np.arange(1, X + 1, dtype=np.int64)
-    ph = _phase(inv, alpha * j, mm, ks * l)
-    measured = abs(_csum(ph))
-    y = float(l) * X
-    sig = _sigma_at(inv, y)
-    vp = float(hfun.eval_phi(inv, y))
-    bound = math.sqrt(abs(mm)) * math.log(y) * y / math.sqrt(sig * vp)
-    return BoundReport(measured, bound_type_I=bound,
-                       ratio_type_I=measured / bound if bound > 0 else math.inf,
-                       details={"sigma": sig, "phi": vp})
-
-
-def _sigma_at(inv, y):
-    # h = x has no curvature: sigma is undefined and every curvature bound
-    # degenerates, so report nan instead of raising
-    try:
-        sig, _ = hfun.sigma_tau(inv, float(max(y, inv.y0)))
-    except DomainError:
-        return math.nan
-    return float(sig)
-
-
-def default_bilinear_R(inv, K, L, mm):
-    """Offset count R = ceil(|mm|^(-1/3) K^(-1/3) (sigma*phi)(KL)^(1/3)),
-    clamped into [1, K]."""
-    y = float(K) * L
-    r = (abs(mm) * K) ** (-1.0 / 3.0) * (_sigma_at(inv, y) * float(hfun.eval_phi(inv, y))) ** (1.0 / 3.0)
-    return min(int(K), max(1, math.ceil(r)))
-
-
-def bilinear_check(inv, K, L, mm, alpha, R=None, D1=None, D2=None, rng=None):
-    """Measure a bilinear block sum over (K, 2K] x (L, 2L] and verify each
-    link of the differencing chain, then compare against the final envelope.
-
-    Hypothesis failures (|mm| * min(K,L) > sigma*phi(KL), phi(KL) > min^4,
-    R > K) raise ValueError naming the offender.
-    """
-    K, L = int(K), int(L)
-    if K < 2 or L < 2:
-        raise ValueError("need K, L >= 2")
-    if mm == 0:
-        raise ValueError("mm must be nonzero")
-    if D1 is None or D2 is None:
-        rng = rng or np.random.Generator(np.random.Philox(7))
-        if D1 is None:
-            D1 = np.exp(1j * TWO_PI * rng.random(L))
-        if D2 is None:
-            D2 = np.exp(1j * TWO_PI * rng.random(K))
-    D1 = np.asarray(D1, dtype=np.complex128)
-    D2 = np.asarray(D2, dtype=np.complex128)
-    if D1.shape != (L,) or D2.shape != (K,):
-        raise ValueError("D1 must have length L and D2 length K")
-    y = float(K) * L
-    sig = _sigma_at(inv, y)
-    vp = float(hfun.eval_phi(inv, y))
-    failures = []
-    if abs(mm) * min(K, L) > sig * vp * (1 + 1e-12):
-        failures.append(f"|mm|*min(K,L)={abs(mm)*min(K,L)} > sigma*phi={sig*vp}")
-    if vp > float(min(K, L)) ** 4 * (1 + 1e-12):
-        failures.append(f"phi(KL)={vp} > min(K,L)^4={float(min(K,L))**4}")
-    if R is None:
-        R = default_bilinear_R(inv, K, L, mm)
-    R = int(R)
-    if not (1 <= R <= K):
-        failures.append(f"R={R} outside [1, K]")
-    if failures:
-        raise ValueError("hypothesis failed: " + "; ".join(failures))
-    ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
-    ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
-    # phase matrix over the block, k rows, l columns
-    ph = _phase(inv, alpha, mm, np.multiply.outer(ks, ls))
-    inner = D2[:, None] * ph
-    col = np.sum(inner, axis=0)
-    B = complex(np.sum(D1 * col))
-    T = float(np.sum(np.abs(col) ** 2))
-    # E_r = sum_l sum_k z_k conj(z_{k+r}), z_k = D2(k) e(alpha k l + mm phi(k l))
-    E = {}
-    for r in range(-R, R + 1):
-        if r >= 0:
-            prod = inner[: K - r if r else K] * np.conj(inner[r:])
-        else:
-            prod = inner[-r:] * np.conj(inner[: K + r])
-        E[r] = complex(np.sum(prod))
-    e0_cap = L * float(np.sum(np.abs(D2) ** 2))
-    w_sum = sum((1.0 - abs(r) / R) * E[r] for r in range(-R, R + 1))
-    cauchy_rhs = float(np.sum(np.abs(D1) ** 2)) * T
-    wvdc_rhs = (K + R) / R * w_sum.real
-    tri_rhs = E[0].real + sum(abs(E[r]) for r in range(-R, R + 1) if r != 0)
-    slack = 1e-9
-    checks = {
-        "e0_within_cap": abs(E[0]) <= e0_cap * (1 + slack),
-        "cauchy": abs(B) ** 2 <= cauchy_rhs * (1 + slack),
-        "weyl_differencing": T <= wvdc_rhs * (1 + slack) + slack,
-        "triangle": w_sum.real <= tri_rhs * (1 + slack) + slack,
-    }
-    bound = (abs(mm) ** (1.0 / 6.0) * math.log(L) ** 2 * math.log(K) ** 2
-             * (sig * vp) ** (-1.0 / 6.0) * float(min(K, L)) ** (1.0 / 6.0) * K * L)
-    measured = abs(B)
-    return BoundReport(
-        measured, bound_bilinear=bound,
-        ratio_bilinear=measured / bound if bound > 0 else math.inf,
-        details={"R": R, "E0": E[0], "e0_cap": e0_cap,
-                 "cauchy_lhs": abs(B) ** 2, "cauchy_rhs": cauchy_rhs,
-                 "wvdc_lhs": T, "wvdc_rhs": wvdc_rhs,
-                 "triangle_lhs": w_sum.real, "triangle_rhs": tri_rhs,
-                 "checks": checks, "sigma": sig, "phi": vp})
 
 
 # -- the two-route error term ------------------------------------------------

@@ -4,7 +4,8 @@ count_3aps counts ordered progressions (x, x+d, x+2d) with d != 0, either
 cyclically in Z_N (odd N) or inside the integers, by the frequency-side
 trilinear form on one odd modulus: Z_N, or Z_{2N-1} for integer sets, whose
 cyclic progressions are the integer ones.  Up to N = 4096 a walk over the
-differences counts again and must agree exactly.
+differences counts again and must agree exactly; the walk reads the set's
+mask only at the set's positions, so one difference costs |A|, not N.
 
 transference_build runs the W-trick downshift: pick W and the primorial m,
 choose the unit residue b carrying the most derivative-compensated weight,
@@ -46,18 +47,27 @@ class ApReport:
 
 
 _BRUTE_MAX_N = 4096
+# gathers per block of the difference walk (a block holds at least one d)
+_WALK_GATHERS = 2 ** 16
 
 
-def _progression_hits(mask, M, d_top):
-    """Yield (d, hits) for d = 1..d_top; hits[x] marks x, x+d, x+2d (mod M)
-    all in the set, which lies in [0, mask.size) of Z_M.  Each shift is a
-    slice of the set doubled in Z_M (2 d_top < M), so a step costs
-    mask.size, not M."""
-    n = mask.size
+def _progression_hits(idx, M, d_top):
+    """Yield (ds, hits) over blocks of d = 1..d_top; hits[i, j] marks
+    x, x+d, x+2d (mod M) all in the set, for x = idx[i] and d = ds[j], where
+    idx is the ascending set in [0, M).  The set's mask, doubled in Z_M
+    (2 d_top < M), is read only at the set's positions, so a block costs
+    idx.size * ds.size, not M * ds.size.  Blocks double from one d up to
+    about _WALK_GATHERS gathers."""
     mask2 = np.zeros(2 * M, dtype=bool)
-    mask2[:n] = mask2[M:M + n] = mask
-    for d in range(1, d_top + 1):
-        yield d, mask & mask2[d:d + n] & mask2[2 * d:2 * d + n]
+    mask2[idx] = mask2[idx + M] = True
+    x = idx[:, None]
+    cap = max(1, _WALK_GATHERS // max(1, idx.size))
+    lo, width = 1, 1
+    while lo <= d_top:
+        ds = np.arange(lo, min(lo + width, d_top + 1), dtype=np.int64)
+        yield ds, mask2[x + ds] & mask2[x + 2 * ds]
+        lo += ds.size
+        width = min(2 * width, cap)
 
 
 def _rounded(c):
@@ -85,9 +95,10 @@ def count_3aps(A, N, mode="cyclic"):
     frequency route (the trilinear form of 1_A on Z_M) always counts.  Up to
     N = _BRUTE_MAX_N the differences d = 1..(N-1)/2 are walked as well, each
     hit standing for d and -d (the same progression reversed), and the two
-    counts must agree exactly.  The witness is the progression with the
-    smallest d, then the smallest x; above _BRUTE_MAX_N integer mode walks
-    only until it finds it, and cyclic mode reports none.
+    counts must agree exactly.  The walk reads the mask only at the set's
+    positions, |A| gathers per d, in blocks of d.  The witness is the
+    progression with the smallest d, then the smallest x; above _BRUTE_MAX_N
+    integer mode walks only until it finds it, and cyclic mode reports none.
     """
     N = int(N)
     if N < 1:
@@ -98,8 +109,6 @@ def count_3aps(A, N, mode="cyclic"):
         raise ValueError("cyclic mode needs odd N")
     idx = _index_set(A, N)
     M = N if mode == "cyclic" else 2 * N - 1
-    mask = np.zeros(N, dtype=bool)
-    mask[idx] = True
     z = np.zeros(M, dtype=complex)
     z[idx] = 1.0
     size = int(idx.size)
@@ -108,15 +117,16 @@ def count_3aps(A, N, mode="cyclic"):
     walked = checked or (mode == "integer" and lam3 > size)
     witness = None
     nontrivial = 0
-    for d, hits in _progression_hits(mask, M, (N - 1) // 2 if walked else 0):
-        c = int(np.count_nonzero(hits))
-        if c and witness is None:
-            x = int(np.argmax(hits))
+    for ds, hits in _progression_hits(idx, M, (N - 1) // 2 if walked else 0):
+        if witness is None and hits.any():
+            # the smallest d with a hit, then its smallest x (idx ascends)
+            j = int(np.argmax(hits.any(axis=0)))
+            x, d = int(idx[np.argmax(hits[:, j])]), int(ds[j])
             witness = (x, (x + d) % M, (x + 2 * d) % M)
             if not checked:
                 break
         # every progression has difference d or -d in 1..(N-1)/2, in both modes
-        nontrivial += 2 * c
+        nontrivial += 2 * int(np.count_nonzero(hits))
     if checked and size + nontrivial != lam3:
         raise NumericalError(
             f"progression routes disagree: walk {size + nontrivial} vs frequency {lam3}")

@@ -6,10 +6,8 @@ import pytest
 
 from psroth import (
     PhaseParams,
-    bilinear_check,
     checks,
     count_in_class,
-    default_bilinear_R,
     default_cutoff,
     enumerate_ps_primes,
     error_term_inputs,
@@ -23,11 +21,9 @@ from psroth import (
     power_log,
     ps_exponent_spec,
     pure_power,
-    sawtooth_expansion,
     sawtooth_phi,
     sieve,
     sieve_primes,
-    type_I_bound_check,
     vaughan_coefficients,
     vaughan_decompose,
 )
@@ -48,27 +44,6 @@ def test_sawtooth_values():
     assert sawtooth_phi(0.0) == pytest.approx(-0.5)
     assert sawtooth_phi(1.75) == pytest.approx(0.25)
     assert sawtooth_phi(-0.25) == pytest.approx(0.25)
-
-
-def test_sawtooth_series_half_point():
-    # at t = 1/2 every term sin(pi m) vanishes; the series value is exactly 0
-    for M in (10, 1000):
-        approx, err = sawtooth_expansion(0.5, M)
-        assert approx == pytest.approx(0.0, abs=1e-12)
-        assert err == pytest.approx(abs(sawtooth_phi(0.5)), abs=1e-12)
-
-
-def test_sawtooth_error_envelope():
-    # fitted constant in err <= C min(1, 1/(M ||t||)) stable across decades
-    t = 0.37
-    dist = min(t % 1.0, 1.0 - t % 1.0)
-    cs = []
-    for M in (100, 1000, 10000):
-        _, err = sawtooth_expansion(t, M)
-        cs.append(err / min(1.0, 1.0 / (M * dist)))
-    print(f"sawtooth fitted C at t=0.37: {[round(c, 4) for c in cs]}")
-    assert max(cs) < 1.0
-    assert max(cs) / max(min(cs), 1e-12) < 10.0
 
 
 def test_phase_params_validation():
@@ -300,62 +275,6 @@ def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
     name, passed, _ = checks.check_chebyshev_identity()
     assert passed
     assert set(vars(table)) == {"limit", "is_prime", "primes"}
-
-
-def test_type_I_geometric_oracle():
-    # h = x collapses the phase to a geometric series
-    inv = inverse_of(pure_power(1.0))
-    X, l, mm = 500, 3, 2
-    rep0 = type_I_bound_check(inv, l=l, j=0, X=X, mm=mm, alpha=0.3)
-    assert rep0.measured == pytest.approx(float(X), rel=1e-12)
-    alpha = 0.3137  # keeps theta*X well away from integers
-    rep1 = type_I_bound_check(inv, l=l, j=1, X=X, mm=mm, alpha=alpha)
-    theta = (alpha + mm) * l
-    want = abs(math.sin(math.pi * theta * X) / math.sin(math.pi * theta))
-    assert rep1.measured == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-
-def test_type_I_envelope(inv95m):
-    # ratio to the curvature bound stays under a recorded envelope over a
-    # frequency grid, and under doubling of X
-    worst = 0.0
-    for alpha in np.linspace(0.0, 0.9, 10):
-        for X in (10 ** 3, 10 ** 4):
-            rep = type_I_bound_check(inv95m, l=1, j=1, X=X, mm=3, alpha=alpha)
-            worst = max(worst, rep.ratio_type_I)
-    print(f"type I worst measured/bound ratio: {worst:.4f}")
-    assert worst < 1.0
-
-
-def test_bilinear_zero_coefficients(inv95m):
-    rep = bilinear_check(inv95m, 32, 32, 1, 0.3,
-                         D1=np.zeros(32), D2=np.zeros(32))
-    assert rep.measured == 0.0
-    assert all(rep.details["checks"].values())
-
-
-def test_bilinear_chain_random(inv95m):
-    rng = np.random.default_rng(5)
-    for trial in range(6):
-        K = int(rng.integers(16, 80))
-        L = int(rng.integers(16, 80))
-        rep = bilinear_check(inv95m, K, L, 1, float(rng.random()), rng=rng)
-        assert all(rep.details["checks"].values()), rep.details
-        assert rep.measured <= rep.bound_bilinear * 10  # envelope, loose
-        assert abs(rep.details["E0"]) <= rep.details["e0_cap"] * (1 + 1e-9)
-
-
-def test_bilinear_hypothesis_errors(inv95m):
-    with pytest.raises(ValueError, match="hypothesis"):
-        bilinear_check(inv95m, 10 ** 6, 10 ** 6, 10 ** 9, 0.1)
-    with pytest.raises(ValueError, match="R"):
-        bilinear_check(inv95m, 32, 32, 1, 0.1, R=64)
-
-
-def test_default_bilinear_R_in_range(inv95m):
-    for K, L in ((32, 32), (64, 256), (1024, 16)):
-        R = default_bilinear_R(inv95m, K, L, 2)
-        assert 1 <= R <= K
 
 
 def _sup_built_at(inv, N, q, a, table, grid):

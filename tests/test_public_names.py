@@ -1,8 +1,11 @@
-"""Every public name of psroth is used by the package, a demo or the benchmark,
-and so is every optional parameter of its public functions.
+"""Every public name of psroth is used by the package or the benchmark, and
+every optional parameter of its public functions is set by the package, a demo
+or the benchmark.
 
-A name or a parameter only the tests reach is either listed below with its
-reason (an oracle for another route, a hypothesis check) or code to delete.
+A name only the tests and demos reach, or a parameter only the tests set, is
+either listed below with its reason (an oracle for another route, a hypothesis
+check) or code to delete.  A demo call does not keep a name alive: a demo
+shows what the package does, it is not a use of it.
 """
 
 import ast
@@ -18,6 +21,11 @@ TEST_ORACLES = {
     "mangoldt": "scalar Lambda(n) by trial division, the oracle for sieve.prime_powers",
     "mobius": "scalar mu(n) by trial division, the oracle for sieve.mobius_array",
     "eval_h_quadrature": "h by numerical integration, the oracle for its closed forms",
+    "count_in_class": "weighted class counts: acceptance criterion 4's residue classes "
+                      "and the error-term tests' second route for route one at xi = 0",
+    "example_specs": "the five worked function families of acceptance criterion 2",
+    "sigma_tau": "sigma and tau, through which acceptance criterion 2 checks the "
+                 "phi recursions",
 }
 
 _SPEC_FIELD = ("FunctionSpec's field of that name, which a config record sets "
@@ -34,23 +42,24 @@ TEST_SETTINGS = {
     ("varnavides_count", "threshold"): "only the empty-set test sets it, but the "
                                        "benchmark tracer reads d_list as the fifth "
                                        "positional argument",
-    ("bilinear_check", "R"): "the test of the R <= K hypothesis",
-    ("bilinear_check", "D1"): "the zero-coefficient test of the differencing chain",
-    ("bilinear_check", "D2"): "the zero-coefficient test of the differencing chain",
 }
 
 
-def _sources():
-    """The package modules (not __init__.py), demos/ and perfbench/, parsed."""
+def _sources(demos):
+    """The package modules (not __init__.py) and perfbench/, parsed, with
+    demos/ too if demos is true."""
     paths = [p for p in (ROOT / "src" / "psroth").glob("*.py") if p.name != "__init__.py"]
-    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    paths += (ROOT / "perfbench").glob("*.py")
+    if demos:
+        paths += (ROOT / "demos").glob("*.py")
     return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
 
 
 def _referenced_names():
-    """Names, attributes, imported names and string constants in the sources."""
+    """Names, attributes, imported names and string constants in the package
+    and the benchmark."""
     names = set()
-    for tree in _sources():
+    for tree in _sources(demos=False):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -68,7 +77,7 @@ def _referenced_names():
 def test_every_public_name_has_a_non_test_user():
     assert set(TEST_ORACLES) <= set(psroth.__all__)
     unused = set(psroth.__all__) - _referenced_names() - set(TEST_ORACLES)
-    assert not unused, f"public names only the tests reach: {sorted(unused)}"
+    assert not unused, f"public names only the tests and demos reach: {sorted(unused)}"
 
 
 def _public_functions():
@@ -88,7 +97,7 @@ def _set_parameters():
     keyword or by position; a call with *args or **kwargs sets every one.
     Calls are matched by the called name alone."""
     calls = {}
-    for tree in _sources():
+    for tree in _sources(demos=True):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func

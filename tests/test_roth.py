@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -97,16 +98,23 @@ def test_cyclic_fft_matches_brute(monkeypatch):
 
 
 def test_integer_fft_matches_brute_and_pair_oracle(monkeypatch):
-    # both sides of N = 4096, where count_3aps switches from the walk to FFT
+    # both sides of N = 4096, where count_3aps switches from the walk to FFT,
+    # and a sparse set whose one progression has a large d, which the walk
+    # must reach in |A| gathers per d, not N
     rng = np.random.default_rng(12)
-    for N in (600, 4096, 4097, 9000):
-        for density in (0.01, 0.04):
-            A = np.flatnonzero(rng.random(N) < density)
-            auto = count_3aps(A, N, mode="integer")
-            brute, fft = _routes(monkeypatch, A, N, "integer")
-            assert auto.nontrivial == brute_pair_count(A)
-            # witnesses too: the FFT route scans d upward like the walk
-            assert auto == brute == fft
+    cases = [(np.flatnonzero(rng.random(N) < density), N)
+             for N in (600, 4096, 4097, 9000) for density in (0.01, 0.04)]
+    k = 2 ** 17
+    cases.append((np.array([0, k - 1, 2 * k - 2]), 2 * k - 1))
+    for A, N in cases:
+        start = time.perf_counter()
+        auto = count_3aps(A, N, mode="integer")
+        assert time.perf_counter() - start < 2.0
+        brute, fft = _routes(monkeypatch, A, N, "integer")
+        assert auto.nontrivial == brute_pair_count(A)
+        # witnesses too: the FFT route scans d upward like the walk
+        assert auto == brute == fft
+    assert auto.nontrivial == 2 and auto.witness == (0, k - 1, 2 * k - 2)
 
 
 def salem_spencer(digits):
