@@ -45,7 +45,6 @@ from .sieve import (
     vaughan_coefficients,
 )
 from .zn_fourier import (
-    convolve,
     dft,
     fourier_on_grid,
     grid_power_sums,

@@ -102,7 +102,7 @@ def check_vaughan_residual():
         pp = expsums.PhaseParams(xi, m, a, q, 1000, 2000)
         split = expsums.vaughan_decompose(inv, pp, table)
         worst = max(worst, split.residual / max(1.0, abs(split.direct)))
-    return "vaughan_residual", worst <= 1e-6, f"worst rel residual {worst:.3e}"
+    return "vaughan_residual", worst <= 1e-12, f"worst rel residual {worst:.3e}"
 
 
 def check_floor_identity_matches_enumeration():

@@ -8,10 +8,9 @@ with phi the inverse of a growth spec.  exp_sum_direct evaluates it by brute
 force with compensated summation.  vaughan_decompose rewrites it through the
 combinatorial prime-sum identity into four ranged pieces S1 - S21 - S22 + S3
 (logarithm-weighted, two convolution-weighted, and one genuinely bilinear)
-and reports the reconstruction residual.  It walks the split's points k*l in
-blocks of about _BLOCK: m*phi(k*l) is taken once per block and shared by
-every residue shift s mod q, and each shift pays one np.exp per block and
-one exactly rounded sum per segment (the k of one l) and piece.
+and reports the reconstruction residual.  Each piece is a sum over n = k*l,
+so it is kept as one row of coefficients on n, and the class a mod q takes
+phi once per n of the class and one exactly rounded dot product per piece.
 
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
@@ -32,8 +31,6 @@ import numpy as np
 from . import hfun, sieve, zn_fourier
 
 TWO_PI = 2.0 * np.pi
-# points k*l per block of the Vaughan split
-_BLOCK = 2 ** 12
 # prime powers per block of error_term_inputs' phi inversion
 _PHI_BLOCK = 2 ** 16
 
@@ -129,63 +126,40 @@ def default_cutoff(inv, P1):
     return float(hfun.eval_phi(inv, float(P1))) * float(P1) ** (-0.625)
 
 
-def _split_segments(P, P1, v, pk, pl, mu, pi_arr, xi_arr):
-    """The split's segments in l order, each (k*l, terms) with terms a list of
-    (piece, coefficient, weights): piece 0..3 is S1, S21, S22, S3, and the
-    weights are none, log k or Lambda(k), read from the prime powers pk <= P1
-    and their weights pl.  A segment has at most one weighted term and it
-    comes last.  Nothing here depends on the frequency, so every residue
-    shift reads the same segments."""
+def _split_coefficients(P, P1, v, pk, pl, mu, pi_arr, xi_arr):
+    """The split's coefficients on n in (P, P1], a (4, P1 - P) array with
+    column n - P - 1: row j is what piece j (S1, S21, S22, S3) puts on
+    e(xi n + m phi(n)).  Each term adds its weight at n = k*l: mu(l) log k
+    and Pi[l] for l <= v, Pi[l] for v < l <= v^2, and Xi[l] Lambda(k) for
+    v < l <= P1/v and the prime powers k > v in pk (weights pl).  The
+    multiples of l in the range are one strided view, and within one l the
+    prime powers' columns are distinct, so plain += adds every term once."""
     vi = int(math.floor(v))
-    l_top = int(math.floor(min(v * v, P1)))
-    for l in range(1, l_top + 1):
-        klo = P // l + 1
-        khi = P1 // l
-        if khi < klo:
-            continue
-        ks = np.arange(klo, khi + 1, dtype=np.int64)
-        terms = []
-        if pi_arr[l] != 0.0:
-            terms.append((1 if l <= vi else 2, pi_arr[l], None))
+    c = np.zeros((4, P1 - P))
+    for l in range(1, int(math.floor(min(v * v, P1))) + 1):
+        cols = slice((P // l + 1) * l - P - 1, None, l)
         if l <= vi and mu[l]:
-            terms.append((0, int(mu[l]), np.log(ks.astype(float))))
-        if terms:
-            ks *= l
-            yield ks, terms
-    l3_top = int(math.floor(P1 / v))
-    for l in range(vi + 1, l3_top + 1):
-        if xi_arr[l] == 0:
-            continue
-        klo = max(P // l + 1, vi + 1)
-        i, j = np.searchsorted(pk, (klo, P1 // l + 1))
-        if i < j:
-            yield pk[i:j] * l, [(3, int(xi_arr[l]), pl[i:j])]
-
-
-def _blocks(segments):
-    """Consecutive segments grouped into lists of about _BLOCK points; a
-    segment longer than _BLOCK is a block of its own (one fsum per segment
-    keeps every partial exactly rounded, so no segment is cut)."""
-    block, size = [], 0
-    for seg in segments:
-        if block and size + seg[0].size > _BLOCK:
-            yield block
-            block, size = [], 0
-        block.append(seg)
-        size += seg[0].size
-    if block:
-        yield block
+            ks = np.arange(P // l + 1, P1 // l + 1, dtype=float)
+            c[0, cols] += int(mu[l]) * np.log(ks)
+        if pi_arr[l] != 0.0:
+            c[1 if l <= vi else 2, cols] += pi_arr[l]
+    for l in range(vi + 1, int(math.floor(P1 / v)) + 1):
+        if xi_arr[l]:
+            i, j = np.searchsorted(pk, (max(P // l + 1, vi + 1), P1 // l + 1))
+            c[3, pk[i:j] * l - P - 1] += int(xi_arr[l]) * pl[i:j]
+    return c
 
 
 def vaughan_decompose(inv, pp, table, v=None):
     """Split the ranged weighted sum into S1 - S21 - S22 + S3 and compare
     against the direct evaluation.
 
-    The split runs over blocks of about _BLOCK points k*l.  Each block takes
-    m*phi(k*l) once, shared by every residue shift s mod q; each shift then
-    takes one np.exp over the block and one exactly rounded sum per segment
-    and piece, added in l order into its four partials.  phi is elementwise
-    and fsum exactly rounded, so the pieces do not depend on the block size.
+    Every piece is a sum over n = k*l in (P, P1], so the class a mod q is
+    read off n itself: _split_coefficients gives each piece's weight per n,
+    phi is taken once per n of the class, and each piece is one exactly
+    rounded dot product of its row's class columns with those phases.  The
+    direct sum takes the same phases at the prime powers, so the residual
+    is the rounding of the four rows alone.
     """
     if v is None:
         v = default_cutoff(inv, pp.P1)
@@ -199,37 +173,13 @@ def vaughan_decompose(inv, pp, table, v=None):
     mu = sieve.mobius_array(int(math.floor(v)), table)
     L = int(math.floor(max(v * v, pp.P1 / v)))
     pi_arr, xi_arr = sieve.vaughan_coefficients(v, min(L, table.limit), table)
-    alphas = [pp.xi + s / pp.q for s in range(pp.q)]
-    parts = [[0.0 + 0.0j] * 4 for _ in alphas]
-    segments = _split_segments(pp.P, pp.P1, v, pk, pl, mu, pi_arr, xi_arr)
-    for block in _blocks(segments):
-        kl = block[0][0] if len(block) == 1 else np.concatenate([seg[0] for seg in block])
-        mphi = pp.m * hfun.eval_phi_clamped(inv, kl, 0)
-        ph = np.empty(kl.size)
-        z = np.empty(kl.size, dtype=np.complex128)
-        for alpha, acc in zip(alphas, parts):
-            # _phase's operations in its order, so the phases match it bitwise
-            np.multiply(alpha, kl, out=ph)
-            ph += mphi
-            np.exp(np.multiply(1j * TWO_PI, ph, out=z), out=z)
-            lo = 0
-            for seg_kl, terms in block:
-                hi = lo + seg_kl.size
-                zs = z[lo:hi]
-                for piece, coeff, w in terms:
-                    if w is not None:  # the last term: weigh the phases in place
-                        np.multiply(w, zs, out=zs)
-                    acc[piece] += coeff * _csum(zs)
-                lo = hi
-    tot = [0.0 + 0.0j] * 4
-    for s, acc in enumerate(parts):
-        coeff = np.exp(-1j * TWO_PI * s * pp.a / pp.q) / pp.q
-        for i in range(4):
-            tot[i] += coeff * acc[i]
+    c = _split_coefficients(pp.P, pp.P1, v, pk, pl, mu, pi_arr, xi_arr)
+    first = pp.P + 1 + (pp.a - pp.P - 1) % pp.q
+    z = _phase(inv, pp.xi, pp.m, np.arange(first, pp.P1 + 1, pp.q))
+    S1, S21, S22, S3 = (_csum(row[first - pp.P - 1 :: pp.q] * z) for row in c)
     direct = exp_sum_direct(inv, pp, table)
-    recombined = tot[0] - tot[1] - tot[2] + tot[3]
-    return VaughanSplit(float(v), tot[0], tot[1], tot[2], tot[3], direct,
-                        abs(recombined - direct))
+    return VaughanSplit(float(v), S1, S21, S22, S3, direct,
+                        abs(S1 - S21 - S22 + S3 - direct))
 
 
 # -- the two-route error term ------------------------------------------------

@@ -107,7 +107,7 @@ def _smoothed_with_transforms(a, report):
 
     Both convolutions take the product rule with F[beta] transformed once:
     step = a * beta from F[a] F[beta], then step * beta from F[step] F[beta],
-    each inverse normalized as zn_fourier.convolve's.
+    each inverse np.fft.ifft with its 1/N, so step(x) = sum_y a(x-y) beta(y).
     """
     weights = a.weights if isinstance(a, WeightedSequence) else np.asarray(a, dtype=float)
     if weights.size != report.N:

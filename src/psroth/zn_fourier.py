@@ -50,13 +50,6 @@ def inverse_dft(F):
     return np.fft.ifft(_values(F), norm="forward")
 
 
-def convolve(f, g):
-    """Cyclic convolution (f*g)(x) = sum_y f(x-y) g(y) via the product rule."""
-    fv, gv = _values(f), _values(g)
-    _same_length(fv, gv)
-    return np.fft.ifft(np.fft.fft(fv) * np.fft.fft(gv))
-
-
 def trilinear_fft(f, g, h):
     """sum_{x,d in Z_N} f(x) g(x+d) h(x+2d) through the frequency identity
     N^{-1} sum_xi F[f](xi) F[g](-2xi) F[h](xi); N must be odd so that

@@ -93,14 +93,14 @@ def test_parity_class_content(table_2e3):
 def test_vaughan_residual_small(inv95m, table_2e3):
     pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
     split = vaughan_decompose(inv95m, pp, table_2e3)
-    assert split.residual <= 1e-6 * (1.0 + abs(split.direct))
+    assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
     assert split.recombined == pytest.approx(split.direct, abs=1e-7)
 
 
 def test_vaughan_residual_with_residue_class(inv95m, table_2e3):
     pp = PhaseParams(0.77, -1, 1, 3, 1000, 2000)
     split = vaughan_decompose(inv95m, pp, table_2e3)
-    assert split.residual <= 1e-6 * (1.0 + abs(split.direct))
+    assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
 
 
 def test_vaughan_all_type_I(inv95m, table_2e3):
@@ -108,7 +108,7 @@ def test_vaughan_all_type_I(inv95m, table_2e3):
     pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
     split = vaughan_decompose(inv95m, pp, table_2e3, v=999.0)
     assert split.S3 == 0.0 + 0.0j
-    assert split.residual <= 1e-6 * (1.0 + abs(split.direct))
+    assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
 
 
 def test_vaughan_cutoff_above_P(inv95m, table_2e3):
@@ -161,8 +161,10 @@ def test_vaughan_identity_per_n():
 
 
 def _split_per_l(inv, pp, table, v):
-    # the split as one loop per l and one phase evaluation per l and shift,
-    # with its own compensated sums; the blocked split must match it bit for bit
+    # the split as one loop per l, one phase evaluation per l and residue
+    # shift s mod q, its own compensated sums and the recombination of the
+    # shifts through e(-sa/q)/q: a route apart from the coefficient rows,
+    # exact up to the rounding of those characters
     def csum(z):
         return complex(math.fsum(z.real), math.fsum(z.imag))
 
@@ -201,52 +203,59 @@ def _split_per_l(inv, pp, table, v):
     return tot
 
 
-def test_vaughan_split_matches_per_l_reference(inv95m, table_2e3, monkeypatch):
-    # phi is elementwise and fsum exactly rounded, so neither the blocks nor
-    # the phi shared across residue shifts may move a bit of any piece;
-    # 7-point blocks span many segments and cut the type I runs short
+def test_vaughan_split_matches_per_l_reference(inv95m, table_2e3):
+    # the coefficient rows against the per-l, per-shift split: every piece
+    # agrees to the reference's own character rounding (worst seen 3.3e-11
+    # relative), the direct sum is the same call, and the rows re-sum to
+    # Lambda(n) on (P, P1], which is the identity the residual rests on
     h1 = inverse_of(power_log(1.2, 2.0, x0=3.0))
     table_8e3 = sieve_primes(8000)
     cases = [(inv95m, 1000, table_2e3, None), (inv95m, 1000, table_2e3, 999.0),
              (h1, 4000, table_8e3, 8.0)]
     for inv, P, table, v in cases:
+        cut = default_cutoff(inv, 2 * P) if v is None else v
+        pk, pl = sieve.prime_powers(table, 2 * P)
+        L = int(math.floor(max(cut * cut, 2 * P / cut)))
+        pi_arr, xi_arr = vaughan_coefficients(cut, min(L, table.limit), table)
+        c = expsums._split_coefficients(P, 2 * P, cut, pk, pl,
+                                        mobius_array(int(cut), table), pi_arr, xi_arr)
+        lam = np.zeros(P)
+        lam[pk[pk > P] - P - 1] = pl[pk > P]
+        assert np.max(np.abs(c[0] - c[1] - c[2] + c[3] - lam)) <= 1e-12
         for q, a in ((1, 0), (2, 1), (3, 2), (4, 3)):
             pp = PhaseParams(0.6180339887, -2, a, q, P, 2 * P)
-            want = _split_per_l(inv, pp, table, default_cutoff(inv, pp.P1) if v is None else v)
-            direct = exp_sum_direct(inv, pp, table)
-            for block in (expsums._BLOCK, 7):
-                monkeypatch.setattr(expsums, "_BLOCK", block)
-                split = vaughan_decompose(inv, pp, table, v=v)
-                assert [split.S1, split.S21, split.S22, split.S3] == want
-                assert split.direct == direct
-                assert split.residual == abs(want[0] - want[1] - want[2] + want[3] - direct)
-                monkeypatch.undo()
+            want = _split_per_l(inv, pp, table, cut)
+            split = vaughan_decompose(inv, pp, table, v=v)
+            for got, w in zip((split.S1, split.S21, split.S22, split.S3), want):
+                assert abs(got - w) <= 1e-9 * max(1.0, abs(w))
+            assert split.direct == exp_sum_direct(inv, pp, table)
+            assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
 
 
 def test_vaughan_phi_not_repeated_per_shift(inv95m, table_2e3, monkeypatch):
-    # m*phi(k*l) does not depend on the frequency: one evaluation per block
-    # serves every residue shift, so q = 3 inverts as often as q = 1
-    monkeypatch.setattr(expsums, "_BLOCK", 256)
+    # phi once per n: one split inverts phi at the n of the class in (P, P1],
+    # at the class's prime powers there (the direct sum) and once for the
+    # default cutoff, whatever q is
     real = hfun.eval_phi
-    calls = []
+    points = []
 
     def counting(inv, y):
-        calls.append(np.size(y))
+        points.append(np.size(y))
         return real(inv, y)
 
     monkeypatch.setattr(hfun, "eval_phi", counting)
-    counts = []
     for q, a in ((1, 0), (3, 2)):
-        calls.clear()
-        vaughan_decompose(inv95m, PhaseParams(0.3, 2, a, q, 1000, 2000), table_2e3, v=12.0)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 10
+        points.clear()
+        vaughan_decompose(inv95m, PhaseParams(0.3, 2, a, q, 1000, 2000), table_2e3)
+        n_class = len(range(1001 + (a - 1001) % q, 2001, q))
+        ks, _ = sieve.prime_powers(table_2e3, 2000, q, a)
+        assert sum(points) <= n_class + np.count_nonzero(ks > 1000) + 1, q
 
 
 def test_vaughan_split_memory_is_blocked(inv95m):
-    # one P = 16000 split holds one block of phases at a time, not the whole
-    # split: the traced peak stays under 2 MB (about 1.2 MB; a loop with one
-    # phase array per l and shift reads 0.9 MB)
+    # one P = 16000 split holds its four coefficient rows (512 KB) and the
+    # phases of one class: the traced peak stays under 2 MB (about 1.4 MB
+    # at q = 1)
     table = sieve_primes(32000)
     table.mangoldt_array()
     pp = PhaseParams(0.3, 2, 0, 1, 16000, 32000)
@@ -268,7 +277,7 @@ def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
     monkeypatch.setattr(sieve.PrimeTable, "mangoldt_array", refuse)
     table = sieve_primes(2048)
     split = vaughan_decompose(inv95m, PhaseParams(0.3, 2, 1, 3, 1000, 2000), table)
-    assert split.residual < 1e-6 * max(1.0, abs(split.direct))
+    assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
     assert exp_sum_direct(inv95m, PhaseParams(0.3, 2, 0, 1, 1000, 2000), table) != 0
     pi_arr, _ = vaughan_coefficients(12.0, 1000, table)
     assert pi_arr[2] == pytest.approx(math.log(2))

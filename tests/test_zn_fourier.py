@@ -4,7 +4,6 @@ import pytest
 from psroth import zn_fourier
 
 from psroth import (
-    convolve,
     dft,
     fourier_on_grid,
     grid_power_sums,
@@ -66,7 +65,6 @@ def test_parseval(N):
 ENTRY_POINTS = {
     "dft": dft,
     "inverse_dft": inverse_dft,
-    "convolve": lambda x: convolve(x, np.ones(x.size, dtype=complex)),
     "trilinear_fft": lambda x: trilinear_fft(x, np.ones(x.size), np.ones(x.size)),
     "trilinear_direct": lambda x: trilinear_direct(x, np.ones(x.size), np.ones(x.size)),
 }
@@ -80,38 +78,6 @@ ENTRY_POINTS = {
 def test_bad_input_rejected(name, bad):
     with pytest.raises(ValueError):
         ENTRY_POINTS[name](bad)
-
-
-def test_convolution_against_double_sum():
-    N = 64
-    f, g = random_complex(N), random_complex(N)
-    got = convolve(f, g)
-    want = np.array([sum(f[(x - y) % N] * g[y] for y in range(N))
-                     for x in range(N)])
-    assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
-
-
-def test_convolution_units():
-    N = 16
-    f = random_complex(N)
-    d0 = np.zeros(N, dtype=complex)
-    d0[0] = 1.0
-    assert np.allclose(convolve(f, d0), f)
-    ones = np.ones(N, dtype=complex)
-    assert np.allclose(convolve(ones, ones), N * ones)
-
-
-def test_convolution_transform_product():
-    N = 101
-    f, g = random_complex(N), random_complex(N)
-    lhs = dft(convolve(f, g))
-    rhs = dft(f) * dft(g)
-    assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(rhs))
-
-
-def test_convolution_length_mismatch():
-    with pytest.raises(ValueError):
-        convolve(np.ones(4, dtype=complex), np.ones(5, dtype=complex))
 
 
 @pytest.mark.parametrize("N", [5, 101, 1009])
