@@ -55,8 +55,8 @@ def check_bohr_pigeonhole():
     for N, delta_frac, eps in ((101, 0.43, 0.15), (257, 0.29, 0.2), (1009, 0.18, 0.1)):
         w = rng.random(N) * (rng.random(N) < 0.2)
         s = w.sum()
-        a = measures.WeightedSequence(N, w / s if s else w, "restricted")
-        rep = measures.spectrum_and_bohr(a, delta_frac * a.mass, eps)
+        a = w / s if s else w
+        rep = measures.spectrum_and_bohr(a, delta_frac * a.sum(), eps)
         lower = eps ** rep.k * N
         ok &= rep.bohr.size >= lower * (1 - 1e-12)
         detail.append(f"N={N}: |B|={rep.bohr.size} >= {lower:.3f} (k={rep.k})")

@@ -364,14 +364,15 @@ def smoothing_bound_chain(a, report):
     N^{-1} sum_xi F[a](xi)^2 F[a](-2xi) (F[beta](xi)^4 F[beta](-2xi)^2 - 1),
     and in absolute value is at most the same sum with every factor replaced
     by its modulus.  Returns the three quantities and the identity gap.
-    a is a plain weight array or a WeightedSequence.
+    a is a plain weight array (measures._weights checks it).
     """
     N = report.N
     if N % 2 == 0:
         raise ValueError("need odd N")
-    # a and beta are transformed once; a1 comes from real space, a * beta * beta
+    # a and beta are transformed once; a1 = a * beta * beta comes from real
+    # space and is transformed again, so the identity compares two routes
     Fa, Fb, a1 = measures._smoothed_with_transforms(a, report)
-    Fa1 = zn_fourier.dft(a1.astype(complex))
+    Fa1 = zn_fourier.dft(a1)
     lam3_a = zn_fourier._trilinear_from_transforms(Fa, Fa, Fa)
     lam3_a1 = zn_fourier._trilinear_from_transforms(Fa1, Fa1, Fa1)
     idx = (-2 * np.arange(N)) % N

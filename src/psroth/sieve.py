@@ -60,27 +60,30 @@ _DEFAULT_BUDGET = 1 << 27
 
 
 def _in_order(fn, items, threads):
-    """Yield fn(item) for each item, in item order.
+    """An iterator of fn(item) for each item, in item order.
 
-    At threads = 1, or with at most one item, fn runs inline on the calling
-    thread.  Otherwise it runs on min(threads, len(items)) threads, never
-    more than threads + 1 results ahead of the consumer, so at most that
-    many results wait in memory.  Results are read in order, so the
-    exception of the earliest failing item is the one raised.  On leaving,
-    early or by an exception, the items not yet started are cancelled and
-    the pool's threads are joined.
+    threads below 1 raise ValueError at the call, before any item runs.  At
+    threads = 1, or with at most one item, fn runs inline on the consuming
+    thread.  Otherwise it runs on n = min(threads, len(items)) threads, never
+    more than n + 1 results ahead of the consumer.  Results are read in
+    order, so the exception of the earliest failing item is the one raised.
+    On leaving, early or by an exception, the items not yet started are
+    cancelled and the pool's threads are joined.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     items = list(items)
     n = min(int(threads), len(items))
-    if n <= 1:
-        yield from map(fn, items)
-        return
+    return map(fn, items) if n <= 1 else _pooled(fn, items, n)
+
+
+def _pooled(fn, items, n):
     pool = ThreadPoolExecutor(max_workers=n)
     try:
         ahead = deque()
         for item in items:
             ahead.append(pool.submit(fn, item))
-            if len(ahead) > threads:
+            if len(ahead) > n:
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
@@ -344,9 +347,10 @@ class PsPrimeSet:
                 runs.append(rows)
             return runs
 
+        blocks = _in_order(formatted, range(0, self.members.size, block), threads)
         with open(path, "wb") as fh:
             fh.write(b"n_witness_index,p_prime\r\n")
-            for runs in _in_order(formatted, range(0, self.members.size, block), threads):
+            for runs in blocks:
                 fh.writelines(runs)
 
 

@@ -511,22 +511,38 @@ def test_smoothing_chain_bitwise_the_separate_transforms():
     N = 1009
     for _ in range(3):
         w = rng.random(N) * (rng.random(N) < 0.05)
-        a = WeightedSequence(N, w, "test")
-        report = spectrum_and_bohr(a, 0.4 * a.mass, 0.3)
+        report = spectrum_and_bohr(w, 0.4 * w.sum(), 0.3)
         beta = bohr_indicator(report)
-        a1 = smooth(a, report)
-        lam3_a = trilinear_fft(*([a.weights.astype(complex)] * 3))
-        lam3_a1 = trilinear_fft(*([a1.weights.astype(complex)] * 3))
-        Fa = dft(a.weights.astype(complex))
-        Fb = dft(beta.weights.astype(complex))
+        a1 = smooth(w, report)
+        lam3_a = trilinear_fft(*([w.astype(complex)] * 3))
+        lam3_a1 = trilinear_fft(*([a1.astype(complex)] * 3))
+        Fa = dft(w.astype(complex))
+        Fb = dft(beta.astype(complex))
         idx = (-2 * np.arange(N)) % N
         mult = Fb ** 4 * Fb[idx] ** 2 - 1.0
         freq_sum = complex(np.sum(Fa ** 2 * Fa[idx] * mult) / N)
         diff = lam3_a1 - lam3_a
         triangle = float(np.sum(np.abs(Fa) ** 2 * np.abs(Fa[idx]) * np.abs(mult)) / N)
-        assert smoothing_bound_chain(a, report) == {
+        assert smoothing_bound_chain(w, report) == {
             "difference": diff, "frequency_sum": freq_sum,
             "identity_gap": abs(diff - freq_sum), "triangle_bound": triangle}
+
+
+def test_smoothing_chain_takes_four_transforms(monkeypatch):
+    # F[a], F[beta], one inverse of F[a] F[beta]^2 for a1, and F[a1]
+    rng = np.random.default_rng(31)
+    N = 1009
+    w = rng.random(N) * (rng.random(N) < 0.05)
+    report = spectrum_and_bohr(w, 0.4 * w.sum(), 0.3)
+    lengths = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+                 "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
+            lengths.append(np.shape(x)[-1])
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    smoothing_bound_chain(w, report)
+    assert lengths == [N] * 4
 
 
 def test_smoothing_chain_degenerate_bohr():

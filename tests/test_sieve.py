@@ -14,6 +14,7 @@ from psroth import (
     ResourceError,
     count_in_class,
     enumerate_ps_primes,
+    error_term_inputs,
     eval_phi,
     hfun,
     inverse_of,
@@ -578,6 +579,29 @@ def test_in_order_raises_earliest_failure_and_joins(fast_switching):
         assert err.value.args == (3,)
         assert got == [0, 1, 2]
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("entry", ["enumerate_ps_primes", "to_csv", "error_term_inputs"])
+def test_threads_below_one_rejected(tmp_path, inv95, table_1e6, entry, threads):
+    # grid_power_sums' rule for every _in_order caller: the helper raises at
+    # the call, before any item runs, and to_csv before it opens its file
+    ran = []
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sieve._in_order(ran.append, range(3), threads)
+    assert ran == []
+    path = tmp_path / "ps.csv"
+    ps = enumerate_ps_primes(inv95, 10 ** 4, table_1e6)
+    calls = {
+        "enumerate_ps_primes": lambda: enumerate_ps_primes(
+            inv95, 10 ** 4, table_1e6, threads=threads),
+        "to_csv": lambda: ps.to_csv(path, threads=threads),
+        "error_term_inputs": lambda: error_term_inputs(
+            inv95, 10 ** 4, 1, 0, table_1e6, threads=threads),
+    }
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        calls[entry]()
+    assert not path.exists()
 
 
 def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):
