@@ -3,7 +3,7 @@
 The package splits into a function-family layer (hfun), integer machinery
 (sieve), cyclic-group Fourier analysis (zn_fourier, measures), exponential
 sum decompositions (expsums), and the progression-counting harness (roth).
-checks collects the fast exact-identity suite; cli exposes the experiments.
+checks collects the exact-identity suite, cli the experiments, run the pool.
 """
 
 from .errors import ConvergenceError, DomainError, NumericalError, ResourceError

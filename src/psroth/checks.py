@@ -47,18 +47,22 @@ def check_inversion_and_parseval():
 
 
 def check_bohr_pigeonhole():
-    """|B(R, eps)| >= eps^k N for spectra of random restricted measures."""
+    """|B(R, eps)| >= eps^k N for spectra of random restricted measures, and
+    B equal to a per-x scan of ||x xi / N|| <= eps in exact integers."""
     rng = _rng(2028)
     ok = True
     detail = []
     # delta sits just under the top nonzero peaks so k stays small but > 1
     for N, delta_frac, eps in ((101, 0.43, 0.15), (257, 0.29, 0.2), (1009, 0.18, 0.1)):
         w = rng.random(N) * (rng.random(N) < 0.2)
-        s = w.sum()
-        a = w / s if s else w
+        a = w / w.sum()
         rep = measures.spectrum_and_bohr(a, delta_frac * a.sum(), eps)
         lower = eps ** rep.k * N
-        ok &= rep.bohr.size >= lower * (1 - 1e-12)
+        # min(r, N - r) / N <= eps, r = x xi mod N, with eps = num / den
+        xis, (num, den) = rep.frequencies.tolist(), eps.as_integer_ratio()
+        scan = [x for x in range(N)
+                if all(min(x * xi % N, N - x * xi % N) * den <= num * N for xi in xis)]
+        ok &= rep.bohr.size >= lower * (1 - 1e-12) and rep.bohr.tolist() == scan
         detail.append(f"N={N}: |B|={rep.bohr.size} >= {lower:.3f} (k={rep.k})")
     return "bohr_pigeonhole", ok, "; ".join(detail)
 

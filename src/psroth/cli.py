@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import checks, expsums, hfun, roth, sieve
+from . import checks, expsums, hfun, roth, run, sieve
 from .errors import NumericalError, ResourceError
 
 DEFAULTS = {
@@ -189,7 +189,7 @@ def cmd_errsweep(cfg):
         return (Ni, rep.sup_diff, rep.sup_diff / Ni,
                 float(np.max(rep.per_xi_middle)), rep.route_gap)
 
-    rows = list(sieve._in_order(one, Ns, cfg["threads"]))
+    rows = list(run.in_order(one, Ns, cfg["threads"]))
     path = _out_path(cfg, "errsweep.csv")
     _write_csv(path, ["N", "sup_diff_weighted", "sup_diff_over_N",
                       "middle_sup_weighted", "route_gap_weighted"], rows)
@@ -307,10 +307,10 @@ def build_parser():
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--threads", type=int,
-                    help="worker threads (an integer >= 1, else exit 1) for "
-                         "psgen (enumeration and CSV blocks), errsweep (phi "
-                         "inversion blocks and its N ladder) and restrict (its "
-                         "grid rows); vaughan, roth and check ignore it")
+                    help="run.in_order's worker threads (an integer >= 1, else "
+                         "exit 1) for psgen (enumeration and CSV blocks), errsweep "
+                         "(enumeration, phi inversion blocks, N ladder) and restrict "
+                         "(grid rows); vaughan, roth and check ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N)")

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hfun, sieve, zn_fourier
+from . import hfun, run, sieve, zn_fourier
 
 TWO_PI = 2.0 * np.pi
 # prime powers per block of error_term_inputs' phi inversion
@@ -212,18 +212,18 @@ def error_term_inputs(inv, top, q, a, table, threads=1):
     table flags as prime.  phi is inverted only at each prime power k
     and at k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and
     the members, primes of the same class, read their phi' from that array.
-    The inversion runs over blocks of _PHI_BLOCK of the sorted k into arrays
-    allocated once, on `threads` threads (sieve._in_order), each block
-    writing its own slice; phi is elementwise and each Newton point stops on
-    its own, so the values depend on neither the block size nor the thread
-    count.
+    The enumeration runs on `threads` threads, and the inversion over blocks
+    of _PHI_BLOCK of the sorted k into arrays allocated once, on `threads`
+    threads (run.in_order), each block writing its own slice; phi is
+    elementwise and each Newton point stops on its own, so the values depend
+    on neither the block size nor the thread count.
     """
     top = int(top)
     if top > table.limit:
         raise ValueError("N beyond table limit")
     if q < 1 or math.gcd(a, q) != 1:
         raise ValueError("need q >= 1 and gcd(a, q) = 1")
-    ps = sieve.enumerate_ps_primes(inv, top, table)
+    ps = sieve.enumerate_ps_primes(inv, top, table, threads)
     ks, lam = sieve.prime_powers(table, top, q, a)
     primes = ks[table.is_prime[ks]]
     phi_k, phi_k1, dphi_k = (np.empty(ks.size) for _ in range(3))
@@ -236,8 +236,7 @@ def error_term_inputs(inv, top, q, a, table, threads=1):
         phi_k1[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
         dphi_k[i:j] = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k[i:j], 1)
 
-    for _ in sieve._in_order(invert, range(0, ks.size, _PHI_BLOCK), threads):
-        pass
+    list(run.in_order(invert, range(0, ks.size, _PHI_BLOCK), threads))
     mem = ps.members[ps.members % q == a % q]
     w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
     return ErrorTermInputs(top, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)

@@ -22,7 +22,7 @@ frequencies and compares L^r norms against the unsigned extremizer on a
 Riemann grid, with a doubling refinement guard on every accepted norm and a
 direct-summation control on the extremizer's transform; the doubled grid is
 streamed row by row, once for all the trials and the extremizer, and its rows
-run on a thread pool.
+run on the package's ordered pool, run.in_order.
 """
 
 from __future__ import annotations
@@ -315,9 +315,9 @@ def restriction_ratio(inv, table, N, r, trials, seed, threads=1):
     grid points (1 up to rounding); its points come from a child seed after
     the trials'.
 
-    The grid rows run on `threads` threads.  Each row sum has its own slot,
-    added in row order, so the ratios are the same for every thread count
-    and every pass size.
+    The grid rows run on `threads` threads (grid_power_sums' run.in_order).
+    Each row sum has its own slot, added in row order, so the ratios are the
+    same for every thread count and every pass size.
     """
     N = int(N)
     if trials < 1:

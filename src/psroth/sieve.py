@@ -17,7 +17,7 @@ a range of n, in cache-sized sub-blocks of fresh arrays.  The enumeration
 reads primality from a table when given one; without one, each block sieves
 only the value segment it reaches, so nothing the size of the range is held.
 The blocks, and PsPrimeSet.to_csv's blocks of rows, can run on threads
-through _in_order, which hands their results back in order.
+through run.in_order, which hands their results back in order.
 The membership test for a single prime p uses the floor identity
 
     floor(-phi(p)) - floor(-phi(p+1)) == 1,
@@ -38,14 +38,12 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import hfun
+from . import hfun, run
 from .errors import DomainError, NumericalError, ResourceError
 
 log = logging.getLogger(__name__)
@@ -57,38 +55,6 @@ _SUB_BLOCK = 1 << 16
 # rows per joined run of blocks in enumerate_ps_primes (32 MB per column)
 _JOIN = 1 << 22
 _DEFAULT_BUDGET = 1 << 27
-
-
-def _in_order(fn, items, threads):
-    """An iterator of fn(item) for each item, in item order.
-
-    threads below 1 raise ValueError at the call, before any item runs.  At
-    threads = 1, or with at most one item, fn runs inline on the consuming
-    thread.  Otherwise it runs on n = min(threads, len(items)) threads, never
-    more than n + 1 results ahead of the consumer.  Results are read in
-    order, so the exception of the earliest failing item is the one raised.
-    On leaving, early or by an exception, the items not yet started are
-    cancelled and the pool's threads are joined.
-    """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    items = list(items)
-    n = min(int(threads), len(items))
-    return map(fn, items) if n <= 1 else _pooled(fn, items, n)
-
-
-def _pooled(fn, items, n):
-    pool = ThreadPoolExecutor(max_workers=n)
-    try:
-        ahead = deque()
-        for item in items:
-            ahead.append(pool.submit(fn, item))
-            if len(ahead) > n:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _near_int(x, slack=0.0):
@@ -328,7 +294,7 @@ class PsPrimeSet:
         Both columns ascend, so their digit counts are constant on runs of
         rows cut at the powers of ten.  Each run is one uint8 matrix of
         digits, comma and CRLF, written as its bytes.  The blocks are
-        formatted on `threads` threads (_in_order) and written in order.
+        formatted on `threads` threads (run.in_order) and written in order.
         """
         block = 1 << 16
 
@@ -347,7 +313,7 @@ class PsPrimeSet:
                 runs.append(rows)
             return runs
 
-        blocks = _in_order(formatted, range(0, self.members.size, block), threads)
+        blocks = run.in_order(formatted, range(0, self.members.size, block), threads)
         with open(path, "wb") as fh:
             fh.write(b"n_witness_index,p_prime\r\n")
             for runs in blocks:
@@ -523,10 +489,10 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
     Every block's members are cross-validated against the floor identity
     above the small-p threshold (NumericalError names the first rejected p);
     below it, disagreements are summed over the blocks and logged only.
-    The blocks' own work runs on `threads` threads (_in_order), each holding
-    one block's working set; the carry, the checks and the join take the
-    blocks in n order, so the result and the errors are the same for every
-    thread count.
+    The blocks' own work runs on `threads` threads (run.in_order), each
+    holding one block's working set; the carry, the checks and the join take
+    the blocks in n order, so the result and the errors are the same for
+    every thread count.
     """
     N = int(N)
     if table is not None and N > table.limit:
@@ -572,7 +538,7 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
     pending, runs, rows = [], [], 0
     last = -1
     below = below_bad = 0
-    for ps, ns, ok in _in_order(block, range(n_start, n_end + 1, _BLOCK), threads):
+    for ps, ns, ok in run.in_order(block, range(n_start, n_end + 1, _BLOCK), threads):
         if ps.size and ps[0] == last:
             ps, ns, ok = ps[1:], ns[1:], ok[1:]
         if ps.size:

@@ -12,16 +12,17 @@ Functions on Z_N are plain 1-d complex128 arrays.  Every transform is numpy's
 FFT, which handles every length N, prime N included.  grid_power_sums streams
 grid transforms row by row for L^r norms of grids too large to hold: one
 pass over the grid rows serves a whole stack of weight rows, and the grid
-rows run on a thread pool.
+rows run on the package's ordered pool, run.in_order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import run
 
 
 def _values(f):
@@ -145,18 +146,15 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
     column j // S.  S is the even divisor of the grid whose row length is
     nearest _ROW_LENGTH; grid/2 prime gives S = 2.
 
-    The grid rows run on n = min(threads, S) threads: thread k takes grid
-    rows k, k + n, ..., with its own complex and real row buffer.  Every row
-    sum lands in its own slot and the slots are added in row order, so the
-    result is bitwise the same for every thread count.
+    The grid rows run on `threads` threads (run.in_order), each with its own
+    row buffers; a row's sums land in its own slots, added in row order, so
+    the result is bitwise the same for every thread count.
     """
     grid_size = int(grid_size)
     if grid_size < 2 or grid_size % 2:
         raise ValueError("grid_size must be even and >= 2")
     if r <= 0:
         raise ValueError("r must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     pos = np.asarray(positions, dtype=np.int64)
     W = np.asarray(weights, dtype=np.complex128)
     if pos.ndim != 1 or W.ndim != 2 or W.shape[1] != pos.size:
@@ -166,34 +164,29 @@ def grid_power_sums(positions, weights, grid_size, r, at=(), threads=1):
         raise ValueError("indices must lie in [0, grid_size)")
     S = _row_count(grid_size)
     L = grid_size // S
-    shift, fold = pos % grid_size, pos % L
-    # one slot per (weight row, grid row)
-    sums = np.empty((W.shape[0], S))
-    values = np.empty((W.shape[0], at.size), dtype=np.complex128)
+    shift, fold, at_row = pos % grid_size, pos % L, at % S
 
-    def work(k):
+    def work(s):
         row, power = np.empty(L, dtype=np.complex128), np.empty(L)
-        for s in range(k, S, n):
-            twist = np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
-            in_row = at % S == s
-            cols = at[in_row] // S
-            for t in range(W.shape[0]):
-                row[:] = 0
-                np.add.at(row, fold, W[t] * twist)
-                np.fft.ifft(row, norm="forward", out=row)
-                # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
-                np.abs(row, out=power)
-                power **= r
-                sums[t, s] = np.sum(power)
-                values[t, in_row] = row[cols]
+        twist = np.exp(2j * np.pi * (shift * s % grid_size / grid_size))
+        cols = at[at_row == s] // S
+        sums, values = np.empty(W.shape[0]), np.empty((W.shape[0], cols.size), complex)
+        for t in range(W.shape[0]):
+            row[:] = 0
+            np.add.at(row, fold, W[t] * twist)
+            np.fft.ifft(row, norm="forward", out=row)
+            # in-place ** takes the same ufunc as |row| ** r (square for r = 2)
+            np.abs(row, out=power)
+            power **= r
+            sums[t] = np.sum(power)
+            values[t] = row[cols]
+        return sums, values
 
-    n = min(int(threads), S)
-    if n == 1:
-        work(0)
-    else:
-        # numpy's FFT releases the GIL, so the rows' transforms run in parallel
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(work, range(n)))
+    # numpy's FFT releases the GIL, so the rows' transforms run in parallel
+    sums, values = np.empty((W.shape[0], S)), np.empty((W.shape[0], at.size), complex)
+    for s, (row_sums, row_values) in enumerate(run.in_order(work, range(S), threads)):
+        sums[:, s] = row_sums
+        values[:, at_row == s] = row_values
     return sums.sum(axis=1), sums[:, ::2].sum(axis=1), values
 
 

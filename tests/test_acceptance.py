@@ -28,10 +28,36 @@ def test_criterion_1_exact_identity_suite():
     _verdict(1, ok, f"{len(results)} checks, failed={failed}, {elapsed:.1f}s")
 
 
+# criterion 2's central differences in longdouble: the step, as a fraction
+# of the point, per derivative order, and the bound on each derivative's
+# relative error, about 10x the worst measured over the five example specs
+# at x0 2^1..2^7 (h' 1.3e-13, h'' 2.3e-9, h''' 1.7e-6, phi' 1.7e-13,
+# phi'' 3.2e-9)
+_CD_STEPS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
+_CD_BOUNDS = {"h'": 1.5e-12, "h''": 2.5e-8, "h'''": 2e-5, "phi'": 2e-12, "phi''": 3e-8}
+
+
+def _central_difference(f, x, order):
+    """The order-th derivative of f at x by a central difference in
+    longdouble, returned as float."""
+    x = np.asarray(x, dtype=np.longdouble)
+    s = x * np.longdouble(_CD_STEPS[order])
+    if order == 1:
+        d = (f(x + s) - f(x - s)) / (2 * s)
+    elif order == 2:
+        d = (f(x + s) - 2 * f(x) + f(x - s)) / (s * s)
+    else:
+        d = (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s) - f(x - 2 * s)) / (2 * s ** 3)
+    return d.astype(float)
+
+
 def test_criterion_2_function_identities():
     t0 = time.perf_counter()
     worst = 0.0
     worst_fd = 0.0
+    # the recursions write each derivative through one theta formula on both
+    # sides; the central differences of h and phi are a second route
+    worst_cd = dict.fromkeys(_CD_BOUNDS, 0.0)
     for spec in hfun.example_specs().values():
         xs = spec.x0 * 2.0 ** np.arange(1, 8)
         for i in (1, 2, 3):
@@ -52,10 +78,22 @@ def test_criterion_2_function_identities():
         fd = (hfun.eval_h(spec, xs + step) - hfun.eval_h(spec, xs - step)) / (2 * step)
         d1 = hfun.eval_h_deriv(spec, xs, 1)
         worst_fd = max(worst_fd, float(np.max(np.abs(fd - d1) / np.abs(d1))))
+        for order in (1, 2, 3):
+            exact = hfun.eval_h_deriv(spec, xs, order)
+            cd = _central_difference(lambda x: hfun.eval_h(spec, x), xs, order)
+            name = "h" + "'" * order
+            worst_cd[name] = max(worst_cd[name], float(np.max(np.abs(cd - exact) / np.abs(exact))))
+        for order in (1, 2):
+            exact = hfun.eval_phi_deriv(inv, ys, order)
+            cd = _central_difference(lambda y: hfun.eval_phi(inv, y), ys, order)
+            name = "phi" + "'" * order
+            worst_cd[name] = max(worst_cd[name], float(np.max(np.abs(cd - exact) / np.abs(exact))))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and worst_fd <= 1e-6 and elapsed < 10
+    cd_ok = all(worst_cd[name] <= bound for name, bound in _CD_BOUNDS.items())
+    ok = worst <= 1e-9 and worst_fd <= 1e-6 and cd_ok and elapsed < 10
+    cd = ", ".join(f"{name} {err:.1e}" for name, err in worst_cd.items())
     _verdict(2, ok, f"identity rel err {worst:.2e}, fd rel err {worst_fd:.2e}, "
-                    f"{elapsed:.1f}s")
+                    f"central difference rel err {cd}, {elapsed:.1f}s")
 
 
 def test_criterion_3_density_band(inv95, table_1e7, ps95_1e7):

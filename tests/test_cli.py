@@ -370,7 +370,7 @@ def test_errsweep_ladder_inverts_phi_twice(tmp_path, monkeypatch):
     ps = sieve.enumerate_ps_primes(inv, max(ladder), sieve.sieve_primes(max(ladder)))
     tops = []
 
-    def enumerated(inv, N, table):
+    def enumerated(inv, N, table, threads=1):
         tops.append(N)
         return ps
 

@@ -2,7 +2,6 @@ import csv
 import logging
 import math
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +24,7 @@ from psroth import (
     ps_exponent_spec,
     ps_member,
     pure_power,
+    run,
     sieve,
     sieve_primes,
     small_p_threshold,
@@ -536,59 +536,14 @@ def test_segment_flags_match_reference(monkeypatch):
         assert np.array_equal(sieve._segment_flags(lo, hi, small), want[lo:hi + 1])
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_in_order_holds_at_most_threads_plus_one_ahead(threads, fast_switching):
-    # a slow consumer: the workers may run ahead of it, but by at most
-    # threads + 1 items, counting the one it was just handed
-    got, ahead, workers = [], [], set()
-
-    def square(i):
-        ahead.append(i + 1 - len(got))
-        workers.add(threading.get_ident())
-        return i * i
-
-    for x in sieve._in_order(square, range(40), threads):
-        got.append(x)
-        time.sleep(0.001)
-    assert got == [i * i for i in range(40)]
-    assert max(ahead) <= threads + 1
-    assert len(workers) <= threads
-    # never more workers than items
-    workers.clear()
-    assert list(sieve._in_order(square, range(2), threads)) == [0, 1]
-    assert len(workers) <= 2
-
-
-def test_in_order_raises_earliest_failure_and_joins(fast_switching):
-    # item 3 fails 20 ms late, after item 5 has failed on a pool; its error
-    # is the one raised, after the results before it, and no pool thread
-    # outlives it
-    def fn(i):
-        if i == 3:
-            time.sleep(0.02)
-        if i in (3, 5):
-            raise ValueError(i)
-        return i
-
-    for threads in (1, 2, 3):
-        before = threading.active_count()
-        got = []
-        with pytest.raises(ValueError) as err:
-            for x in sieve._in_order(fn, range(20), threads):
-                got.append(x)
-        assert err.value.args == (3,)
-        assert got == [0, 1, 2]
-        assert threading.active_count() == before
-
-
 @pytest.mark.parametrize("threads", [0, -3])
 @pytest.mark.parametrize("entry", ["enumerate_ps_primes", "to_csv", "error_term_inputs"])
 def test_threads_below_one_rejected(tmp_path, inv95, table_1e6, entry, threads):
-    # grid_power_sums' rule for every _in_order caller: the helper raises at
-    # the call, before any item runs, and to_csv before it opens its file
+    # every threaded loop goes through run.in_order, which raises at the
+    # call, before any item runs, and to_csv before it opens its file
     ran = []
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        sieve._in_order(ran.append, range(3), threads)
+        run.in_order(ran.append, range(3), threads)
     assert ran == []
     path = tmp_path / "ps.csv"
     ps = enumerate_ps_primes(inv95, 10 ** 4, table_1e6)
@@ -602,6 +557,22 @@ def test_threads_below_one_rejected(tmp_path, inv95, table_1e6, entry, threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
         calls[entry]()
     assert not path.exists()
+
+
+def test_error_term_inputs_rejects_threads_before_enumerating(inv95, table_1e6,
+                                                              monkeypatch):
+    # the enumeration's pool raises before its first block takes its floors
+    calls = []
+    real = sieve._floor_guarded_h
+
+    def counting(inv, lo, hi):
+        calls.append((lo, hi))
+        return real(inv, lo, hi)
+
+    monkeypatch.setattr(sieve, "_floor_guarded_h", counting)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        error_term_inputs(inv95, 10 ** 4, 1, 0, table_1e6, threads=0)
+    assert calls == []
 
 
 def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):
