@@ -261,7 +261,7 @@ def cmd_roth(cfg):
     table = sieve.sieve_primes(n, budget=cfg["sieve_budget"])
     trep = roth.transference_build(inv, table, n, override_W=cfg["W"])
     arep = roth.count_3aps(trep.A, trep.N, mode="cyclic")
-    vrep = roth.varnavides_count(trep.A, trep.N, cfg["M"])
+    vrep = roth.varnavides_count(trep.A, trep.N, cfg["M"], threads=cfg["threads"])
     path = _out_path(cfg, "roth.csv")
     _write_csv(path, ["n", "W", "m_primorial", "b_residue", "N_prime",
                       "set_size", "mass_dimensionless", "window_mass_dimensionless",
@@ -309,8 +309,8 @@ def build_parser():
     ap.add_argument("--threads", type=int,
                     help="run.in_order's worker threads (an integer >= 1, else "
                          "exit 1) for psgen (enumeration and CSV blocks), errsweep "
-                         "(enumeration, phi inversion blocks, N ladder) and restrict "
-                         "(grid rows); vaughan, roth and check ignore it")
+                         "(enumeration, phi inversion, N ladder), restrict (grid "
+                         "rows) and roth (Varnavides scan); vaughan and check ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N)")

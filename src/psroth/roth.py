@@ -15,7 +15,7 @@ weight phi(m) log p / (m N phi'(p)), of the image and of the whole window.
 
 varnavides_count tallies how many length-M subprogressions of Z_N meet a set
 densely, exposing the averaging identity and the good-pair count that feed
-the positive-proportion lower bound.
+the positive-proportion lower bound; its d run in blocks on run.in_order.
 
 restriction_ratio draws random unimodular coefficients on the floor-prime
 frequencies and compares L^r norms against the unsigned extremizer on a
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hfun, measures, sieve, zn_fourier
+from . import hfun, measures, run, sieve, zn_fourier
 from .errors import NumericalError
 
 
@@ -219,13 +219,15 @@ class VarnavidesReport:
 
 
 def varnavides_count(Aprime, N, M, threshold=None, d_list=None,
-                     d_keep=(1, 2, 3, 5, 7)):
+                     d_keep=(1, 2, 3, 5, 7), threads=1):
     """Count length-M subprogressions P_{a,d} meeting A' at least threshold
     times, over all a in Z_N and d in d_list (default: every d in [1, N-1]
     up to N = 4096, a deterministic stride sample beyond).
 
     The averaging identity sum_a |A' cap P_{a,d}| = M |A'| is checked exactly
     for every scanned d; full per-a count vectors are kept for d in d_keep.
+    d_list runs in `threads` contiguous blocks on run.in_order, each with its
+    own counts; their tallies add in block order, the same at every count.
     """
     N, M = int(N), int(M)
     if not (3 <= M <= N):
@@ -243,24 +245,35 @@ def varnavides_count(Aprime, N, M, threshold=None, d_list=None,
     sizeA = int(idx.size)
     if threshold is None:
         threshold = M * sizeA / (2.0 * N)
-    per_d = {}
-    good_pairs = 0
-    identity_ok = True
     # counts are integers, so counts >= threshold iff counts >= ceil(threshold),
     # a comparison numpy makes without converting counts to float
     cut = math.ceil(threshold) if math.isfinite(threshold) else threshold
-    counts = np.empty(N, dtype=dtype)
-    for d in d_list:
-        # counts[a] = sum_i 1_A'(a + i d), each term a slice of the doubled mask
-        counts[:] = mask2[:N]
-        for i in range(1, M):
-            s = i * d % N
-            counts += mask2[s:s + N]
-        if int(counts.sum(dtype=np.int64)) != M * sizeA:
-            identity_ok = False
-        good_pairs += int(np.count_nonzero(counts >= cut))
-        if d in d_keep:
-            per_d[d] = counts.astype(np.int64)
+
+    def scan(ds):
+        """(good pairs, identity failures, kept count vectors) over the d of ds."""
+        good, bad, kept = 0, 0, {}
+        counts = np.empty(N, dtype=dtype)
+        for d in ds:
+            # counts[a] = sum_i 1_A'(a + i d), each term a slice of the doubled mask
+            counts[:] = mask2[:N]
+            for i in range(1, M):
+                s = i * d % N
+                counts += mask2[s:s + N]
+            bad += int(counts.sum(dtype=np.int64)) != M * sizeA
+            good += int(np.count_nonzero(counts >= cut))
+            if d in d_keep:
+                kept[d] = counts.astype(np.int64)
+        return good, bad, kept
+
+    ds = list(d_list)
+    n = max(1, min(int(threads), len(ds)))
+    blocks = [ds[len(ds) * b // n:len(ds) * (b + 1) // n] for b in range(n)]
+    per_d, good_pairs, identity_ok = {}, 0, True
+    # numpy's slice additions release the GIL, so the blocks scan in parallel
+    for good, bad, kept in run.in_order(scan, blocks, threads):
+        good_pairs += good
+        identity_ok &= not bad
+        per_d.update(kept)
     return VarnavidesReport(per_d, identity_ok, good_pairs,
                             Fraction(good_pairs, M * M), float(threshold))
 

@@ -9,7 +9,8 @@ the 1/N normalization.  On the integers the grid transform uses the opposite
 sign, F_Z[f](t) = sum_n f(n) e(+n t), evaluated at t = j/grid.
 
 Functions on Z_N are plain 1-d complex128 arrays.  Every transform is numpy's
-FFT, which handles every length N, prime N included.  grid_power_sums streams
+FFT, which handles every length N, prime N included, one call per trilinear
+form; the oracle trilinear_direct takes none.  grid_power_sums streams
 grid transforms row by row for L^r norms of grids too large to hold: one
 pass over the grid rows serves a whole stack of weight rows, and the grid
 rows run on the package's ordered pool, run.in_order.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import run
 
@@ -54,16 +54,17 @@ def inverse_dft(F):
 def trilinear_fft(f, g, h):
     """sum_{x,d in Z_N} f(x) g(x+d) h(x+2d) through the frequency identity
     N^{-1} sum_xi F[f](xi) F[g](-2xi) F[h](xi); N must be odd so that
-    xi -> -2xi permutes Z_N.  An argument passed again as g or h is
-    transformed once."""
+    xi -> -2xi permutes Z_N.  Its distinct inputs are the rows of one
+    transform call (numpy plans each call afresh); a lone one is unstacked."""
     fv, gv, hv = _values(f), _values(g), _values(h)
     N = _same_length(fv, gv, hv)
     if N % 2 == 0:
         raise ValueError("N must be odd")
-    Ff = np.fft.fft(fv)
-    Fg = Ff if g is f else np.fft.fft(gv)
-    Fh = Ff if h is f else np.fft.fft(hv)
-    return _trilinear_from_transforms(Ff, Fg, Fh)
+    rows = [fv] + [v for a, v in ((g, gv), (h, hv)) if a is not f]
+    F = np.fft.fft(fv)[None] if len(rows) == 1 else np.fft.fft(np.stack(rows), axis=1)
+    Fg = F[0] if g is f else F[1]
+    Fh = F[0] if h is f else F[-1]
+    return _trilinear_from_transforms(F[0], Fg, Fh)
 
 
 def _trilinear_from_transforms(Ff, Fg, Fh):
@@ -75,16 +76,16 @@ def _trilinear_from_transforms(Ff, Fg, Fh):
 
 
 def trilinear_direct(f, g, h):
-    """Same trilinear form by the O(N^2) double sum; the oracle route.
+    """Same trilinear form by direct summation, with no transform; the oracle.
 
-    Row x of G holds g(x+d) and row x of H holds h(x+2d) for d = 0..N-1, both
-    strided views into tiled copies, so the sum needs O(N) extra memory.
+    With y = x + d it is sum_y g(y) c(2y mod N) for the cyclic convolution
+    c(z) = sum_x f(x) h(z - x mod N), taken by np.convolve's O(N^2) lag sums
+    over h tiled twice: O(N) memory, any N >= 1.
     """
     fv, gv, hv = _values(f), _values(g), _values(h)
     N = _same_length(fv, gv, hv)
-    G = sliding_window_view(np.tile(gv, 2), N)[:N]
-    H = sliding_window_view(np.tile(hv, 3), 2 * N - 1)[:N, ::2]
-    return complex(fv @ np.einsum("xd,xd->x", G, H))
+    c = np.convolve(np.tile(hv, 2), fv, mode="valid")[1:]
+    return complex(gv @ c[2 * np.arange(N) % N])
 
 
 def _fold_and_transform(positions, weights, grid_size):

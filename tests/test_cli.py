@@ -205,7 +205,7 @@ def test_psgen_threads_do_not_change_outputs(tmp_path):
     assert runs["1"] == runs["2"]
 
 
-@pytest.mark.parametrize("command", ["psgen", "errsweep", "restrict"])
+@pytest.mark.parametrize("command", ["psgen", "errsweep", "restrict", "roth"])
 @pytest.mark.parametrize("threads", [0, -1])
 def test_bad_threads_exit_1(tmp_path, capsys, command, threads):
     assert run(tmp_path, command, "--threads", str(threads)) == 1
@@ -309,6 +309,18 @@ def test_roth_W_too_large_for_N_exits_1(tmp_path, capsys, W, N, m):
     err = capsys.readouterr().err
     assert f"W={W} " in err and f"m={m} " in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_roth_threads_do_not_change_outputs(tmp_path):
+    # n = 4000 puts N above 4096, so the Varnavides scan takes the stride sample
+    runs = {}
+    for threads in ("1", "2", "3"):
+        d = tmp_path / threads
+        assert main(["roth", "--gamma", "0.95", "--n", "4000", "--threads", threads,
+                     "--out-dir", str(d)]) == 0
+        man = json.loads((d / "transference_run_manifest.json").read_text())
+        runs[threads] = ((d / "roth.csv").read_bytes(), man["config_sha256"])
+    assert runs["1"] == runs["2"] == runs["3"]
 
 
 def test_roth_reads_config_N(tmp_path):

@@ -251,6 +251,42 @@ def test_varnavides_counts_above_int16():
     assert rep.good_pairs == N
 
 
+def report_fields(rep):
+    """A VarnavidesReport as plain comparable values (its counts are arrays)."""
+    kept = {d: (c.dtype, c.tolist()) for d, c in rep.per_d_counts.items()}
+    return kept, rep.identity_ok, rep.good_pairs, rep.Z_lower, rep.threshold
+
+
+@pytest.mark.parametrize("A, N, M, d_list", [
+    ("dense", 1009, 8, None),        # every d
+    ("dense", 5003, 8, None),        # the stride sample
+    ("empty", 1009, 5, None),
+    ("dense", 101, 5, [7]),          # fewer d than threads
+    ("dense", 101, 5, [3, 7]),
+    ("dense", 101, 5, []),
+], ids=["every-d", "stride", "empty", "one-d", "two-d", "no-d"])
+def test_varnavides_threads_equal(A, N, M, d_list, fast_switching):
+    rng = np.random.default_rng(N)
+    A = np.flatnonzero(rng.random(N) < 0.1) if A == "dense" else []
+    d_keep = (1, 2, 3, 5, 7, N - 1)
+    want = report_fields(varnavides_count(A, N, M, None, d_list, d_keep, threads=1))
+    for threads in (2, 3):
+        got = varnavides_count(A, N, M, None, d_list, d_keep, threads=threads)
+        assert report_fields(got) == want, threads
+
+
+def test_varnavides_bad_threads_scans_nothing(monkeypatch):
+    scanned = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero",
+                        lambda *a, **k: scanned.append(1) or count_nonzero(*a, **k))
+    with pytest.raises(ValueError):
+        varnavides_count(range(0, 101, 3), 101, 5, threads=0)
+    assert not scanned
+    varnavides_count(range(0, 101, 3), 101, 5, d_list=[1, 2], threads=2)
+    assert len(scanned) == 2
+
+
 def test_varnavides_validation():
     with pytest.raises(ValueError):
         varnavides_count([0], 10, 2)

@@ -115,6 +115,52 @@ def test_trilinear_indicator_brute():
     assert cnt >= int(mask.sum())  # diagonal d=0 floor
 
 
+def python_trilinear(f, g, h):
+    """sum_{x,d} f(x) g(x+d) h(x+2d) by a pure-Python double loop."""
+    N = len(f)
+    return sum(f[x] * g[(x + d) % N] * h[(x + 2 * d) % N]
+               for x in range(N) for d in range(N))
+
+
+def test_trilinear_direct_takes_no_transform(monkeypatch):
+    # the oracle must not share the frequency route's machinery
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route took a transform")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for N in (1, 2, 6, 101, 1009):
+        f, g, h = (random_complex(N) for _ in range(3))
+        assert np.isfinite(trilinear_direct(f, g, h))
+    for N in list(range(1, 32, 2)) + [2, 4, 6, 10, 16, 30]:
+        f, g, h = (random_complex(N) for _ in range(3))
+        want = python_trilinear(f, g, h)
+        assert abs(trilinear_direct(f, g, h) - want) <= 1e-12 * max(abs(want), 1.0), N
+
+
+@pytest.mark.parametrize("N", [5, 101, 1009])
+def test_trilinear_fft_one_call_per_form(N, monkeypatch):
+    f, g, h = (random_complex(N) for _ in range(3))
+    F = {id(v): np.fft.fft(v) for v in (f, g, h)}
+    idx = (-2 * np.arange(N)) % N
+    shapes = []
+    fft = np.fft.fft
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recording)
+    for args, shape in (((f, f, f), (N,)), ((f, g, f), (2, N)),
+                        ((f, f, h), (2, N)), ((f, g, h), (3, N))):
+        shapes.clear()
+        got = trilinear_fft(*args)
+        # one call, on the distinct inputs only, and rows bitwise the single-call transforms
+        assert shapes == [shape], args
+        Ff, Fg, Fh = (F[id(v)] for v in args)
+        assert got == complex(np.sum(Ff * Fg[idx] * Fh) / N)
+
+
 def test_trilinear_even_N_rejected():
     ones = np.ones(6, dtype=complex)
     with pytest.raises(ValueError):
