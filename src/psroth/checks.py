@@ -97,15 +97,15 @@ def check_vaughan_residual():
     rng = _rng(2031)
     inv = hfun.inverse_of(hfun.ps_exponent_spec(0.95))
     table = sieve.sieve_primes(2048)
-    worst = 0.0
+    draws = []
     for _ in range(10):
         xi = float(rng.random())
         m = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
         q = int(rng.choice([1, 1, 2, 3]))
         a = 0 if q == 1 else int(rng.choice([r for r in range(q) if math.gcd(r, q) == 1]))
-        pp = expsums.PhaseParams(xi, m, a, q, 1000, 2000)
-        split = expsums.vaughan_decompose(inv, pp, table)
-        worst = max(worst, split.residual / max(1.0, abs(split.direct)))
+        draws.append(expsums.PhaseParams(xi, m, a, q, 1000, 2000))
+    worst = max(s.residual / max(1.0, abs(s.direct))
+                for s in expsums.vaughan_decompose(inv, draws, table))
     return "vaughan_residual", worst <= 1e-12, f"worst rel residual {worst:.3e}"
 
 

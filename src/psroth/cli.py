@@ -206,23 +206,24 @@ def cmd_vaughan(cfg):
     P = cfg["P"]
     table = sieve.sieve_primes(2 * P, budget=cfg["sieve_budget"])
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
-    rows = []
-    for i in range(cfg["draws"]):
+    draws = []
+    for _ in range(cfg["draws"]):
         xi = float(rng.random())
         m = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
         q = int(rng.choice([1, 1, 2, 3]))
         a = 0 if q == 1 else [r for r in range(q) if math.gcd(r, q) == 1][
             int(rng.integers(0, q - 1 if q > 2 else 1))]
-        pp = expsums.PhaseParams(xi, m, a, q, P, 2 * P)
-        split = expsums.vaughan_decompose(inv, pp, table, v=cfg["v"])
-        rows.append((i, xi, m, q, a, split.v, abs(split.direct),
-                     abs(split.recombined), split.residual,
-                     split.residual / max(1.0, abs(split.direct))))
+        draws.append(expsums.PhaseParams(xi, m, a, q, P, 2 * P))
+    splits = expsums.vaughan_decompose(inv, draws, table, v=cfg["v"])
+    rows = [(i, pp.xi, pp.m, pp.q, pp.a, split.v, abs(split.direct),
+             abs(split.recombined), split.residual,
+             split.residual / max(1.0, abs(split.direct)))
+            for i, (pp, split) in enumerate(zip(draws, splits))]
     path = _out_path(cfg, "vaughan.csv")
     _write_csv(path, ["draw", "xi_frequency", "m_multiplier", "q_modulus",
                       "a_residue", "v_cutoff", "abs_direct", "abs_recombined",
                       "residual_abs", "residual_rel"], rows)
-    worst = max(r[-1] for r in rows) if rows else 0.0
+    worst = max(r[-1] for r in rows)
     _manifest("prime-sum split sweep", cfg, [path],
               extra={"worst_rel_residual": worst})
     if worst > 1e-6:

@@ -9,8 +9,10 @@ force with compensated summation.  vaughan_decompose rewrites it through the
 combinatorial prime-sum identity into four ranged pieces S1 - S21 - S22 + S3
 (logarithm-weighted, two convolution-weighted, and one genuinely bilinear)
 and reports the reconstruction residual.  Each piece is a sum over n = k*l,
-so it is kept as one row of coefficients on n, and the class a mod q takes
-phi once per n of the class and one exactly rounded dot product per piece.
+so it is kept as one row of coefficients on n.  The rows depend on the range
+(P, P1] and the cutoff alone, so they are built once per range and shared by
+all draws of it; each draw's class a mod q takes phi once per n of the class
+and one exactly rounded dot product per piece.
 
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
@@ -150,36 +152,45 @@ def _split_coefficients(P, P1, v, pk, pl, mu, pi_arr, xi_arr):
     return c
 
 
-def vaughan_decompose(inv, pp, table, v=None):
-    """Split the ranged weighted sum into S1 - S21 - S22 + S3 and compare
-    against the direct evaluation.
+def vaughan_decompose(inv, draws, table, v=None):
+    """Split the ranged weighted sum of each draw into S1 - S21 - S22 + S3
+    and compare against the direct evaluation; one VaughanSplit per draw.
 
-    Every piece is a sum over n = k*l in (P, P1], so the class a mod q is
-    read off n itself: _split_coefficients gives each piece's weight per n,
-    phi is taken once per n of the class, and each piece is one exactly
-    rounded dot product of its row's class columns with those phases.  The
-    direct sum takes the same phases at the prime powers, so the residual
-    is the rounding of the four rows alone.
+    The draws (PhaseParams) share one range (P, P1], and the split's
+    coefficients depend on that range and v alone, so the prime powers, the
+    Moebius and Pi/Xi tables and _split_coefficients' rows are built once
+    per call and shared by all draws.  Every piece is a sum over n = k*l in
+    (P, P1], so the class a mod q is read off n itself: phi is taken once
+    per n of the draw's class, and each piece is one exactly rounded dot
+    product of its row's class columns with those phases.  The direct sum
+    takes the same phases at the prime powers, so the residual is the
+    rounding of the four rows alone.
     """
+    if not draws or any((pp.P, pp.P1) != (draws[0].P, draws[0].P1) for pp in draws):
+        raise ValueError("need at least one draw, all over one range (P, P1]")
+    P, P1 = draws[0].P, draws[0].P1
     if v is None:
-        v = default_cutoff(inv, pp.P1)
+        v = default_cutoff(inv, P1)
     if v <= 1.0:
         raise ValueError(f"cutoff v={v} is degenerate (need v > 1)")
-    if v >= pp.P:
-        raise ValueError(f"cutoff v={v} must stay below P={pp.P}")
-    if pp.P1 > table.limit:
+    if v >= P:
+        raise ValueError(f"cutoff v={v} must stay below P={P}")
+    if P1 > table.limit:
         raise ValueError("P1 beyond table limit")
-    pk, pl = sieve.prime_powers(table, pp.P1)
+    pk, pl = sieve.prime_powers(table, P1)
     mu = sieve.mobius_array(int(math.floor(v)), table)
-    L = int(math.floor(max(v * v, pp.P1 / v)))
+    L = int(math.floor(max(v * v, P1 / v)))
     pi_arr, xi_arr = sieve.vaughan_coefficients(v, min(L, table.limit), table)
-    c = _split_coefficients(pp.P, pp.P1, v, pk, pl, mu, pi_arr, xi_arr)
-    first = pp.P + 1 + (pp.a - pp.P - 1) % pp.q
-    z = _phase(inv, pp.xi, pp.m, np.arange(first, pp.P1 + 1, pp.q))
-    S1, S21, S22, S3 = (_csum(row[first - pp.P - 1 :: pp.q] * z) for row in c)
-    direct = exp_sum_direct(inv, pp, table)
-    return VaughanSplit(float(v), S1, S21, S22, S3, direct,
-                        abs(S1 - S21 - S22 + S3 - direct))
+    c = _split_coefficients(P, P1, v, pk, pl, mu, pi_arr, xi_arr)
+    splits = []
+    for pp in draws:
+        first = P + 1 + (pp.a - P - 1) % pp.q
+        z = _phase(inv, pp.xi, pp.m, np.arange(first, P1 + 1, pp.q))
+        S1, S21, S22, S3 = (_csum(row[first - P - 1 :: pp.q] * z) for row in c)
+        direct = exp_sum_direct(inv, pp, table)
+        splits.append(VaughanSplit(float(v), S1, S21, S22, S3, direct,
+                                   abs(S1 - S21 - S22 + S3 - direct)))
+    return splits
 
 
 # -- the two-route error term ------------------------------------------------

@@ -232,6 +232,15 @@ def test_vaughan_determinism_and_residuals(tmp_path):
     assert (a / "vaughan.csv").read_bytes() != (c / "vaughan.csv").read_bytes()
 
 
+@pytest.mark.parametrize("draws", [0, -2])
+def test_vaughan_draws_below_1_exit_1(tmp_path, capsys, draws):
+    cfg = write_config(tmp_path, P=300, draws=draws)
+    assert run(tmp_path, "vaughan", "--config", cfg) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "vaughan.csv").exists()
+    assert not list(tmp_path.glob("*manifest.json"))
+
+
 def test_restrict_run(tmp_path):
     cfg = write_config(tmp_path, N=1500, trials=3)
     assert run(tmp_path, "restrict", "--config", cfg, "--gamma", "0.95") == 0

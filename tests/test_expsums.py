@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -92,21 +93,21 @@ def test_parity_class_content(table_2e3):
 
 def test_vaughan_residual_small(inv95m, table_2e3):
     pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
-    split = vaughan_decompose(inv95m, pp, table_2e3)
+    split, = vaughan_decompose(inv95m, [pp], table_2e3)
     assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
     assert split.recombined == pytest.approx(split.direct, abs=1e-7)
 
 
 def test_vaughan_residual_with_residue_class(inv95m, table_2e3):
     pp = PhaseParams(0.77, -1, 1, 3, 1000, 2000)
-    split = vaughan_decompose(inv95m, pp, table_2e3)
+    split, = vaughan_decompose(inv95m, [pp], table_2e3)
     assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
 
 
 def test_vaughan_all_type_I(inv95m, table_2e3):
     # v just below P: v^2 covers the whole range, so S3 has no terms at all
     pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
-    split = vaughan_decompose(inv95m, pp, table_2e3, v=999.0)
+    split, = vaughan_decompose(inv95m, [pp], table_2e3, v=999.0)
     assert split.S3 == 0.0 + 0.0j
     assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
 
@@ -114,13 +115,13 @@ def test_vaughan_all_type_I(inv95m, table_2e3):
 def test_vaughan_cutoff_above_P(inv95m, table_2e3):
     pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
     with pytest.raises(ValueError):
-        vaughan_decompose(inv95m, pp, table_2e3, v=1500.0)
+        vaughan_decompose(inv95m, [pp], table_2e3, v=1500.0)
 
 
 def test_vaughan_degenerate_cutoff(inv95m, table_2e3):
     pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
     with pytest.raises(ValueError):
-        vaughan_decompose(inv95m, pp, table_2e3, v=1.0)
+        vaughan_decompose(inv95m, [pp], table_2e3, v=1.0)
 
 
 def test_default_cutoff_formula(inv95m):
@@ -225,17 +226,76 @@ def test_vaughan_split_matches_per_l_reference(inv95m, table_2e3):
         for q, a in ((1, 0), (2, 1), (3, 2), (4, 3)):
             pp = PhaseParams(0.6180339887, -2, a, q, P, 2 * P)
             want = _split_per_l(inv, pp, table, cut)
-            split = vaughan_decompose(inv, pp, table, v=v)
+            split, = vaughan_decompose(inv, [pp], table, v=v)
             for got, w in zip((split.S1, split.S21, split.S22, split.S3), want):
                 assert abs(got - w) <= 1e-9 * max(1.0, abs(w))
             assert split.direct == exp_sum_direct(inv, pp, table)
             assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
 
 
+def _draws(P, classes, xis=(0.3, 0.6180339887, 0.91)):
+    # draws over one range (P, 2P]: every class (q, a) at each xi, with the
+    # sign of m alternating and its size cycling through 1..3
+    return [PhaseParams(xi, (1 + j % 3) * (-1) ** j, a, q, P, 2 * P)
+            for j, (xi, (q, a)) in enumerate(itertools.product(xis, classes))]
+
+
+def test_vaughan_draws_match_one_draw_calls(inv95m, table_2e3):
+    # the shared rows change nothing: a call over several draws returns, field
+    # for field, what a one-draw call returns on each draw, at the default
+    # cutoff and at v = 999 (S3 = 0)
+    draws = _draws(1000, ((1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)))
+    for v in (None, 999.0):
+        splits = vaughan_decompose(inv95m, draws, table_2e3, v=v)
+        assert len(splits) == len(draws)
+        for pp, split in zip(draws, splits):
+            assert split == vaughan_decompose(inv95m, [pp], table_2e3, v=v)[0], pp
+            if v is not None:
+                assert split.S3 == 0.0 + 0.0j
+
+
+def test_vaughan_draws_must_share_one_range(inv95m, table_2e3, monkeypatch):
+    # an empty list or draws over two ranges are refused before any row is built
+    def refuse(*args):
+        raise AssertionError("built the split's coefficient rows")
+
+    monkeypatch.setattr(expsums, "_split_coefficients", refuse)
+    pp = PhaseParams(0.3, 2, 0, 1, 1000, 2000)
+    for draws in ([], [pp, PhaseParams(0.3, 2, 0, 1, 1000, 1999)],
+                  [pp, PhaseParams(0.3, 2, 0, 1, 999, 1998)]):
+        with pytest.raises(ValueError):
+            vaughan_decompose(inv95m, draws, table_2e3)
+
+
+def test_vaughan_tables_built_once_per_call(inv95m, table_2e3, monkeypatch):
+    # the coefficient rows, the Pi/Xi table and the Moebius table are built
+    # once for a 10-draw call, not once per draw; the Moebius table's second
+    # build is vaughan_coefficients' own, inside its one call
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(expsums, "_split_coefficients")
+    counted(sieve, "vaughan_coefficients")
+    counted(sieve, "mobius_array")
+    draws = _draws(1000, ((1, 0), (2, 1), (3, 2), (4, 3), (1, 0)), xis=(0.3, 0.7))
+    assert len(draws) == 10
+    vaughan_decompose(inv95m, draws, table_2e3)
+    assert calls == {"_split_coefficients": 1, "vaughan_coefficients": 1,
+                     "mobius_array": 2}
+
+
 def test_vaughan_phi_not_repeated_per_shift(inv95m, table_2e3, monkeypatch):
-    # phi once per n: one split inverts phi at the n of the class in (P, P1],
-    # at the class's prime powers there (the direct sum) and once for the
-    # default cutoff, whatever q is
+    # phi once per n: a split inverts phi at the n of its class in (P, P1]
+    # and at the class's prime powers there (the direct sum), whatever q is,
+    # and a call over several draws takes the default cutoff's phi once
     real = hfun.eval_phi
     points = []
 
@@ -243,29 +303,39 @@ def test_vaughan_phi_not_repeated_per_shift(inv95m, table_2e3, monkeypatch):
         points.append(np.size(y))
         return real(inv, y)
 
+    def per_draw(q, a):
+        n_class = len(range(1001 + (a - 1001) % q, 2001, q))
+        ks, _ = sieve.prime_powers(table_2e3, 2000, q, a)
+        return n_class + np.count_nonzero(ks > 1000)
+
     monkeypatch.setattr(hfun, "eval_phi", counting)
     for q, a in ((1, 0), (3, 2)):
         points.clear()
-        vaughan_decompose(inv95m, PhaseParams(0.3, 2, a, q, 1000, 2000), table_2e3)
-        n_class = len(range(1001 + (a - 1001) % q, 2001, q))
-        ks, _ = sieve.prime_powers(table_2e3, 2000, q, a)
-        assert sum(points) <= n_class + np.count_nonzero(ks > 1000) + 1, q
+        vaughan_decompose(inv95m, [PhaseParams(0.3, 2, a, q, 1000, 2000)], table_2e3)
+        assert sum(points) <= per_draw(q, a) + 1, q
+    draws = _draws(1000, ((1, 0), (2, 1), (3, 2), (4, 3)))
+    points.clear()
+    vaughan_decompose(inv95m, draws, table_2e3)
+    assert sum(points) <= sum(per_draw(pp.q, pp.a) for pp in draws) + 1
 
 
 def test_vaughan_split_memory_is_blocked(inv95m):
-    # one P = 16000 split holds its four coefficient rows (512 KB) and the
-    # phases of one class: the traced peak stays under 2 MB (about 1.4 MB
-    # at q = 1)
+    # a P = 16000 call holds its four coefficient rows (512 KB), built once
+    # for all its draws, and the phases of one class at a time: the traced
+    # peak of one draw or of ten stays under 2 MB (about 1.4 MB at q = 1)
     table = sieve_primes(32000)
     table.mangoldt_array()
-    pp = PhaseParams(0.3, 2, 0, 1, 16000, 32000)
-    tracemalloc.start()
-    try:
-        vaughan_decompose(inv95m, pp, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    one = [PhaseParams(0.3, 2, 0, 1, 16000, 32000)]
+    ten = _draws(16000, ((1, 0), (2, 1), (3, 1), (3, 2), (1, 0)), xis=(0.3, 0.7))
+    assert len(ten) == 10 and {pp.q for pp in ten} == {1, 2, 3}
+    for draws in (one, ten):
+        tracemalloc.start()
+        try:
+            vaughan_decompose(inv95m, draws, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, len(draws)
 
 
 def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
@@ -276,7 +346,7 @@ def test_lambda_readers_skip_dense_array(inv95m, monkeypatch):
 
     monkeypatch.setattr(sieve.PrimeTable, "mangoldt_array", refuse)
     table = sieve_primes(2048)
-    split = vaughan_decompose(inv95m, PhaseParams(0.3, 2, 1, 3, 1000, 2000), table)
+    split, = vaughan_decompose(inv95m, [PhaseParams(0.3, 2, 1, 3, 1000, 2000)], table)
     assert split.residual <= 1e-12 * max(1.0, abs(split.direct))
     assert exp_sum_direct(inv95m, PhaseParams(0.3, 2, 0, 1, 1000, 2000), table) != 0
     pi_arr, _ = vaughan_coefficients(12.0, 1000, table)
