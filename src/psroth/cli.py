@@ -178,11 +178,12 @@ def cmd_errsweep(cfg):
     inv = _inverse(cfg)
     Ns = cfg["N_list"] or [2 ** k for k in range(16, 23)]
     top = max(Ns)
-    table = sieve.sieve_primes(top, budget=cfg["sieve_budget"])
     # every N of the ladder reads prefixes of one enumeration and one
-    # inversion of phi at the top
-    inputs = expsums.error_term_inputs(inv, top, cfg["q"], cfg["a"], table,
-                                       threads=cfg["threads"])
+    # inversion of phi at the top; the table goes in the call alone, so it
+    # is freed once error_term_inputs has read the class's primes
+    inputs = expsums.error_term_inputs(
+        inv, top, cfg["q"], cfg["a"],
+        sieve.sieve_primes(top, budget=cfg["sieve_budget"]), threads=cfg["threads"])
 
     def one(Ni):
         rep = expsums.error_term_sup(inputs, Ni, cfg["grid"])

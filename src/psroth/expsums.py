@@ -17,9 +17,10 @@ and one exactly rounded dot product per piece.
 error_term_sup compares the derivative-compensated floor-prime sum with the
 plain prime sum on a frequency grid (the quantity whose smallness drives the
 whole transference argument) and also returns the sawtooth middle form that
-links the two routes.  error_term_inputs builds the data it reads (the prime
-powers from sieve.prime_powers, the enumeration, phi) once, so a ladder of N
-shares one build at its top.
+links the two routes.  error_term_inputs builds the data it reads once (the
+enumeration's members, the prime powers from sieve.prime_powers, and both
+routes' weights from one blocked inversion of phi), so a ladder of N shares
+one build at its top.
 """
 
 from __future__ import annotations
@@ -152,6 +153,15 @@ def _split_coefficients(P, P1, v, pk, pl, mu, pi_arr, xi_arr):
     return c
 
 
+def _dot(row, z):
+    """Exactly rounded sum of row * z over the nonzero entries of row alone.
+    The zero entries add only signed zeros, and on Python 3.11 fsum of no
+    values or of zeros alone is +0.0, so the bits are those of the sum over
+    every entry; at the default cutoff most columns of S22 and S3 are 0."""
+    nz = np.flatnonzero(row)
+    return _csum(row[nz] * z[nz])
+
+
 def vaughan_decompose(inv, draws, table, v=None):
     """Split the ranged weighted sum of each draw into S1 - S21 - S22 + S3
     and compare against the direct evaluation; one VaughanSplit per draw.
@@ -162,9 +172,9 @@ def vaughan_decompose(inv, draws, table, v=None):
     per call and shared by all draws.  Every piece is a sum over n = k*l in
     (P, P1], so the class a mod q is read off n itself: phi is taken once
     per n of the draw's class, and each piece is one exactly rounded dot
-    product of its row's class columns with those phases.  The direct sum
-    takes the same phases at the prime powers, so the residual is the
-    rounding of the four rows alone.
+    product of its row's nonzero class columns with those phases (_dot).
+    The direct sum takes the same phases at the prime powers, so the
+    residual is the rounding of the four rows alone.
     """
     if not draws or any((pp.P, pp.P1) != (draws[0].P, draws[0].P1) for pp in draws):
         raise ValueError("need at least one draw, all over one range (P, P1]")
@@ -180,13 +190,13 @@ def vaughan_decompose(inv, draws, table, v=None):
     pk, pl = sieve.prime_powers(table, P1)
     mu = sieve.mobius_array(int(math.floor(v)), table)
     L = int(math.floor(max(v * v, P1 / v)))
-    pi_arr, xi_arr = sieve.vaughan_coefficients(v, min(L, table.limit), table)
+    pi_arr, xi_arr = sieve.vaughan_coefficients(v, min(L, table.limit), table, mu)
     c = _split_coefficients(P, P1, v, pk, pl, mu, pi_arr, xi_arr)
     splits = []
     for pp in draws:
         first = P + 1 + (pp.a - P - 1) % pp.q
         z = _phase(inv, pp.xi, pp.m, np.arange(first, P1 + 1, pp.q))
-        S1, S21, S22, S3 = (_csum(row[first - P - 1 :: pp.q] * z) for row in c)
+        S1, S21, S22, S3 = (_dot(row[first - P - 1 :: pp.q], z) for row in c)
         direct = exp_sum_direct(inv, pp, table)
         splits.append(VaughanSplit(float(v), S1, S21, S22, S3, direct,
                                    abs(S1 - S21 - S22 + S3 - direct)))
@@ -198,59 +208,68 @@ def vaughan_decompose(inv, draws, table, v=None):
 class ErrorTermInputs(NamedTuple):
     """Everything the error term reads up to limit in one class a mod q.
 
-    ks are the prime powers k <= limit in the class, ascending, with lam =
-    Lambda(k), phi_k = phi(k), phi_k1 = phi(k + 1) and dphi_k = phi'(k)
-    (clamped to h(x0)); members are the class's floor-image primes with
-    their weights log(p)/phi'(p); primes are the class's primes.
+    ks are the prime powers k <= limit in the class, ascending, with the
+    middle form's weights mid_weights = Lambda(k) (Phi(-phi(k+1)) -
+    Phi(-phi(k))) / phi'(k) (phi' clamped to h(x0)); members are the class's
+    floor-image primes with their weights log(p)/phi'(p); primes are the
+    class's primes.
     """
 
     limit: int
     ks: np.ndarray
-    lam: np.ndarray
-    phi_k: np.ndarray
-    phi_k1: np.ndarray
-    dphi_k: np.ndarray
+    mid_weights: np.ndarray
     members: np.ndarray
     member_weights: np.ndarray
     primes: np.ndarray
 
 
 def error_term_inputs(inv, top, q, a, table, threads=1):
-    """The error term's data up to top: enumeration, prime powers and phi.
+    """The error term's data up to top: enumeration, prime powers and weights.
 
     The prime powers of the class and their Lambda come from
     sieve.prime_powers, and the class's primes are the prime powers the
-    table flags as prime.  phi is inverted only at each prime power k
-    and at k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and
-    the members, primes of the same class, read their phi' from that array.
-    The enumeration runs on `threads` threads, and the inversion over blocks
-    of _PHI_BLOCK of the sorted k into arrays allocated once, on `threads`
-    threads (run.in_order), each block writing its own slice; phi is
-    elementwise and each Newton point stops on its own, so the values depend
-    on neither the block size nor the thread count.
+    table flags as prime; after that the table is no longer read, so a
+    caller that passes it in the call itself (cmd_errsweep) frees it here,
+    before the inversion.  phi is inverted only at each prime power k and at
+    k + 1: phi'(k) = 1/h'(phi(k)) by the inverse-function rule, and the
+    members, primes of the same class, read their phi' from it.  The
+    inversion runs over blocks of _PHI_BLOCK of the sorted k on `threads`
+    threads (run.in_order), and each block turns its slice of Lambda into
+    the middle form's weights in place and writes its members' weights, so
+    phi, phi(k + 1) and phi' live one block at a time.  phi is elementwise
+    and each Newton point stops on its own, so the values depend on neither
+    the block size nor the thread count.  The enumeration runs on `threads`
+    threads too.
     """
     top = int(top)
     if top > table.limit:
         raise ValueError("N beyond table limit")
     if q < 1 or math.gcd(a, q) != 1:
         raise ValueError("need q >= 1 and gcd(a, q) = 1")
-    ps = sieve.enumerate_ps_primes(inv, top, table, threads)
-    ks, lam = sieve.prime_powers(table, top, q, a)
+    members = sieve.enumerate_ps_primes(inv, top, table, threads).members
+    members = members[members % q == a % q]
+    ks, weights = sieve.prime_powers(table, top, q, a)
     primes = ks[table.is_prime[ks]]
-    phi_k, phi_k1, dphi_k = (np.empty(ks.size) for _ in range(3))
+    del table
+    # each member's place among the k: the members are prime powers of the class
+    at = np.searchsorted(ks, members)
+    member_weights = np.empty(members.size)
 
     def invert(i):
         j = i + _PHI_BLOCK
         kf = ks[i:j].astype(float)
-        phi_k[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
+        phi = hfun.eval_phi_clamped(inv, kf, 0)
         kf += 1.0
-        phi_k1[i:j] = hfun.eval_phi_clamped(inv, kf, 0)
-        dphi_k[i:j] = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k[i:j], 1)
+        saw = sawtooth_phi(-hfun.eval_phi_clamped(inv, kf, 0)) - sawtooth_phi(-phi)
+        dphi = 1.0 / hfun.eval_h_deriv(inv.parent, phi, 1)
+        # in place, in the formula's order: (Lambda * saw) / phi'
+        weights[i:j] *= saw
+        weights[i:j] /= dphi
+        lo, hi = np.searchsorted(at, (i, j))
+        member_weights[lo:hi] = np.log(members[lo:hi].astype(float)) / dphi[at[lo:hi] - i]
 
     list(run.in_order(invert, range(0, ks.size, _PHI_BLOCK), threads))
-    mem = ps.members[ps.members % q == a % q]
-    w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
-    return ErrorTermInputs(top, ks, lam, phi_k, phi_k1, dphi_k, mem, w_h, primes)
+    return ErrorTermInputs(top, ks, weights, members, member_weights, primes)
 
 
 def error_term_sup(inputs, N, grid=4096):
@@ -280,9 +299,7 @@ def error_term_sup(inputs, N, grid=4096):
     pr = d.primes[: np.searchsorted(d.primes, N, side="right")]
     A = zn_fourier.sparse_fourier_on_grid(d.members[:nm], d.member_weights[:nm], grid)
     B = zn_fourier.sparse_fourier_on_grid(pr, np.log(pr.astype(float)), grid)
-    saw = sawtooth_phi(-d.phi_k1[:nk]) - sawtooth_phi(-d.phi_k[:nk])
-    w_mid = d.lam[:nk] * saw / d.dphi_k[:nk]
-    C = zn_fourier.sparse_fourier_on_grid(d.ks[:nk], w_mid, grid)
+    C = zn_fourier.sparse_fourier_on_grid(d.ks[:nk], d.mid_weights[:nk], grid)
     per_xi = np.abs(A - B)
     per_xi_middle = np.abs(C)
     route_gap = float(np.max(np.abs(A - B - C)))

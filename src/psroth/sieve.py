@@ -130,27 +130,33 @@ def prime_powers(table, top, q=1, a=0):
     """The prime powers k <= top with k = a (mod q), ascending, and Lambda(k).
 
     Lambda is np.log over the primes and math.log(p) at the higher powers p^j,
-    which only the primes up to sqrt(top) reach.
+    which only the primes up to sqrt(top) reach.  Those few powers go into
+    the ascending primes at their searchsorted places, so the result is
+    built by one copy of the class's primes, with no sort of the whole list.
     """
     top = int(top)
     if top > table.limit:
         raise ValueError(f"top={top} beyond table limit {table.limit}")
     r = a % q
     primes = table.primes[: np.searchsorted(table.primes, top, side="right")]
-    primes = primes[primes % q == r]
-    powers, logs = [], []
+    if q > 1:
+        primes = primes[primes % q == r]
+    powers = []
     for p in table.primes[: np.searchsorted(table.primes, math.isqrt(top), side="right")]:
         p = int(p)
-        pk, lp = p * p, math.log(p)
-        while pk <= top:
-            if pk % q == r:
-                powers.append(pk)
-                logs.append(lp)
-            pk *= p
-    ks = np.concatenate([primes, np.array(powers, dtype=np.int64)])
-    lam = np.concatenate([np.log(primes), np.array(logs)])
-    order = np.argsort(ks, kind="stable")
-    return ks[order], lam[order]
+        pj, lp = p * p, math.log(p)
+        while pj <= top:
+            if pj % q == r:
+                powers.append((pj, lp))
+            pj *= p
+    powers.sort()
+    high = np.array([k for k, _ in powers], dtype=np.int64)
+    at = np.searchsorted(primes, high)
+    ks = np.insert(primes, at, high)
+    lam = np.log(ks)
+    # the m-th power (from 0) lands m places after its place among the primes
+    lam[at + np.arange(high.size)] = [lp for _, lp in powers]
+    return ks, lam
 
 
 def _factorize(n):
@@ -215,11 +221,13 @@ def mobius_array(limit, table):
     return mu
 
 
-def vaughan_coefficients(v, L, table):
+def vaughan_coefficients(v, L, table, mu=None):
     """Arrays (Pi, Xi) on [0, L] for the combinatorial prime-sum split.
 
     Pi[l] = sum over factorizations l = r*s with r, s <= v of
     Lambda(r)*mu(s); Xi[l] = sum of mu(d) over divisors d > v of l.
+    mu, when given, is mobius_array(n, table) for some n >= min(int(v), L),
+    so a caller that holds one already is not given a second build.
     """
     L = int(L)
     if L > table.limit:
@@ -228,7 +236,8 @@ def vaughan_coefficients(v, L, table):
         raise ValueError("v must be >= 1")
     vi = min(int(v), L)
     pk, pl = prime_powers(table, vi)
-    mu = mobius_array(vi, table) if vi >= 1 else np.zeros(1, np.int8)
+    if mu is None:
+        mu = mobius_array(vi, table) if vi >= 1 else np.zeros(1, np.int8)
     pi = np.zeros(L + 1)
     for s in range(1, vi + 1):
         ms = int(mu[s])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -380,6 +381,22 @@ def test_errsweep_reads_no_dense_mangoldt_array(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, function=H1, N_list=[4096, 8192], grid=256, q=4, a=3)
     assert run(tmp_path, "errsweep", "--config", cfg) == 0
     assert len(read_csv(tmp_path / "errsweep.csv")) == 3
+
+
+def test_errsweep_memory_at_benchmark_ladder(tmp_path):
+    # h1 over the ladder 2^18..2^23 on 2 threads: the top's inputs are the k,
+    # the middle weights and the primes (4.5 MB each), and the sieve table
+    # (12.6 MB) is freed before phi is taken; the traced peak of the whole
+    # command is about 26.5 MiB
+    cfg = write_config(tmp_path, function=H1, N_list=[2 ** k for k in range(18, 24)])
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "errsweep", "--config", cfg, "--threads", "2") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_csv(tmp_path / "errsweep.csv")) == 7
+    assert peak < 32 << 20
 
 
 def test_errsweep_ladder_inverts_phi_twice(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from psroth import (
     sieve_primes,
     vaughan_coefficients,
     vaughan_decompose,
+    zn_fourier,
 )
 
 
@@ -269,8 +271,8 @@ def test_vaughan_draws_must_share_one_range(inv95m, table_2e3, monkeypatch):
 
 def test_vaughan_tables_built_once_per_call(inv95m, table_2e3, monkeypatch):
     # the coefficient rows, the Pi/Xi table and the Moebius table are built
-    # once for a 10-draw call, not once per draw; the Moebius table's second
-    # build is vaughan_coefficients' own, inside its one call
+    # once for a 10-draw call, not once per draw; vaughan_coefficients reads
+    # the split's own Moebius table rather than building a second
     calls = {}
 
     def counted(module, name):
@@ -289,7 +291,37 @@ def test_vaughan_tables_built_once_per_call(inv95m, table_2e3, monkeypatch):
     assert len(draws) == 10
     vaughan_decompose(inv95m, draws, table_2e3)
     assert calls == {"_split_coefficients": 1, "vaughan_coefficients": 1,
-                     "mobius_array": 2}
+                     "mobius_array": 1}
+
+
+def _bits(z):
+    return np.array([z.real, z.imag]).tobytes()
+
+
+def test_vaughan_pieces_sum_nonzero_columns_bitwise(inv95m, table_2e3):
+    # summing only a row's nonzero class columns gives bitwise, signed zeros
+    # included, the exactly rounded sum over every class column, for q = 1..4
+    # at the default cutoff and at v = 20 (S22's and S3's rows are nonzero on
+    # only 22-31% of the columns at both)
+    inv = inv95m
+    P, P1 = 1000, 2000
+    pk, pl = sieve.prime_powers(table_2e3, P1)
+    classes = [(q, a) for q in range(1, 5) for a in range(q) if math.gcd(a, q) == 1]
+    for v in (default_cutoff(inv, P1), 20.0):
+        L = min(int(math.floor(max(v * v, P1 / v))), table_2e3.limit)
+        pi_arr, xi_arr = vaughan_coefficients(v, L, table_2e3)
+        c = expsums._split_coefficients(P, P1, v, pk, pl,
+                                        mobius_array(int(v), table_2e3), pi_arr, xi_arr)
+        assert all(0 < np.count_nonzero(row) < 0.5 * row.size for row in c[2:])
+        draws = _draws(P, classes)
+        for pp, split in zip(draws, vaughan_decompose(inv, draws, table_2e3, v=v)):
+            first = P + 1 + (pp.a - P - 1) % pp.q
+            z = expsums._phase(inv, pp.xi, pp.m, np.arange(first, P1 + 1, pp.q))
+            for got, row in zip((split.S1, split.S21, split.S22, split.S3), c):
+                row = row[first - P - 1 :: pp.q]
+                want = complex(math.fsum((row * z).real.tolist()),
+                               math.fsum((row * z).imag.tolist()))
+                assert _bits(got) == _bits(want), (v, pp)
 
 
 def test_vaughan_phi_not_repeated_per_shift(inv95m, table_2e3, monkeypatch):
@@ -444,16 +476,18 @@ def test_error_term_inverts_once_per_prime_power(table_1e6, monkeypatch):
 
 
 def test_error_term_prime_powers_match_mangoldt_array(table_1e6):
-    # the prime-power list is built from the primes, apart from the dense
-    # array; both must give the same k and bitwise the same Lambda(k)
+    # the error term's k and the class's prime powers are the dense array's
+    # support in the class, and prime_powers' Lambda(k) is bitwise the dense
+    # array's at them
     inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
     lam = table_1e6.mangoldt_array()
     dense = np.flatnonzero(lam > 0)
     for q, a in ((1, 0), (4, 3)):
         d = error_term_inputs(inv, table_1e6.limit, q, a, table_1e6)
+        ks, lam_k = sieve.prime_powers(table_1e6, table_1e6.limit, q, a)
         want = dense[dense % q == a]
-        assert np.array_equal(d.ks, want)
-        assert np.array_equal(d.lam.view(np.int64), lam[want].view(np.int64))
+        assert np.array_equal(d.ks, want) and np.array_equal(ks, want)
+        assert np.array_equal(lam_k.view(np.int64), lam[want].view(np.int64))
 
 
 def test_error_term_inputs_need_modulus_at_least_1(table_1e6):
@@ -473,15 +507,83 @@ def test_error_term_inputs_blocked_phi_is_bitwise(table_1e6, monkeypatch, fast_s
     for threads in (1, 2, 3):
         blocked = error_term_inputs(inv, table_1e6.limit, 1, 0, table_1e6,
                                     threads=threads)
-        for name in ("phi_k", "phi_k1", "dphi_k", "member_weights"):
+        for name in ("mid_weights", "member_weights"):
             assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), \
                 (threads, name)
 
 
+def _sup_per_N(inv, N, q, a, table, grid):
+    # the error term at N from arrays built at N by the per-N formula: phi
+    # at k and k + 1 over all prime powers k <= N at once, the middle weights
+    # Lambda(k) (Phi(-phi(k+1)) - Phi(-phi(k))) / phi'(k), and the members'
+    # log(p) / phi'(p) read at their places among the k
+    ks, lam = sieve.prime_powers(table, N, q, a)
+    phi_k = hfun.eval_phi_clamped(inv, ks.astype(float), 0)
+    phi_k1 = hfun.eval_phi_clamped(inv, ks.astype(float) + 1.0, 0)
+    dphi_k = 1.0 / hfun.eval_h_deriv(inv.parent, phi_k, 1)
+    w_mid = lam * (sawtooth_phi(-phi_k1) - sawtooth_phi(-phi_k)) / dphi_k
+    mem = enumerate_ps_primes(inv, N, table).members
+    mem = mem[mem % q == a]
+    w_h = np.log(mem.astype(float)) / dphi_k[np.searchsorted(ks, mem)]
+    pr = ks[table.is_prime[ks]]
+    A = zn_fourier.sparse_fourier_on_grid(mem, w_h, grid)
+    B = zn_fourier.sparse_fourier_on_grid(pr, np.log(pr.astype(float)), grid)
+    C = zn_fourier.sparse_fourier_on_grid(ks, w_mid, grid)
+    return np.abs(A - B), np.abs(C), float(np.max(np.abs(A - B - C)))
+
+
+@pytest.mark.parametrize("spec", [power_log(1.2, 2.0, x0=3.0), ps_exponent_spec(0.95)],
+                         ids=["h1", "gamma95"])
+def test_error_term_weights_match_per_N_formula(table_1e6, monkeypatch, fast_switching,
+                                                spec):
+    # the weights taken once at the top, in place and in blocks on any thread
+    # count, give at every N of a ladder bitwise the report of the per-N
+    # formula over arrays built at N itself; h1 takes phi by Newton steps,
+    # and gamma = 0.95 has members at most prime powers, so at block ends too
+    inv = inverse_of(spec)
+    ladder = [2 ** k for k in range(12, 20)] + [700001]
+    refs = {(q, a): [_sup_per_N(inv, N, q, a, table_1e6, 512) for N in ladder]
+            for q, a in ((1, 0), (4, 3))}
+    monkeypatch.setattr(expsums, "_PHI_BLOCK", 1021)
+    for (q, a), ref in refs.items():
+        for threads in (1, 2, 3):
+            top = error_term_inputs(inv, max(ladder), q, a, table_1e6, threads=threads)
+            assert top.ks.size > 10 * 1021
+            for N, (per_xi, per_xi_middle, gap) in zip(ladder, ref):
+                rep = error_term_sup(top, N, 512)
+                assert rep.sup_diff == float(np.max(per_xi)), (q, threads, N)
+                assert rep.per_xi.tobytes() == per_xi.tobytes(), (q, threads, N)
+                assert rep.per_xi_middle.tobytes() == per_xi_middle.tobytes(), (q, threads, N)
+                assert rep.route_gap == gap, (q, threads, N)
+
+
+def test_error_term_inputs_free_the_table(monkeypatch):
+    # once the class's primes are read, error_term_inputs holds no reference
+    # to the table: passed in the call alone, it is gone before phi is taken
+    inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
+    real = hfun.eval_phi_clamped
+    refs, alive = [], []
+
+    def built(limit):
+        table = sieve_primes(limit)
+        refs.append(weakref.ref(table))
+        return table
+
+    def watching(inv, y, clamp):
+        alive.append(refs[0]() is not None)
+        return real(inv, y, clamp)
+
+    monkeypatch.setattr(hfun, "eval_phi_clamped", watching)
+    d = error_term_inputs(inv, 2 ** 16, 1, 0, built(2 ** 16))
+    assert alive and not any(alive)
+    assert d.ks.size == d.mid_weights.size > 0
+
+
 def test_error_term_inputs_memory_is_blocked():
-    # at top 2^23 (564,688 prime powers) the traced peak stays within 12 MB
-    # of the arrays returned (about 6 MB; inverting phi over all k at once
-    # reads about 44 MB)
+    # at top 2^23 (564,688 prime powers) the arrays returned are three rows
+    # of 4.5 MB (ks, mid_weights, primes) and the members, about 13.6 MB,
+    # and the traced peak stays within 8 MB of them (about 6.5 MB; inverting
+    # phi over all k at once reads about 44 MB)
     top = 2 ** 23
     table = sieve_primes(top)
     inv = inverse_of(power_log(1.2, 2.0, x0=3.0))
@@ -493,4 +595,5 @@ def test_error_term_inputs_memory_is_blocked():
         tracemalloc.stop()
     held = sum(v.nbytes for v in d if isinstance(v, np.ndarray))
     assert d.ks.size == 564_688
-    assert peak - held < 12_000_000
+    assert held < 14_000_000
+    assert peak - held < 8_000_000

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import logging
 import math
 import threading
@@ -169,6 +170,43 @@ def test_prime_powers_match_scalar_mangoldt():
     assert ks.tolist() == [2] and lam.tolist() == [math.log(2)]
     with pytest.raises(ValueError, match="beyond table limit"):
         prime_powers(table, 5001)
+
+
+def _naive_prime_powers(top):
+    # sieve of Eratosthenes over a bytearray, then every p^j <= top as
+    # (p^j, log p), sorted; log p is np.log's at j = 1 and math.log's at
+    # j >= 2, as prime_powers documents (the two differ in the last bit at
+    # 40 of the 564,163 primes below 2^23)
+    flags = bytearray([1]) * (top + 1)
+    flags[:2] = bytes(len(flags[:2]))
+    for i in range(2, math.isqrt(top) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, top + 1, i)))
+    out = []
+    for p in itertools.compress(range(top + 1), flags):
+        pj, lp = p, float(np.log(float(p)))
+        while pj <= top:
+            out.append((pj, lp))
+            pj, lp = pj * p, math.log(p)
+    return sorted(out)
+
+
+def test_prime_powers_match_naive_list():
+    # the prime powers of each class and their Lambda, bitwise, at tops that
+    # are themselves prime powers (2^20, 3^12), one below 2^20, and below 4
+    table = sieve_primes(2 ** 20)
+    for top in (2 ** 20, 2 ** 20 - 1, 3 ** 12, 0, 1, 2, 3):
+        naive = _naive_prime_powers(top)
+        for q, a in ((1, 0), (4, 1), (4, 3), (6, 5), (7, 0)):
+            ks, lam = prime_powers(table, top, q, a)
+            want = [(k, lp) for k, lp in naive if k % q == a]
+            assert ks.dtype == np.int64 and lam.dtype == np.float64
+            assert ks.tolist() == [k for k, _ in want], (top, q, a)
+            assert lam.tobytes() == np.array([lp for _, lp in want], dtype=float).tobytes(), \
+                (top, q, a)
+    assert prime_powers(table, 2 ** 20)[0][-1] == 2 ** 20
+    assert prime_powers(table, 3 ** 12, 7, 0)[0].tolist() == [7, 49, 343, 2401, 16807,
+                                                           117649]
 
 
 def test_chebyshev_identity(table_1e6):
