@@ -35,12 +35,12 @@ print(f"\nrandom |A|={A.size} in Z_{N}: difference walk lam3={walk.lam3}, "
       f"frequency route lam3={freq.real:.6f}")
 
 # the averaging step: every length-M subprogression P_{a,d} meets a dense
-# set about M |A| / N times on average, so a positive proportion of the
-# (a, d) pairs carry at least half that
+# set M |A| / N times on average over a, and no more than M times, so for
+# each d at least |A| / 2 of the a carry half the average or more
 M = 9
 v = varnavides_count(A, N, M)
 print(f"\nlength-{M} subprogressions: threshold={v.threshold:.2f}")
 print(f"good pairs: {v.good_pairs} of {N * (N - 1)} "
-      f"(identity holds for every d: {v.identity_ok})")
+      f"(at least |A|/2 for each d: {(N - 1) * A.size // 2})")
 print(f"implied lower bound Z >= good/(M*M) = {v.Z_lower} "
       f"~ {float(v.Z_lower):.1f}")

@@ -48,7 +48,6 @@ from .zn_fourier import (
     dft,
     fourier_on_grid,
     grid_power_sums,
-    inverse_dft,
     sparse_fourier_on_grid,
     trilinear_direct,
     trilinear_fft,

@@ -33,16 +33,25 @@ def check_trilinear_routes():
 
 
 def check_inversion_and_parseval():
-    """inverse_dft(dft(f)) = N f and sum|f|^2 = N^{-1} sum|F|^2."""
+    """Both grid routes against the residue fold of the weights on a grid of
+    G points in two grid rows: dft(sparse_fourier_on_grid) = G fold_G, and at
+    r = 2 grid_power_sums' total and even sums are G sum|fold_G|^2 and
+    (G/2) sum|fold_{G/2}|^2, its values at `at` sparse_fourier_on_grid's."""
     rng = _rng(2027)
-    worst = 0.0
-    for N in (32, 101, 1009):
-        f = rng.normal(size=N) + 1j * rng.normal(size=N)
-        F = zn_fourier.dft(f)
-        back = zn_fourier.inverse_dft(F) / N
-        worst = max(worst, float(np.max(np.abs(back - f))))
-        pars = abs(np.sum(np.abs(f) ** 2) - np.sum(np.abs(F) ** 2) / N)
-        worst = max(worst, pars / max(1.0, float(np.sum(np.abs(f) ** 2))))
+    # rows of length 101, a length the other checks transform too
+    G = 202
+    pos = rng.choice(5 * G, size=100, replace=False)
+    w = np.exp(2j * np.pi * rng.random(pos.size))  # unimodular, as restrict draws
+    at = rng.choice(G, size=16, replace=False)
+    (total,), (even,), (at_values,) = zn_fourier.grid_power_sums(pos, w[None], G, 2, at=at)
+    F = zn_fourier.sparse_fourier_on_grid(pos, w, G)
+    fold, half = (np.bincount(pos % n, w.real, n) + 1j * np.bincount(pos % n, w.imag, n)
+                  for n in (G, G // 2))
+    want_total, want_even = G * np.sum(np.abs(fold) ** 2), G // 2 * np.sum(np.abs(half) ** 2)
+    worst = float(max(np.max(np.abs(zn_fourier.dft(F) / G - fold)) / np.max(np.abs(fold)),
+                      np.max(np.abs(at_values - F[at])) / np.max(np.abs(F)),
+                      abs(total - want_total) / want_total,
+                      abs(even - want_even) / want_even))
     return "inversion_and_parseval", worst <= 1e-9, f"worst err {worst:.3e}"
 
 
@@ -68,14 +77,22 @@ def check_bohr_pigeonhole():
 
 
 def check_varnavides_identity():
-    """sum_a |A' cap P_{a,d}| = M |A'| exactly for every d."""
-    rng = _rng(2029)
-    ok = True
-    for N, M in ((101, 8), (101, 5)):
-        A = np.flatnonzero(rng.random(N) < 0.3)
-        rep = roth.varnavides_count(A, N, M)
-        ok &= rep.identity_ok
-    return "varnavides_identity", ok, "exact integer identity over all d"
+    """varnavides_count's good pairs over every d at M = 5 and 8 against a
+    count of every (a, d) whose progression, gathered as mask[(a + i d) mod
+    N], meets A' at least M |A'| / (2N) times."""
+    N = 101
+    mask = _rng(2029).random(N) < 0.3
+    A = np.flatnonzero(mask)
+    a, d = np.arange(N)[:, None], np.arange(1, N)[None, :]
+    # hits[a, d - 1] = |A' cap P_{a,d}| for the length M reached so far
+    hits, pairs = np.zeros((N, N - 1), dtype=np.int64), []
+    for M in range(1, 9):
+        hits += mask[(a + (M - 1) * d) % N]
+        if M in (5, 8):
+            pairs.append((roth.varnavides_count(A, N, M).good_pairs,
+                          int(np.count_nonzero(2 * N * hits >= M * A.size))))
+    return "varnavides_identity", all(got == want for got, want in pairs), \
+        f"N=101, M=5 and 8: good pairs {pairs} (scan, gather)"
 
 
 def check_lam3_decomposition():

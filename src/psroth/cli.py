@@ -247,6 +247,11 @@ def cmd_restrict(cfg):
     return 0
 
 
+def _witness_text(witness):
+    """A progression witness as roth.csv writes it: x|y|z, or empty for none."""
+    return "" if witness is None else "|".join(map(str, witness))
+
+
 def cmd_roth(cfg):
     if cfg["inject_A"] is not None:
         A = cfg["inject_A"]
@@ -254,8 +259,7 @@ def cmd_roth(cfg):
         path = _out_path(cfg, "roth.csv")
         _write_csv(path, ["set_size", "lam3_ordered", "nontrivial_ordered",
                           "witness"],
-                   [(rep.size, rep.lam3, rep.nontrivial,
-                     "" if rep.witness is None else "|".join(map(str, rep.witness)))])
+                   [(rep.size, rep.lam3, rep.nontrivial, _witness_text(rep.witness))])
         _manifest("progression count", cfg, [path], extra={"witness": rep.witness})
         return 0
     inv = _inverse(cfg)
@@ -272,8 +276,7 @@ def cmd_roth(cfg):
                [(trep.n, trep.W, trep.m, trep.b, trep.N,
                  int(trep.A.size), trep.mass, trep.window_mass,
                  arep.lam3, arep.nontrivial, vrep.good_pairs,
-                 str(vrep.Z_lower),
-                 "" if arep.witness is None else "|".join(map(str, arep.witness)))])
+                 str(vrep.Z_lower), _witness_text(arep.witness))])
     _manifest("transference run", cfg, [path],
               extra={"mass_ratio": trep.mass / trep.window_mass
                      if trep.window_mass else math.inf})

@@ -13,9 +13,10 @@ move the window (n/2, n] of floor-image primes in that class into {1..N/2}
 for a prime modulus N in [2n/m, 4n/m], and report the measure mass, with
 weight phi(m) log p / (m N phi'(p)), of the image and of the whole window.
 
-varnavides_count tallies how many length-M subprogressions of Z_N meet a set
-densely, exposing the averaging identity and the good-pair count that feed
-the positive-proportion lower bound; its d run in blocks on run.in_order.
+varnavides_count tallies the pairs (a, d) whose length-M subprogression of Z_N
+meets a set densely, the good-pair count that feeds the positive-proportion
+lower bound; each d sums M slices of the doubled mask, and its d run in
+blocks on run.in_order.
 
 restriction_ratio draws random unimodular coefficients on the floor-prime
 frequencies and compares L^r norms against the unsigned extremizer on a
@@ -211,47 +212,38 @@ def transference_build(inv, table, n, override_W=None):
 
 @dataclass
 class VarnavidesReport:
-    per_d_counts: dict
-    identity_ok: bool
     good_pairs: int
     Z_lower: Fraction
     threshold: float
 
 
-def varnavides_count(Aprime, N, M, threshold=None, d_list=None,
-                     d_keep=(1, 2, 3, 5, 7), threads=1):
+def varnavides_count(Aprime, N, M, threshold=None, d_list=None, threads=1):
     """Count length-M subprogressions P_{a,d} meeting A' at least threshold
     times, over all a in Z_N and d in d_list (default: every d in [1, N-1]
     up to N = 4096, a deterministic stride sample beyond).
 
-    The averaging identity sum_a |A' cap P_{a,d}| = M |A'| is checked exactly
-    for every scanned d; full per-a count vectors are kept for d in d_keep.
-    d_list runs in `threads` contiguous blocks on run.in_order, each with its
-    own counts; their tallies add in block order, the same at every count.
+    d_list runs in `threads` contiguous blocks on run.in_order.
     """
     N, M = int(N), int(M)
     if not (3 <= M <= N):
         raise ValueError("need 3 <= M <= N")
     idx = _index_set(Aprime, N)
     if d_list is None:
-        stride = max(1, (N - 1) // 2048)
-        d_list = range(1, N, stride)
+        d_list = range(1, N, max(1, (N - 1) // 2048))
     # per-a counts lie in [0, M]: the smallest unsigned dtype holding M keeps
     # the M slice additions cheap without wrapping
     dtype = np.min_scalar_type(M)
     mask2 = np.zeros(2 * N, dtype=dtype)
-    mask2[idx] = 1
-    mask2[N:] = mask2[:N]
-    sizeA = int(idx.size)
+    mask2[idx] = mask2[idx + N] = 1
     if threshold is None:
-        threshold = M * sizeA / (2.0 * N)
+        threshold = M * idx.size / (2.0 * N)
     # counts are integers, so counts >= threshold iff counts >= ceil(threshold),
     # a comparison numpy makes without converting counts to float
     cut = math.ceil(threshold) if math.isfinite(threshold) else threshold
 
     def scan(ds):
-        """(good pairs, identity failures, kept count vectors) over the d of ds."""
-        good, bad, kept = 0, 0, {}
+        """The good pairs over the d of ds."""
+        good = 0
         counts = np.empty(N, dtype=dtype)
         for d in ds:
             # counts[a] = sum_i 1_A'(a + i d), each term a slice of the doubled mask
@@ -259,23 +251,15 @@ def varnavides_count(Aprime, N, M, threshold=None, d_list=None,
             for i in range(1, M):
                 s = i * d % N
                 counts += mask2[s:s + N]
-            bad += int(counts.sum(dtype=np.int64)) != M * sizeA
             good += int(np.count_nonzero(counts >= cut))
-            if d in d_keep:
-                kept[d] = counts.astype(np.int64)
-        return good, bad, kept
+        return good
 
     ds = list(d_list)
     n = max(1, min(int(threads), len(ds)))
     blocks = [ds[len(ds) * b // n:len(ds) * (b + 1) // n] for b in range(n)]
-    per_d, good_pairs, identity_ok = {}, 0, True
     # numpy's slice additions release the GIL, so the blocks scan in parallel
-    for good, bad, kept in run.in_order(scan, blocks, threads):
-        good_pairs += good
-        identity_ok &= not bad
-        per_d.update(kept)
-    return VarnavidesReport(per_d, identity_ok, good_pairs,
-                            Fraction(good_pairs, M * M), float(threshold))
+    good_pairs = sum(run.in_order(scan, blocks, threads))
+    return VarnavidesReport(good_pairs, Fraction(good_pairs, M * M), float(threshold))
 
 
 # -- restriction ensemble ----------------------------------------------------

@@ -4,9 +4,9 @@ Conventions.  On Z_N the forward transform is
 
     F[f](xi) = sum_x f(x) e(-xi x / N),        e(t) = exp(2 pi i t),
 
-and inverse_dft returns sum_xi F(xi) e(+xi x / N) = N * f(x), i.e. without
-the 1/N normalization.  On the integers the grid transform uses the opposite
-sign, F_Z[f](t) = sum_n f(n) e(+n t), evaluated at t = j/grid.
+with inverse f(x) = N^{-1} sum_xi F(xi) e(+xi x / N).  On the integers the
+grid transform uses the opposite sign, F_Z[f](t) = sum_n f(n) e(+n t) at
+t = j/grid; dft of its grid values is grid times f folded mod grid.
 
 Functions on Z_N are plain 1-d complex128 arrays.  Every transform is numpy's
 FFT, which handles every length N, prime N included, one call per trilinear
@@ -44,11 +44,6 @@ def _same_length(*arrays):
 def dft(f):
     """Forward transform on Z_N for any N."""
     return np.fft.fft(_values(f))
-
-
-def inverse_dft(F):
-    """Unnormalized inverse: applying it to dft(f) returns N * f."""
-    return np.fft.ifft(_values(F), norm="forward")
 
 
 def trilinear_fft(f, g, h):

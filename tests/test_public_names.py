@@ -37,9 +37,7 @@ TEST_SETTINGS = {
        for field in ("C_h", "x0")},
     ("count_in_class", "weight"): "the weighted class sums are the error-term "
                                   "tests' second route for route one at xi = 0",
-    ("varnavides_count", "d_keep"): "keeps every scanned d's counts for the "
-                                    "np.roll reference test",
-    ("varnavides_count", "threshold"): "only the empty-set test sets it, but the "
+    ("varnavides_count", "threshold"): "only the tests set it, but the "
                                        "benchmark tracer reads d_list as the fifth "
                                        "positional argument",
 }
