@@ -3,7 +3,8 @@
 Subcommands: psgen, errsweep, vaughan, restrict, roth, check.  Settings come
 from defaults, then an optional JSON config file, then flags (flags win).
 Every run writes its CSV series plus a JSON manifest (resolved config, seed,
-config hash, timestamp, output list); CSV bytes depend only on config+seed.
+config hash, timestamp, and each output's path relative to out_dir and its
+size in bytes); CSV bytes depend only on config+seed.
 -v (repeatable) lowers the logging level; it is not part of the config.
 
 Exit codes: 0 ok, 1 bad config/arguments, 2 resource ceiling, 3 numerical
@@ -128,7 +129,9 @@ def _manifest(name, cfg, outputs, extra=None):
         "seed": cfg["seed"],
         "config_sha256": hashlib.sha256(body.encode()).hexdigest(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": outputs,
+        # relative paths, so the same outputs read the same wherever out_dir is
+        "outputs": [{"path": os.path.relpath(p, cfg["out_dir"]),
+                     "bytes": os.path.getsize(p)} for p in outputs],
     }
     if extra:
         man["summary"] = extra

@@ -11,11 +11,15 @@ Mangoldt and Moebius functions, the tests' oracles, factor their argument by
 trial division and never read the table beyond its limit check.
 
 PsPrimeSet holds the primes hit by floor(h(n)) for a growth spec h, which
-enumerate_ps_primes finds block by block over the n-range.  Each block's
-floors come from _floor_guarded_h, the one place floor(h(n)) is taken over
-a range of n, in cache-sized sub-blocks of fresh arrays.  The enumeration
-reads primality from a table when given one; without one, each block sieves
-only the value segment it reaches, so nothing the size of the range is held.
+enumerate_ps_primes finds block by block over the n-range, each block in
+cache-sized sub-blocks.  A sub-block goes through every step in turn: its
+guarded floors (_floor_guarded_h, the one place floor(h(n)) is taken over a
+range of n), its values in [2, N], their primality and the first n of each
+prime; only the kept rows outlive it, so no array spans a block.  Primality
+is a gather from a table when given one; without one, each block sieves
+the value segment it reaches once, so nothing the size of the range is
+held.  Members are int64, witnesses int32 while n < 2^31, and to_csv
+writes the same bytes for either witness dtype.
 The blocks, and PsPrimeSet.to_csv's blocks of rows, can run on threads
 through run.in_order, which hands their results back in order.
 The membership test for a single prime p uses the floor identity
@@ -49,10 +53,11 @@ from .errors import DomainError, NumericalError, ResourceError
 log = logging.getLogger(__name__)
 
 _BLOCK = 1 << 20
-# n per sub-block of the guarded floor step: its float arrays (512 KB each)
-# stay in cache
+# n per sub-block of enumerate_ps_primes' blocks: the arrays of each step
+# (512 KB for 8 bytes per n) stay in cache
 _SUB_BLOCK = 1 << 16
-# rows per joined run of blocks in enumerate_ps_primes (32 MB per column)
+# rows per joined run of blocks in enumerate_ps_primes (32 MB of members,
+# 16 MB of int32 witnesses)
 _JOIN = 1 << 22
 _DEFAULT_BUDGET = 1 << 27
 
@@ -389,25 +394,23 @@ def _risky_floors(spec, ns):
 def _floor_guarded_h(inv, lo, hi):
     """floor(h(n)) for the integers lo <= n < hi, as int64.
 
-    h is taken in sub-blocks of _SUB_BLOCK n, each with one near-integer
-    tolerance (_near_int); the floors near an integer come from
+    The range is taken in one piece with one near-integer tolerance
+    (_near_int), so callers keep it to a sub-block of _SUB_BLOCK n, whose
+    float arrays stay in cache; the floors near an integer come from
     _risky_floors.  The guard covers the double's rounding and, for a
     rational exponent, the distance of h at the double c from h at a/b,
-    taken once at hi - 1.
+    taken at hi - 1.
     """
     spec = inv.parent
     slack = _rounding_slack(hi - 1, spec.c, _rational_exponent(spec))
-    floors = np.empty(hi - lo, dtype=np.int64)
-    for s in range(lo, hi, _SUB_BLOCK):
-        # n < 2^53, so the float n are exact
-        ns = np.arange(s, min(s + _SUB_BLOCK, hi), dtype=float)
-        hs = hfun.eval_h(spec, ns)
-        risky = _near_int(hs, slack)
-        sub = np.floor(hs, out=hs)
-        if np.any(risky):
-            sub[risky] = _risky_floors(spec, ns[risky])
-        floors[s - lo:s - lo + ns.size] = sub
-    return floors
+    # n < 2^53, so the float n are exact
+    ns = np.arange(lo, hi, dtype=float)
+    hs = hfun.eval_h(spec, ns)
+    risky = _near_int(hs, slack)
+    floors = np.floor(hs, out=hs)
+    if np.any(risky):
+        floors[risky] = _risky_floors(spec, ns[risky])
+    return floors.astype(np.int64)
 
 
 def _floor_identity(inv, ps):
@@ -473,35 +476,29 @@ def small_p_threshold(inv):
     return hi
 
 
-def _primality(vals, table, small):
-    """Primality flags of the ascending vals: read from table if one is
-    given, else segment-sieved over [vals[0], vals[-1]] with the base primes
-    small."""
-    if table is not None:
-        return table.is_prime[vals]
-    if not vals.size:
-        return np.zeros(0, dtype=bool)
-    return _segment_flags(int(vals[0]), int(vals[-1]), small)[vals - vals[0]]
-
-
 def enumerate_ps_primes(inv, N, table=None, threads=1):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
-    Walks the n-range in blocks of _BLOCK integers, so no array spans the
-    whole range.  Each block takes its guarded floors (_floor_guarded_h),
-    keeps the primes and drops repeats; the last accepted p is carried into
+    Walks the n-range in blocks of _BLOCK integers, and each block in
+    sub-blocks of _SUB_BLOCK n, so no array spans a block, let alone the
+    range.  Each sub-block takes its guarded floors (_floor_guarded_h), its
+    values in [2, N], their primality and the first n of each prime in the
+    block, and keeps only those rows; the last accepted p is carried into
     the next block, so a p whose run of n straddles a boundary keeps only
     its first witness.
     Primality is read from table when one is given; without one, each block
-    segment-sieves its own values [first kept p, last kept p] with the base
-    primes up to sqrt(N), so nothing the size of the value range is held.
+    segment-sieves its own values [first value in [2, N], last value] once,
+    with the base primes up to sqrt(N), so nothing the size of the value
+    range is held.
     Every block's members are cross-validated against the floor identity
     above the small-p threshold (NumericalError names the first rejected p);
     below it, disagreements are summed over the blocks and logged only.
     The blocks' own work runs on `threads` threads (run.in_order), each
-    holding one block's working set; the carry, the checks and the join take
-    the blocks in n order, so the result and the errors are the same for
-    every thread count.
+    holding one sub-block's arrays, one value segment and its block's kept
+    rows; the carry, the checks and the join take the blocks in n order, so
+    the result and the errors are the same for every thread count.
+    Members are int64; witnesses are int32 when the last n is below 2^31,
+    else int64.
     """
     N = int(N)
     if table is not None and N > table.limit:
@@ -510,12 +507,13 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
     p_min = small_p_threshold(inv)
     n_start = max(1, math.ceil(spec.x0))
     if hfun.eval_h(spec, float(n_start)) >= N + 1:
-        return PsPrimeSet(inv, N, np.empty(0, np.int64), np.empty(0, np.int64), p_min)
+        return PsPrimeSet(inv, N, np.empty(0, np.int64), np.empty(0, np.int32), p_min)
     n_end = int(np.floor(hfun.eval_phi(inv, float(N + 1))))
     while hfun.eval_h(spec, float(n_end + 1)) < N + 1:
         n_end += 1
     while n_end >= n_start and hfun.eval_h(spec, float(n_end)) >= N + 1:
         n_end -= 1
+    witness_dtype = np.int32 if n_end < 2 ** 31 else np.int64
     p_lo = math.ceil(inv.y0)
     small = _primes_to(math.isqrt(N)) if table is None else None
 
@@ -526,14 +524,30 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
         taken at an array's largest value: the members ascend strictly, so
         dropping a carried duplicate, always the smallest, changes no other
         verdict."""
-        ps = _floor_guarded_h(inv, lo, min(lo + _BLOCK, n_end + 1))
-        # the floors ascend, so the values in [2, N] are one slice of them
-        i, j = np.searchsorted(ps, [2, N + 1]).tolist()
-        prime = _primality(ps[i:j], table, small)
-        ns = np.flatnonzero(prime) + (lo + i)
-        ps = ps[i:j][prime]
-        first = np.diff(ps, prepend=-1) != 0
-        ns, ps = ns[first], ps[first]
+        hi = min(lo + _BLOCK, n_end + 1)
+        parts = [(np.empty(0, np.int64), np.empty(0, witness_dtype))]
+        flags, prev = None, -1
+        for s in range(lo, hi, _SUB_BLOCK):
+            vals = _floor_guarded_h(inv, s, min(s + _SUB_BLOCK, hi))
+            # the floors ascend, so the values in [2, N] are one slice of them
+            i, j = np.searchsorted(vals, [2, N + 1]).tolist()
+            if i == j:
+                continue
+            vals = vals[i:j]
+            if table is not None:
+                keep = table.is_prime[vals]
+            else:
+                if flags is None:
+                    # the block's last floor bounds the values of the rest
+                    base = int(vals[0])
+                    top = int(_floor_guarded_h(inv, hi - 1, hi)[0])
+                    flags = _segment_flags(base, min(top, N), small)
+                keep = flags[vals - base]
+            keep &= np.diff(vals, prepend=prev) != 0
+            prev = int(vals[-1])
+            at = np.flatnonzero(keep)
+            parts.append((vals[at], (at + (s + i)).astype(witness_dtype)))
+        ps, ns = (np.concatenate(col) for col in zip(*parts))
         ok = np.ones(ps.size, dtype=bool)
         checked = ps >= p_lo
         for part in (checked & (ps >= p_min), checked & (ps < p_min)):
@@ -574,13 +588,15 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
         log.info("%d members below small-p threshold %s; floor identity "
                  "disagreements there: %d (logged, not asserted)",
                  below, p_min, below_bad)
-    return PsPrimeSet(inv, N, _pour(runs, 0), _pour(runs, 1), p_min)
+    return PsPrimeSet(inv, N, _pour(runs, 0, np.int64),
+                      _pour(runs, 1, witness_dtype), p_min)
 
 
-def _pour(runs, col):
-    """Column col of the runs joined into one int64 array.  Each run's column
-    is dropped once copied, so the join holds little more than its result."""
-    out = np.empty(sum(run[col].size for run in runs), dtype=np.int64)
+def _pour(runs, col, dtype):
+    """Column col of the runs joined into one array of dtype.  Each run's
+    column is dropped once copied, so the join holds little more than its
+    result."""
+    out = np.empty(sum(run[col].size for run in runs), dtype=dtype)
     lo = 0
     for run in runs:
         out[lo:lo + run[col].size] = run[col]

@@ -105,8 +105,26 @@ def test_psgen_outputs_and_manifest(tmp_path):
     assert man["experiment"] == "ps-prime generation"
     assert man["seed"] == 20260814
     assert len(man["config_sha256"]) == 64
-    assert all(os.path.exists(p) for p in man["outputs"])
+    assert [out["path"] for out in man["outputs"]] == ["psprimes.csv", "density.csv"]
+    for out in man["outputs"]:
+        assert out["bytes"] == (tmp_path / out["path"]).stat().st_size > 0
     assert man["summary"]["members"] == len(rows) - 1
+
+
+@pytest.mark.parametrize("command", ["psgen", "restrict"])
+def test_manifest_outputs_do_not_depend_on_out_dir(tmp_path, monkeypatch, command):
+    # an absolute out_dir and a relative one of another length, the same
+    # outputs block
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, N=2000, trials=2)
+    blocks = []
+    for d in (str(tmp_path / "a" / "much_longer_directory_name"), "b"):
+        assert main([command, "--config", cfg, "--out-dir", d]) == 0
+        name = next(f for f in os.listdir(d) if f.endswith("_manifest.json"))
+        with open(os.path.join(d, name)) as fh:
+            blocks.append(json.load(fh)["outputs"])
+    assert blocks[0] == blocks[1]
+    assert all(out["bytes"] > 0 and os.sep not in out["path"] for out in blocks[0])
 
 
 def test_psgen_degenerate_N(tmp_path):

@@ -313,6 +313,9 @@ def test_blocked_enumeration_matches_one_block(table_1e6, monkeypatch, caplog,
             blocked = enumerate_ps_primes(inv, N, table_1e6, threads=threads)
         assert np.array_equal(blocked.members, whole.members)
         assert np.array_equal(blocked.witnesses, whole.witnesses)
+        # n < 2^31: int32 witnesses beside int64 members
+        assert blocked.members.dtype == np.int64
+        assert blocked.witnesses.dtype == whole.witnesses.dtype == np.int32
         # the sub-threshold disagreements are summed into one line over the
         # blocks, the same line on every thread count
         lines[threads] = [r.getMessage() for r in caplog.records
@@ -398,6 +401,8 @@ H1 = hfun.power_log(1.2, 2.0, x0=3.0)
     # h1 reaches only n = 3086 below 10^6
     (H1, 10 ** 6 - 17, 1021, 61),
     (H1, 10 ** 6 - 17, 1021, 7),
+    # h' < 1: runs of one p straddle sub-block edges inside a block
+    (pure_power(1.05, C_h=0.3), 10 ** 4, 4099, 7),
 ])
 def test_sub_blocked_floors_match_default_enumeration(table_1e6, monkeypatch,
                                                        spec, N, block, sub):
@@ -520,6 +525,7 @@ def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, fast_switc
         got = enumerate_ps_primes(inv, N, threads=threads)
         assert np.array_equal(got.members, want.members)
         assert np.array_equal(got.witnesses, want.witnesses)
+        assert got.witnesses.dtype == np.int32
         assert got.p_min == want.p_min
 
 
@@ -529,15 +535,18 @@ def test_table_free_enumeration_tiny_N(table_1e6, inv95, N):
     got = enumerate_ps_primes(inv95, N)
     assert np.array_equal(got.members, want.members)
     assert np.array_equal(got.witnesses, want.witnesses)
+    assert got.witnesses.dtype == want.witnesses.dtype == np.int32
 
 
 def test_table_free_enumeration_memory_is_blocked(inv95):
-    # N = 2^26 spans 26 blocks of n: the traced peak above the result (about
-    # 25 MiB) holds one block's floors, sieve segment and masks and one
-    # sub-block's float arrays, so it stays under 32 MiB; on two threads
-    # (about 29 MiB) a second block's working set adds at most its int64
-    # floors and gather index, 8 MiB each
-    for threads, bound in ((1, 32 << 20), (2, (32 + 16) << 20)):
+    # N = 2^26 spans 26 blocks of n.  No array the length of a block exists,
+    # so what the traced peak holds above the result (about 18.7 MiB, with
+    # 18.5 MiB of result, on one thread and on two) is the join's copy: the
+    # joined runs of blocks beside the column being poured out of them, at
+    # most one result.  The blocks' working sets (one sub-block's arrays,
+    # one value segment and the kept rows per thread) stay below that copy,
+    # and 4 MiB is the room left above it.
+    for threads in (1, 2):
         tracemalloc.start()
         try:
             got = enumerate_ps_primes(inv95, 1 << 26, threads=threads)
@@ -546,7 +555,7 @@ def test_table_free_enumeration_memory_is_blocked(inv95):
             tracemalloc.stop()
         result = got.members.nbytes + got.witnesses.nbytes
         assert got.members.size > 10 ** 6
-        assert peak - result < bound, threads
+        assert peak - result < result + (4 << 20), threads
 
 
 @pytest.mark.parametrize("block, limits", [
@@ -629,3 +638,40 @@ def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):
             for n, p in zip(witnesses.tolist(), members.tolist()):
                 wr.writerow([n, p])
         assert path.read_bytes() == ref.read_bytes()
+
+
+def test_to_csv_bytes_do_not_depend_on_witness_dtype(tmp_path, inv95):
+    # int32 and int64 witness columns over rows whose n and p gain digits
+    # at different rows, up to n = 2^31 - 1, write the csv.writer bytes
+    ns = np.array([1, 9, 10, 99, 100, 101, 999_999, 1_000_000, 99_999_999,
+                   100_000_000, 999_999_999, 1_000_000_000, 2 ** 31 - 1])
+    ps = np.array([2, 3, 11, 101, 997, 1009, 10_007, 999_983, 1_000_003,
+                   99_999_989, 10 ** 11 + 3, 10 ** 12 + 39, 10 ** 15 + 37])
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["n_witness_index", "p_prime"])
+        wr.writerows(zip(ns.tolist(), ps.tolist()))
+    for dtype in (np.int32, np.int64):
+        s = sieve.PsPrimeSet(inv95, 10 ** 16, ps.astype(np.int64), ns.astype(dtype), 0.0)
+        path = tmp_path / f"{np.dtype(dtype).name}.csv"
+        s.to_csv(path)
+        assert path.read_bytes() == ref.read_bytes(), dtype
+
+
+def test_witnesses_past_2_31_are_int64():
+    # h starts just below n = 2^31 and ends past it: the witnesses are int64,
+    # and every row is an exact floor of n^(20/19) that is prime (h' > 1, so
+    # each n has its own floor and is its first witness)
+    lo, hi = 2 ** 31 - 2000, 2 ** 31 + 2000
+    N = floor_h_20_19(hi)
+    got = enumerate_ps_primes(inverse_of(pure_power(20 / 19, x0=lo)), N)
+    assert got.witnesses.dtype == np.int64
+    ns = np.arange(lo, hi + 1)
+    vals = np.array([floor_h_20_19(n) for n in ns.tolist()])
+    prime = np.ones(vals.size, dtype=bool)
+    for p in simple_sieve(math.isqrt(N)):
+        prime &= vals % p != 0
+    assert got.witnesses[-1] >= 2 ** 31
+    assert got.witnesses.tolist() == ns[prime].tolist()
+    assert got.members.tolist() == vals[prime].tolist()
