@@ -2,9 +2,9 @@
 
 Subcommands: psgen, errsweep, vaughan, restrict, roth, check.  Settings come
 from defaults, then an optional JSON config file, then flags (flags win).
-Every run writes its CSV series plus a JSON manifest (resolved config, seed,
-config hash, timestamp, and each output's path relative to out_dir and its
-size in bytes); CSV bytes depend only on config+seed.
+Every run writes its CSV series plus a JSON manifest (config less out_dir,
+seed, config hash, timestamp, and each output's path relative to out_dir and
+its size in bytes); CSV bytes depend only on config+seed.
 -v (repeatable) lowers the logging level; it is not part of the config.
 
 Exit codes: 0 ok, 1 bad config/arguments, 2 resource ceiling, 3 numerical
@@ -118,14 +118,14 @@ def _write_csv(path, header, rows):
 
 
 def _manifest(name, cfg, outputs, extra=None):
-    # out_dir and threads change where/how the run happens, not its results,
-    # so they stay out of the identifying hash
-    body = json.dumps({k: v for k, v in cfg.items()
-                       if k not in ("out_dir", "threads")},
+    # out_dir and threads change where/how the run happens, not its results:
+    # both stay out of the hash, and out_dir out of the manifest
+    config = {k: v for k, v in cfg.items() if k != "out_dir"}
+    body = json.dumps({k: v for k, v in config.items() if k != "threads"},
                       sort_keys=True, default=str)
     man = {
         "experiment": name,
-        "config": cfg,
+        "config": config,
         "seed": cfg["seed"],
         "config_sha256": hashlib.sha256(body.encode()).hexdigest(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),

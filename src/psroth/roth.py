@@ -81,7 +81,7 @@ def _rounded(c):
 
 def _index_set(A, N):
     """The distinct elements of A, ascending as int64; raises unless they lie in [0, N)."""
-    idx = np.unique(np.asarray(sorted(A), dtype=np.int64))
+    idx = np.unique(np.fromiter(A, dtype=np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= N):
         raise ValueError("elements out of range")
     return idx

@@ -16,10 +16,11 @@ cache-sized sub-blocks.  A sub-block goes through every step in turn: its
 guarded floors (_floor_guarded_h, the one place floor(h(n)) is taken over a
 range of n), its values in [2, N], their primality and the first n of each
 prime; only the kept rows outlive it, so no array spans a block.  Primality
-is a gather from a table when given one; without one, each block sieves
-the value segment it reaches once, so nothing the size of the range is
-held.  Members are int64, witnesses int32 while n < 2^31, and to_csv
-writes the same bytes for either witness dtype.
+is one lookup into the flags of the block's values: a table's, or the value
+segment the block reaches, sieved once.  A block dedupes against
+floor(h(lo - 1)) and raises its own floor-identity rejections, so it needs
+no other block.  Members are int64, witnesses int32 while n < 2^31, and
+to_csv writes the same bytes for either witness dtype.
 The blocks, and PsPrimeSet.to_csv's blocks of rows, can run on threads
 through run.in_order, which hands their results back in order.
 The membership test for a single prime p uses the floor identity
@@ -482,20 +483,19 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
     Walks the n-range in blocks of _BLOCK integers, and each block in
     sub-blocks of _SUB_BLOCK n, so no array spans a block, let alone the
     range.  Each sub-block takes its guarded floors (_floor_guarded_h), its
-    values in [2, N], their primality and the first n of each prime in the
-    block, and keeps only those rows; the last accepted p is carried into
-    the next block, so a p whose run of n straddles a boundary keeps only
-    its first witness.
-    Primality is read from table when one is given; without one, each block
-    segment-sieves its own values [first value in [2, N], last value] once,
-    with the base primes up to sqrt(N), so nothing the size of the value
-    range is held.
-    Every block's members are cross-validated against the floor identity
-    above the small-p threshold (NumericalError names the first rejected p);
+    values in [2, N], their primality and the first n of each prime, and
+    keeps only those rows.  A block dedupes against floor(h(lo - 1)), the
+    previous block's last floor, so a p whose run of n straddles a boundary
+    keeps only its first witness.
+    Primality is one lookup into the flags of the block's values [first
+    value in [2, N], min(N, last value)]: a view of table when one is given,
+    else that segment sieved with the base primes up to sqrt(N).
+    Each block checks its members against the floor identity: above the
+    small-p threshold it raises NumericalError naming the first rejected p;
     below it, disagreements are summed over the blocks and logged only.
-    The blocks' own work runs on `threads` threads (run.in_order), each
-    holding one sub-block's arrays, one value segment and its block's kept
-    rows; the carry, the checks and the join take the blocks in n order, so
+    The blocks run on `threads` threads (run.in_order), each holding one
+    sub-block's arrays, one value segment and its kept rows; in_order raises
+    the earliest block's error and the join takes the blocks in n order, so
     the result and the errors are the same for every thread count.
     Members are int64; witnesses are int32 when the last n is below 2^31,
     else int64.
@@ -517,16 +517,19 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
     p_lo = math.ceil(inv.y0)
     small = _primes_to(math.isqrt(N)) if table is None else None
 
+    def floor_at(n):
+        return int(_floor_guarded_h(inv, n, n + 1)[0])
+
     def block(lo):
-        """The block's members (first in the block), their witnesses, and
-        each member's floor-identity verdict (True below p_lo).  Above and
-        below p_min the identity runs on separate arrays, as its guard is
-        taken at an array's largest value: the members ascend strictly, so
-        dropping a carried duplicate, always the smallest, changes no other
-        verdict."""
+        """The block's members (first since floor(h(lo - 1))), their
+        witnesses, and how many members lie in [p_lo, p_min) and how many of
+        those the floor identity rejects; raises on a rejected member at or
+        above p_min.  Above and below p_min the identity runs on separate
+        arrays, as its guard is taken at an array's largest value."""
         hi = min(lo + _BLOCK, n_end + 1)
         parts = [(np.empty(0, np.int64), np.empty(0, witness_dtype))]
-        flags, prev = None, -1
+        flags = None
+        prev = -1 if lo == n_start else floor_at(lo - 1)
         for s in range(lo, hi, _SUB_BLOCK):
             vals = _floor_guarded_h(inv, s, min(s + _SUB_BLOCK, hi))
             # the floors ascend, so the values in [2, N] are one slice of them
@@ -534,15 +537,14 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
             if i == j:
                 continue
             vals = vals[i:j]
-            if table is not None:
-                keep = table.is_prime[vals]
-            else:
-                if flags is None:
-                    # the block's last floor bounds the values of the rest
-                    base = int(vals[0])
-                    top = int(_floor_guarded_h(inv, hi - 1, hi)[0])
-                    flags = _segment_flags(base, min(top, N), small)
-                keep = flags[vals - base]
+            if flags is None:
+                # the flags run from the block's first value in [2, N],
+                # known once a sub-block's floors are, to the block's last
+                # floor, which bounds the values of the rest
+                base, top = int(vals[0]), min(N, floor_at(hi - 1))
+                flags = (_segment_flags(base, top, small) if table is None
+                         else table.is_prime[base:top + 1])
+            keep = flags[vals - base]
             keep &= np.diff(vals, prepend=prev) != 0
             prev = int(vals[-1])
             at = np.flatnonzero(keep)
@@ -553,27 +555,23 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
         for part in (checked & (ps >= p_min), checked & (ps < p_min)):
             if np.any(part):
                 ok[part] = _floor_identity(inv, ps[part])
-        return ps, ns, ok
-
-    # blocks since the last join, and the joined runs of them as [members,
-    # witnesses]: a run of _JOIN rows is large enough that the allocator maps
-    # it apart from the heap, so it goes back to the system once poured
-    pending, runs, rows = [], [], 0
-    last = -1
-    below = below_bad = 0
-    for ps, ns, ok in run.in_order(block, range(n_start, n_end + 1, _BLOCK), threads):
-        if ps.size and ps[0] == last:
-            ps, ns, ok = ps[1:], ns[1:], ok[1:]
-        if ps.size:
-            last = int(ps[-1])
         bad = ~ok & (ps >= p_min)
         if np.any(bad):
             raise NumericalError(
                 f"floor identity rejects enumerated member p={int(ps[bad][0])} "
                 f"({int(np.sum(bad))} rejected in its block of n)")
-        sub = (ps < p_min) & (ps >= p_lo)
-        below += int(np.sum(sub))
-        below_bad += int(np.sum(sub & ~ok))
+        sub = checked & (ps < p_min)
+        return ps, ns, int(np.sum(sub)), int(np.sum(sub & ~ok))
+
+    # blocks since the last join, and the joined runs of them as [members,
+    # witnesses]: a run of _JOIN rows is large enough that the allocator maps
+    # it apart from the heap, so it goes back to the system once poured
+    pending, runs, rows = [], [], 0
+    below = below_bad = 0
+    blocks = range(n_start, n_end + 1, _BLOCK)
+    for ps, ns, n_below, n_bad in run.in_order(block, blocks, threads):
+        below += n_below
+        below_bad += n_bad
         pending.append((ps, ns))
         rows += ps.size
         if rows >= _JOIN:

@@ -113,18 +113,21 @@ def test_psgen_outputs_and_manifest(tmp_path):
 
 @pytest.mark.parametrize("command", ["psgen", "restrict"])
 def test_manifest_outputs_do_not_depend_on_out_dir(tmp_path, monkeypatch, command):
-    # an absolute out_dir and a relative one of another length, the same
-    # outputs block
+    # an absolute out_dir and a relative one of another length write the
+    # same manifest but for its timestamp: out_dir is not in it
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, N=2000, trials=2)
-    blocks = []
+    mans = []
     for d in (str(tmp_path / "a" / "much_longer_directory_name"), "b"):
         assert main([command, "--config", cfg, "--out-dir", d]) == 0
         name = next(f for f in os.listdir(d) if f.endswith("_manifest.json"))
         with open(os.path.join(d, name)) as fh:
-            blocks.append(json.load(fh)["outputs"])
-    assert blocks[0] == blocks[1]
-    assert all(out["bytes"] > 0 and os.sep not in out["path"] for out in blocks[0])
+            mans.append(json.load(fh))
+        del mans[-1]["timestamp_utc"]
+    assert mans[0] == mans[1]
+    assert "out_dir" not in mans[0]["config"]
+    assert all(out["bytes"] > 0 and os.sep not in out["path"]
+               for out in mans[0]["outputs"])
 
 
 def test_psgen_degenerate_N(tmp_path):

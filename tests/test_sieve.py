@@ -508,6 +508,8 @@ def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7, fast_sw
     (ps_exponent_spec(0.95), 123_457, 97),
     (hfun.power_log(1.2, 2.0, x0=3.0), 10 ** 6 - 17, 61),
     (hfun.power_log(1.05, 1.5, x0=20.0), 654_321, 89),
+    # h' < 1: every p repeats over about three n, so runs straddle blocks
+    (pure_power(1.05, C_h=0.3), 10 ** 4, 7),
 ])
 def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, fast_switching,
                                               spec, N, block):
