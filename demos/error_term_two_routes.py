@@ -14,12 +14,12 @@ import numpy as np
 
 from psroth import expsums, hfun, sieve
 
-inv = hfun.inverse_of(hfun.ps_exponent_spec(0.99))
+spec = hfun.ps_exponent_spec(0.99)
 Ns = [2 ** k for k in range(16, 21)]
 table = sieve.sieve_primes(Ns[-1])
 # the enumeration and the inversion of phi are built once, at the largest N;
 # every smaller N reads their prefixes
-inputs = expsums.error_term_inputs(inv, Ns[-1], 1, 0, table)
+inputs = expsums.error_term_inputs(spec, Ns[-1], 1, 0, table)
 
 print("N, sup |difference|, sup/N, route gap:")
 sups = []
@@ -34,7 +34,7 @@ print(f"\nfitted log-log slope: {slope:.4f}  (< 1 means a power saving)")
 
 # control: for h(x) = x the floor image is every prime and both weights
 # collapse to log p, so the difference vanishes identically
-invx = hfun.inverse_of(hfun.pure_power(1.0))
-rep = expsums.error_term_sup(expsums.error_term_inputs(invx, Ns[0], 1, 0, table),
+ident = hfun.pure_power(1.0)
+rep = expsums.error_term_sup(expsums.error_term_inputs(ident, Ns[0], 1, 0, table),
                              Ns[0], grid=2048)
 print(f"h(x)=x control: sup={rep.sup_diff} route_gap={rep.route_gap}")

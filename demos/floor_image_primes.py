@@ -14,21 +14,21 @@ import numpy as np
 from psroth import hfun, sieve
 
 # h(x) = x^(1/0.95): the classical floor-image construction
-inv = hfun.inverse_of(hfun.ps_exponent_spec(0.95))
+spec = hfun.ps_exponent_spec(0.95)
 table = sieve.sieve_primes(10 ** 6)
-ps = sieve.enumerate_ps_primes(inv, 10 ** 6, table)
+ps = sieve.enumerate_ps_primes(spec, 10 ** 6, table)
 print(f"members up to 1e6: {ps.members.size} of {table.primes.size} primes")
 print(f"first ten: {ps.members[:10].tolist()}")
 
 # membership is a floor identity, checkable per prime
 for p in (2, 3, 5, 7, 11, 13):
-    print(f"  ps_member({p}) = {sieve.ps_member(inv, p)}")
+    print(f"  ps_member({p}) = {sieve.ps_member(spec, p)}")
 
 # density ratio pi_h(N) log N / phi(N) drifts toward 1 as N grows
 print("\ndensity ratio against phi(N)/log N:")
 for N in (10 ** 4, 10 ** 5, 10 ** 6):
     cnt = int(np.count_nonzero(ps.members <= N))
-    target = float(hfun.eval_phi(inv, float(N))) / math.log(N)
+    target = float(hfun.eval_phi(spec, float(N))) / math.log(N)
     print(f"  N=10^{round(math.log10(N))}: count={cnt:6d}  ratio={cnt / target:.4f}")
 
 # the two invertible classes mod 4 carry nearly equal counts
@@ -39,5 +39,5 @@ print(f"\nmod 4 split: {c1} vs {c3} "
 
 # below the small-p threshold the gap phi(p+1) - phi(p) exceeds 1/2 and the
 # floor identity can misfire; enumeration there comes from the direct image
-print(f"\nsmall-p threshold for gamma=0.95: {sieve.small_p_threshold(inv):.0f}")
-print(f"small-p threshold for gamma=0.99: {sieve.small_p_threshold(hfun.inverse_of(hfun.ps_exponent_spec(0.99)))}")
+print(f"\nsmall-p threshold for gamma=0.95: {sieve.small_p_threshold(spec):.0f}")
+print(f"small-p threshold for gamma=0.99: {sieve.small_p_threshold(hfun.ps_exponent_spec(0.99))}")

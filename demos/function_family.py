@@ -32,20 +32,19 @@ for i in (1, 2, 3):
     print(f"  i={i}: {np.max(np.abs(lhs - rhs) / np.abs(rhs)):.2e}")
 
 # the inverse: phi(h(x)) = x, plus its own recursion y phi' = phi (gamma + theta)
-inv = hfun.inverse_of(spec)
 ys = hfun.eval_h(spec, xs)
-round_trip = hfun.eval_phi(inv, ys)
+round_trip = hfun.eval_phi(spec, ys)
 print(f"\ninverse round trip max rel err: "
       f"{np.max(np.abs(round_trip - xs) / xs):.2e}")
-lhs = ys * hfun.eval_phi_deriv(inv, ys, 1)
-rhs = hfun.eval_phi(inv, ys) * (inv.gamma + hfun.theta_phi(inv, ys, 1))
+lhs = ys * hfun.eval_phi_deriv(spec, ys, 1)
+rhs = hfun.eval_phi(spec, ys) * (spec.gamma + hfun.theta_phi(spec, ys, 1))
 print(f"y phi' identity max rel err:    "
       f"{np.max(np.abs(lhs - rhs) / np.abs(rhs)):.2e}")
 
 # sigma and tau factor the second derivative: y phi'' = phi' sigma tau.
 # For c = 1 kinds sigma is the slowly varying rate and decays; tau stays
 # pinned between negative constants.
-sig, tau = hfun.sigma_tau(inv, ys)
+sig, tau = hfun.sigma_tau(spec, ys)
 print("\nsigma (decaying) and -tau (bounded) along the grid:")
 for y, s, t in zip(ys, sig, tau):
     print(f"  y={y:14.2f}  sigma={s:8.5f}  -tau={-t:8.5f}")

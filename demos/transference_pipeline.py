@@ -13,10 +13,10 @@ import numpy as np
 
 from psroth import hfun, measures, roth, sieve
 
-inv = hfun.inverse_of(hfun.ps_exponent_spec(0.95))
+spec = hfun.ps_exponent_spec(0.95)
 table = sieve.sieve_primes(10 ** 6)
 
-rep = roth.transference_build(inv, table, 10 ** 5, override_W=2)
+rep = roth.transference_build(spec, table, 10 ** 5, override_W=2)
 print(f"n=1e5, W={rep.W}: m={rep.m} b={rep.b} "
       f"N={rep.N}")
 print(f"|A|={rep.A.size}, A within [1, N/2]: "
@@ -43,6 +43,6 @@ print(f"smoothing shifts lam3 by {abs(out['difference']):.4f}; "
 
 # restriction ensemble: random unimodular coefficients on the floor-image
 # frequencies never beat the all-ones extremizer by much
-rr = roth.restriction_ratio(inv, table, 2 * 10 ** 4, 3.0, 10, 7)
+rr = roth.restriction_ratio(spec, table, 2 * 10 ** 4, 3.0, 10, 7)
 print(f"\nrestriction ratios at N=2e4 (r=3, 10 draws): "
       f"max={rr.max_ratio:.4f} control={rr.control_ratio}")

@@ -9,7 +9,6 @@ checks collects the exact-identity suite, cli the experiments, run the pool.
 from .errors import ConvergenceError, DomainError, NumericalError, ResourceError
 from .hfun import (
     FunctionSpec,
-    InverseSpec,
     eval_h,
     eval_h_deriv,
     eval_h_quadrature,
@@ -17,7 +16,6 @@ from .hfun import (
     eval_phi_clamped,
     eval_phi_deriv,
     example_specs,
-    inverse_of,
     iterated_log,
     ps_exponent_spec,
     pure_power,

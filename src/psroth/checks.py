@@ -112,7 +112,7 @@ def check_lam3_decomposition():
 def check_vaughan_residual():
     """Four-piece split reassembles the direct sum at P = 10^3."""
     rng = _rng(2031)
-    inv = hfun.inverse_of(hfun.ps_exponent_spec(0.95))
+    spec = hfun.ps_exponent_spec(0.95)
     table = sieve.sieve_primes(2048)
     draws = []
     for _ in range(10):
@@ -122,18 +122,18 @@ def check_vaughan_residual():
         a = 0 if q == 1 else int(rng.choice([r for r in range(q) if math.gcd(r, q) == 1]))
         draws.append(expsums.PhaseParams(xi, m, a, q, 1000, 2000))
     worst = max(s.residual / max(1.0, abs(s.direct))
-                for s in expsums.vaughan_decompose(inv, draws, table))
+                for s in expsums.vaughan_decompose(spec, draws, table))
     return "vaughan_residual", worst <= 1e-12, f"worst rel residual {worst:.3e}"
 
 
 def check_floor_identity_matches_enumeration():
     """Membership by floor identity vs direct enumeration, h = x^(3/2)."""
-    inv = hfun.inverse_of(hfun.pure_power(1.5))
+    spec = hfun.pure_power(1.5)
     table = sieve.sieve_primes(3000)
-    ps = sieve.enumerate_ps_primes(inv, 3000, table)
+    ps = sieve.enumerate_ps_primes(spec, 3000, table)
     primes = table.primes[table.primes >= ps.p_min]
     listed = np.isin(primes, ps.members)
-    bad = [int(p) for p, m in zip(primes, listed) if sieve.ps_member(inv, int(p)) != m]
+    bad = [int(p) for p, m in zip(primes, listed) if sieve.ps_member(spec, int(p)) != m]
     return "floor_identity_vs_enumeration", not bad, \
         f"checked {primes.size} primes" + (f", mismatches {bad[:5]}" if bad else "")
 

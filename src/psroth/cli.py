@@ -95,12 +95,12 @@ def load_config(args):
     if min(cfg["N_list"] or [2]) < 2:
         raise ValueError(f"N_list entries must be >= 2, got {cfg['N_list']}")
     # fail early on an unusable function block
-    _inverse(cfg)
+    _spec(cfg)
     return cfg
 
 
-def _inverse(cfg):
-    return hfun.inverse_of(hfun.spec_from_config(cfg["function"]))
+def _spec(cfg):
+    return hfun.spec_from_config(cfg["function"])
 
 
 def _out_path(cfg, name):
@@ -142,7 +142,7 @@ def _manifest(name, cfg, outputs, extra=None):
 
 
 def cmd_psgen(cfg):
-    inv = _inverse(cfg)
+    spec = _spec(cfg)
     N = cfg["N"]
     # the density rows count members up to each Ni, enumerated only up to N
     if max(cfg["N_list"] or [N]) > N:
@@ -150,7 +150,7 @@ def cmd_psgen(cfg):
     # the enumeration sieves its value segments itself, up to N
     if N > cfg["sieve_budget"]:
         raise ResourceError(f"limit {N} exceeds budget {cfg['sieve_budget']}")
-    ps = sieve.enumerate_ps_primes(inv, N, threads=cfg["threads"])
+    ps = sieve.enumerate_ps_primes(spec, N, threads=cfg["threads"])
     ps_path = _out_path(cfg, "psprimes.csv")
     ps.to_csv(ps_path, threads=cfg["threads"])
     dens_rows = []
@@ -158,7 +158,7 @@ def cmd_psgen(cfg):
     # the members ascend, so the count up to Ni is a search position
     counts = np.searchsorted(ps.members, Ns, side="right").tolist()
     for Ni, cnt in zip(Ns, counts):
-        target = float(hfun.eval_phi(inv, float(Ni))) / math.log(Ni)
+        target = float(hfun.eval_phi(spec, float(Ni))) / math.log(Ni)
         dens_rows.append((Ni, cnt, target, cnt / target if target else math.inf))
     dens_path = _out_path(cfg, "density.csv")
     _write_csv(dens_path, ["N", "pi_h_count", "phi_over_logN", "ratio_dimensionless"],
@@ -178,14 +178,14 @@ def _halvings(N):
 
 
 def cmd_errsweep(cfg):
-    inv = _inverse(cfg)
+    spec = _spec(cfg)
     Ns = cfg["N_list"] or [2 ** k for k in range(16, 23)]
     top = max(Ns)
     # every N of the ladder reads prefixes of one enumeration and one
     # inversion of phi at the top; the table goes in the call alone, so it
     # is freed once error_term_inputs has read the class's primes
     inputs = expsums.error_term_inputs(
-        inv, top, cfg["q"], cfg["a"],
+        spec, top, cfg["q"], cfg["a"],
         sieve.sieve_primes(top, budget=cfg["sieve_budget"]), threads=cfg["threads"])
 
     def one(Ni):
@@ -206,7 +206,7 @@ def cmd_errsweep(cfg):
 
 
 def cmd_vaughan(cfg):
-    inv = _inverse(cfg)
+    spec = _spec(cfg)
     P = cfg["P"]
     table = sieve.sieve_primes(2 * P, budget=cfg["sieve_budget"])
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
@@ -218,7 +218,7 @@ def cmd_vaughan(cfg):
         a = 0 if q == 1 else [r for r in range(q) if math.gcd(r, q) == 1][
             int(rng.integers(0, q - 1 if q > 2 else 1))]
         draws.append(expsums.PhaseParams(xi, m, a, q, P, 2 * P))
-    splits = expsums.vaughan_decompose(inv, draws, table, v=cfg["v"])
+    splits = expsums.vaughan_decompose(spec, draws, table, v=cfg["v"])
     rows = [(i, pp.xi, pp.m, pp.q, pp.a, split.v, abs(split.direct),
              abs(split.recombined), split.residual,
              split.residual / max(1.0, abs(split.direct)))
@@ -236,10 +236,10 @@ def cmd_vaughan(cfg):
 
 
 def cmd_restrict(cfg):
-    inv = _inverse(cfg)
+    spec = _spec(cfg)
     N = cfg["N"]
     table = sieve.sieve_primes(N, budget=cfg["sieve_budget"])
-    rep = roth.restriction_ratio(inv, table, N, cfg["r"], cfg["trials"],
+    rep = roth.restriction_ratio(spec, table, N, cfg["r"], cfg["trials"],
                                  cfg["seed"], threads=cfg["threads"])
     path = _out_path(cfg, "restrict.csv")
     _write_csv(path, ["trial", "ratio_dimensionless"],
@@ -265,10 +265,10 @@ def cmd_roth(cfg):
                    [(rep.size, rep.lam3, rep.nontrivial, _witness_text(rep.witness))])
         _manifest("progression count", cfg, [path], extra={"witness": rep.witness})
         return 0
-    inv = _inverse(cfg)
+    spec = _spec(cfg)
     n = cfg["N"]
     table = sieve.sieve_primes(n, budget=cfg["sieve_budget"])
-    trep = roth.transference_build(inv, table, n, override_W=cfg["W"])
+    trep = roth.transference_build(spec, table, n, override_W=cfg["W"])
     arep = roth.count_3aps(trep.A, trep.N, mode="cyclic")
     vrep = roth.varnavides_count(trep.A, trep.N, cfg["M"], threads=cfg["threads"])
     path = _out_path(cfg, "roth.csv")
@@ -318,7 +318,8 @@ def build_parser():
                     help="run.in_order's worker threads (an integer >= 1, else "
                          "exit 1) for psgen (enumeration and CSV blocks), errsweep "
                          "(enumeration, phi inversion, N ladder), restrict (grid "
-                         "rows) and roth (Varnavides scan); vaughan and check ignore it")
+                         "rows; at 1, on one worker thread) and roth (Varnavides "
+                         "scan); vaughan and check ignore it")
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--gamma", type=float, help="use h(x) = x^(1/gamma)")
     ap.add_argument("--n", type=int, help="main size parameter (sets N)")

@@ -96,10 +96,10 @@ def sawtooth_phi(t):
 
 # -- phases and direct sums --------------------------------------------------
 
-def _phase(inv, alpha, mm, vals):
+def _phase(spec, alpha, mm, vals):
     """e(alpha * k + mm * phi(k)) elementwise over integer vals."""
     vals = np.asarray(vals, dtype=np.int64)
-    ph = alpha * vals.astype(float) + mm * hfun.eval_phi_clamped(inv, vals, 0)
+    ph = alpha * vals.astype(float) + mm * hfun.eval_phi_clamped(spec, vals, 0)
     return np.exp(1j * TWO_PI * ph)
 
 
@@ -110,23 +110,21 @@ def _csum(z):
     return complex(math.fsum(memoryview(z.real)), math.fsum(memoryview(z.imag)))
 
 
-def exp_sum_direct(inv, pp, table):
+def exp_sum_direct(spec, pp, table):
     """Brute-force evaluation of the ranged weighted sum."""
     if pp.P1 > table.limit:
         raise ValueError("P1 beyond table limit")
     ks, lam = sieve.prime_powers(table, pp.P1, pp.q, pp.a)
     i = np.searchsorted(ks, pp.P, side="right")
     ks, lam = ks[i:], lam[i:]
-    if ks.size == 0:
-        return 0.0 + 0.0j
-    return _csum(lam * _phase(inv, pp.xi, pp.m, ks))
+    return _csum(lam * _phase(spec, pp.xi, pp.m, ks))
 
 
 # -- the four-piece split ----------------------------------------------------
 
-def default_cutoff(inv, P1):
+def default_cutoff(spec, P1):
     """v = phi(P1) * P1^(-5/8), the balanced choice for the split ranges."""
-    return float(hfun.eval_phi(inv, float(P1))) * float(P1) ** (-0.625)
+    return float(hfun.eval_phi(spec, float(P1))) * float(P1) ** (-0.625)
 
 
 def _split_coefficients(P, P1, v, pk, pl, mu, pi_arr, xi_arr):
@@ -162,7 +160,7 @@ def _dot(row, z):
     return _csum(row[nz] * z[nz])
 
 
-def vaughan_decompose(inv, draws, table, v=None):
+def vaughan_decompose(spec, draws, table, v=None):
     """Split the ranged weighted sum of each draw into S1 - S21 - S22 + S3
     and compare against the direct evaluation; one VaughanSplit per draw.
 
@@ -180,7 +178,7 @@ def vaughan_decompose(inv, draws, table, v=None):
         raise ValueError("need at least one draw, all over one range (P, P1]")
     P, P1 = draws[0].P, draws[0].P1
     if v is None:
-        v = default_cutoff(inv, P1)
+        v = default_cutoff(spec, P1)
     if v <= 1.0:
         raise ValueError(f"cutoff v={v} is degenerate (need v > 1)")
     if v >= P:
@@ -195,9 +193,9 @@ def vaughan_decompose(inv, draws, table, v=None):
     splits = []
     for pp in draws:
         first = P + 1 + (pp.a - P - 1) % pp.q
-        z = _phase(inv, pp.xi, pp.m, np.arange(first, P1 + 1, pp.q))
+        z = _phase(spec, pp.xi, pp.m, np.arange(first, P1 + 1, pp.q))
         S1, S21, S22, S3 = (_dot(row[first - P - 1 :: pp.q], z) for row in c)
-        direct = exp_sum_direct(inv, pp, table)
+        direct = exp_sum_direct(spec, pp, table)
         splits.append(VaughanSplit(float(v), S1, S21, S22, S3, direct,
                                    abs(S1 - S21 - S22 + S3 - direct)))
     return splits
@@ -223,7 +221,7 @@ class ErrorTermInputs(NamedTuple):
     primes: np.ndarray
 
 
-def error_term_inputs(inv, top, q, a, table, threads=1):
+def error_term_inputs(spec, top, q, a, table, threads=1):
     """The error term's data up to top: enumeration, prime powers and weights.
 
     The prime powers of the class and their Lambda come from
@@ -246,7 +244,7 @@ def error_term_inputs(inv, top, q, a, table, threads=1):
         raise ValueError("N beyond table limit")
     if q < 1 or math.gcd(a, q) != 1:
         raise ValueError("need q >= 1 and gcd(a, q) = 1")
-    members = sieve.enumerate_ps_primes(inv, top, table, threads).members
+    members = sieve.enumerate_ps_primes(spec, top, table, threads).members
     members = members[members % q == a % q]
     ks, weights = sieve.prime_powers(table, top, q, a)
     primes = ks[table.is_prime[ks]]
@@ -258,15 +256,15 @@ def error_term_inputs(inv, top, q, a, table, threads=1):
     def invert(i):
         j = i + _PHI_BLOCK
         kf = ks[i:j].astype(float)
-        phi = hfun.eval_phi_clamped(inv, kf, 0)
+        phi = hfun.eval_phi_clamped(spec, kf, 0)
         kf += 1.0
-        saw = sawtooth_phi(-hfun.eval_phi_clamped(inv, kf, 0)) - sawtooth_phi(-phi)
-        dphi = 1.0 / hfun.eval_h_deriv(inv.parent, phi, 1)
+        saw = sawtooth_phi(-hfun.eval_phi_clamped(spec, kf, 0)) - sawtooth_phi(-phi)
+        dphi = 1.0 / hfun.eval_h_deriv(spec, phi, 1)
         # in place, in the formula's order: (Lambda * saw) / phi'
         weights[i:j] *= saw
         weights[i:j] /= dphi
         lo, hi = np.searchsorted(at, (i, j))
-        member_weights[lo:hi] = np.log(members[lo:hi].astype(float)) / dphi[at[lo:hi] - i]
+        member_weights[lo:hi] = np.log(members[lo:hi]) / dphi[at[lo:hi] - i]
 
     list(run.in_order(invert, range(0, ks.size, _PHI_BLOCK), threads))
     return ErrorTermInputs(top, ks, weights, members, member_weights, primes)
@@ -281,7 +279,7 @@ def error_term_sup(inputs, N, grid=4096):
     sum_k Lambda_{a,q}(k)/phi'(k) (Phi(-phi(k+1)) - Phi(-phi(k))) e(xi k).
 
     Returns the sup of route one, both per-xi profiles, and the sup gap
-    between the routes.  inputs is error_term_inputs(inv, top, q, a, table)
+    between the routes.  inputs is error_term_inputs(spec, top, q, a, table)
     for the class a mod q and some top >= N.  Every array in it is sorted by
     k and every value is elementwise, so the prefixes up to N are bit for
     bit the data built at N: a ladder of N builds (and inverts phi) once at
@@ -298,7 +296,7 @@ def error_term_sup(inputs, N, grid=4096):
     nm = np.searchsorted(d.members, N, side="right")
     pr = d.primes[: np.searchsorted(d.primes, N, side="right")]
     A = zn_fourier.sparse_fourier_on_grid(d.members[:nm], d.member_weights[:nm], grid)
-    B = zn_fourier.sparse_fourier_on_grid(pr, np.log(pr.astype(float)), grid)
+    B = zn_fourier.sparse_fourier_on_grid(pr, np.log(pr), grid)
     C = zn_fourier.sparse_fourier_on_grid(d.ks[:nk], d.mid_weights[:nk], grid)
     per_xi = np.abs(A - B)
     per_xi_middle = np.abs(C)

@@ -22,12 +22,14 @@ Derivatives come from the first-order recursion
     x * h^(i)(x) = h^(i-1)(x) * (c - i + 1 + theta_i(x)),
 
 with theta_1 = vtheta and theta_i built from vtheta and its first two
-derivatives.  The inverse phi is the closed form for pure powers and one
-monotone Newton iteration otherwise; its derivatives use the inverse-function
-rule, and eval_phi_clamped holds the clamp of below-domain integers up to
-h(x0) that the prime measures use.  All evaluators are numpy-vectorized and
-dtype-preserving: longdouble inputs stay longdouble, which backs the guarded
-floor computations in the sieve module.
+derivatives.  The inverse phi = h^(-1) re-expresses h, so it has no type of
+its own: every phi function takes the FunctionSpec, which carries phi's
+exponent gamma = 1/c and its domain start y0 = h(x0).  phi is the closed
+form for pure powers and one monotone Newton iteration otherwise; its
+derivatives use the inverse-function rule, and eval_phi_clamped holds the
+clamp of below-domain integers up to y0 that the prime measures use.  All
+evaluators are numpy-vectorized and dtype-preserving: longdouble inputs stay
+longdouble, which backs the guarded floor computations in the sieve module.
 """
 
 from __future__ import annotations
@@ -73,11 +75,13 @@ def _is_number(val, integer=False):
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Growth function h(x) = C_h * x^c * l(x) on [x0, infinity).
+    """Growth function h(x) = C_h * x^c * l(x) on [x0, infinity), and its
+    inverse phi on [y0, infinity).
 
     params holds the kind-specific extras, exactly those of _KIND_PARAMS: A
     (and B for power_explog) for the log-corrected kinds, integer m for
-    iterated_log.  Every number must be finite.
+    iterated_log.  Every number must be finite.  gamma = 1/c is phi's
+    exponent and y0 = h(x0) the start of its domain, computed once per spec.
     """
 
     kind: str
@@ -124,6 +128,16 @@ class FunctionSpec:
     @property
     def m(self):
         return self.params.get("m", 1)
+
+    @property
+    def gamma(self):
+        """1/c, the exponent of the inverse phi."""
+        return 1.0 / self.c
+
+    @functools.cached_property
+    def y0(self):
+        """h(x0), the start of phi's domain; computed once per spec."""
+        return float(eval_h(self, self.x0))
 
 
 def pure_power(c, C_h=1.0, x0=1.0):
@@ -298,33 +312,19 @@ _NEWTON_TOL = 1e-12
 _NEWTON_ITER = 200
 
 
-@dataclass(frozen=True)
-class InverseSpec:
-    """Inverse phi of a FunctionSpec: phi(h(x)) = x on [h(x0), infinity)."""
-
-    parent: FunctionSpec
-
-    @property
-    def gamma(self):
-        return 1.0 / self.parent.c
-
-    @functools.cached_property
-    def y0(self):
-        """h(x0), the start of phi's domain; computed once per spec."""
-        return float(eval_h(self.parent, self.parent.x0))
-
-
 def inverse_of(spec):
-    return InverseSpec(spec)
+    """The spec itself: a FunctionSpec carries its inverse phi's gamma and
+    y0, and every phi function takes the spec.  Kept for older callers."""
+    return spec
 
 
-def _check_phidomain(inv, y):
-    y0 = inv.y0
+def _check_phidomain(spec, y):
+    y0 = spec.y0
     if np.any(np.asarray(y) < y0 * (1.0 - 1e-12)):
         raise DomainError(f"y below domain start h(x0)={y0}")
 
 
-def eval_phi(inv, y):
+def eval_phi(spec, y):
     """phi(y), dtype-preserving: longdouble in, longdouble out.
 
     Pure powers use the closed form.  Other kinds run one Newton iteration
@@ -333,17 +333,16 @@ def eval_phi(inv, y):
     gets 4 more steps in longdouble.  Raises ConvergenceError, carrying the
     last bracket, when the bracket or Newton runs out of steps.
     """
-    spec = inv.parent
     yarr = np.asarray(y)
     scalar = yarr.ndim == 0
     longdouble = yarr.dtype == np.longdouble
-    _check_phidomain(inv, yarr)
+    _check_phidomain(spec, yarr)
     if spec.kind == "pure_power":
         out = (yarr / np.asarray(spec.C_h, dtype=yarr.dtype if longdouble else float)) ** \
-            np.asarray(inv.gamma, dtype=yarr.dtype if longdouble else float)
+            np.asarray(spec.gamma, dtype=yarr.dtype if longdouble else float)
         out = np.maximum(out, spec.x0)
         return out if not scalar else out[()]
-    x = _newton_phi(inv, np.atleast_1d(yarr))
+    x = _newton_phi(spec, np.atleast_1d(yarr))
     return x[0] if scalar else x.reshape(yarr.shape)
 
 
@@ -354,10 +353,9 @@ def _newton_step(spec, x, y):
     return np.maximum(x - step, spec.x0), step
 
 
-def _newton_phi(inv, y):
-    spec = inv.parent
+def _newton_phi(spec, y):
     ys = y.astype(float)
-    x = np.maximum(spec.x0, (ys / spec.C_h) ** inv.gamma)
+    x = np.maximum(spec.x0, (ys / spec.C_h) ** spec.gamma)
     for _ in range(128):
         low = eval_h(spec, x) < ys
         if not np.any(low):
@@ -386,63 +384,60 @@ def _newton_phi(inv, y):
     return x
 
 
-def eval_phi_deriv(inv, y, i):
+def eval_phi_deriv(spec, y, i):
     """phi^(i)(y) for i in {1, 2} by the inverse-function rule."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    spec = inv.parent
-    x = eval_phi(inv, y)
+    x = eval_phi(spec, y)
     d1 = 1.0 / eval_h_deriv(spec, x, 1)
     if i == 1:
         return d1
     return -eval_h_deriv(spec, x, 2) * d1 ** 3
 
 
-def eval_phi_clamped(inv, k, i=1):
+def eval_phi_clamped(spec, k, i=1):
     """phi^(i)(max(k, h(x0))) at integers k, for i in {0, 1, 2}.
 
     Floor-image members and phase arguments can lie below h(x0), outside
     phi's domain: at most floor(h(x0)), e.g. the member 1 = floor(h(1)) for
     pure powers.  Those values are clamped up to h(x0).  This is the one
     place that policy lives; the prime measures weight each member k by
-    log(k) / eval_phi_clamped(inv, k).
+    log(k) / eval_phi_clamped(spec, k).
     """
-    y = np.maximum(np.asarray(k, dtype=float), inv.y0)
-    return eval_phi(inv, y) if i == 0 else eval_phi_deriv(inv, y, i)
+    y = np.maximum(np.asarray(k, dtype=float), spec.y0)
+    return eval_phi(spec, y) if i == 0 else eval_phi_deriv(spec, y, i)
 
 
-def theta_phi(inv, y, i=1):
+def theta_phi(spec, y, i=1):
     """theta_i(y) of the inverse recursion y*phi^(i) = phi^(i-1)*(gamma-i+1+theta_i)."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    spec = inv.parent
-    x = eval_phi(inv, y)
+    x = eval_phi(spec, y)
     v = vtheta(spec, x)
-    t1 = 1.0 / (spec.c + v) - inv.gamma
+    t1 = 1.0 / (spec.c + v) - spec.gamma
     if i == 1:
         return t1
     return t1 - vtheta_d1(spec, x) * x / (spec.c + v) ** 2
 
 
-def sigma_tau(inv, y):
+def sigma_tau(spec, y):
     """Factor y*phi''(y) = phi'(y)*sigma(y)*tau(y).
 
     For c = 1 specs, sigma(y) = vtheta(phi(y)) isolates the slowly varying
     decay rate and tau is bounded between negative constants; for c > 1 the
     convention is sigma = 1 and tau = gamma - 1 + theta_2(y).
     """
-    spec = inv.parent
     if spec.c == 1.0:
         if spec.kind == "pure_power":
             raise DomainError("sigma/tau undefined for the degenerate h(x)=x")
-        x = eval_phi(inv, y)
+        x = eval_phi(spec, y)
         v = vtheta(spec, x)
         sigma = v
         tau = -(1.0 / (1.0 + v)
                 + vtheta_d1(spec, x) * x / (v * (1.0 + v) ** 2))
         return sigma, tau
     ones = np.ones_like(np.asarray(y, dtype=float))
-    return ones if np.ndim(y) else 1.0, inv.gamma - 1.0 + theta_phi(inv, y, 2)
+    return ones if np.ndim(y) else 1.0, spec.gamma - 1.0 + theta_phi(spec, y, 2)
 
 
 # -- config records ----------------------------------------------------------

@@ -174,7 +174,7 @@ def _w_trick(n, table, override_W):
     return W, m
 
 
-def transference_build(inv, table, n, override_W=None):
+def transference_build(spec, table, n, override_W=None):
     """Downshift the window (n/2, n] of floor-image primes into {1..N/2}.
 
     Returns the image set, W, the primorial m, the unit residue b with the
@@ -186,11 +186,11 @@ def transference_build(inv, table, n, override_W=None):
     if n < 16:
         raise ValueError("n must be >= 16")
     W, m = _w_trick(n, table, override_W)
-    ps = sieve.enumerate_ps_primes(inv, n, table)
+    ps = sieve.enumerate_ps_primes(spec, n, table)
     window = ps.members[(ps.members > n // 2) & (ps.members <= n)]
-    dphi = hfun.eval_phi_clamped(inv, window)
+    dphi = hfun.eval_phi_clamped(spec, window)
     residues = window % m
-    share = np.log(window.astype(float)) / dphi
+    share = np.log(window) / dphi
     # the first unit class of maximal weight
     b = max((c for c in range(m) if math.gcd(c, m) == 1),
             key=lambda c: float(np.sum(share[residues == c])))
@@ -202,7 +202,7 @@ def transference_build(inv, table, n, override_W=None):
     phi_m = sieve._totient(m)
 
     def mass_of(ks, dphi):
-        return float(np.sum(phi_m * np.log(ks.astype(float)) / (m * N * dphi)))
+        return float(np.sum(phi_m * np.log(ks) / (m * N * dphi)))
 
     return TransferReport(A, W, m, b, N, mass_of(window[sel], dphi[sel]),
                           mass_of(window, dphi), n)
@@ -295,7 +295,7 @@ def _control_ratio(positions, size, r, js, at_js):
 _COEFF_BYTES = 8 << 20
 
 
-def restriction_ratio(inv, table, N, r, trials, seed, threads=1):
+def restriction_ratio(spec, table, N, r, trials, seed, threads=1):
     """Random-coefficient L^r ratios against the unsigned extremizer.
 
     Each trial draws independent unimodular coefficients on the floor-image
@@ -320,7 +320,7 @@ def restriction_ratio(inv, table, N, r, trials, seed, threads=1):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = 8 * N
-    ps = sieve.enumerate_ps_primes(inv, N, table)
+    ps = sieve.enumerate_ps_primes(spec, N, table)
     pos = ps.members
     if pos.size == 0:
         raise ValueError("no floor-image primes up to N")

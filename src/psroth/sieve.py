@@ -281,13 +281,11 @@ def count_in_class(source, N, q, a, weight="unit"):
     if weight == "unit":
         return int(ps.size)
     if weight == "log":
-        return float(np.sum(np.log(ps))) if ps.size else 0.0
+        return float(np.sum(np.log(ps)))
     if weight == "log_over_phiprime":
         if not isinstance(source, PsPrimeSet):
             raise ValueError("log_over_phiprime needs a PsPrimeSet source")
-        if ps.size == 0:
-            return 0.0
-        dphi = hfun.eval_phi_clamped(source.inv, ps)
+        dphi = hfun.eval_phi_clamped(source.spec, ps)
         return float(np.sum(np.log(ps) / dphi))
     raise ValueError(f"unknown weight {weight!r}")
 
@@ -296,7 +294,7 @@ def count_in_class(source, N, q, a, weight="unit"):
 
 @dataclass
 class PsPrimeSet:
-    inv: hfun.InverseSpec
+    spec: hfun.FunctionSpec
     limit: int
     members: np.ndarray
     witnesses: np.ndarray
@@ -392,7 +390,7 @@ def _risky_floors(spec, ns):
     return floors
 
 
-def _floor_guarded_h(inv, lo, hi):
+def _floor_guarded_h(spec, lo, hi):
     """floor(h(n)) for the integers lo <= n < hi, as int64.
 
     The range is taken in one piece with one near-integer tolerance
@@ -402,7 +400,6 @@ def _floor_guarded_h(inv, lo, hi):
     rational exponent, the distance of h at the double c from h at a/b,
     taken at hi - 1.
     """
-    spec = inv.parent
     slack = _rounding_slack(hi - 1, spec.c, _rational_exponent(spec))
     # n < 2^53, so the float n are exact
     ns = np.arange(lo, hi, dtype=float)
@@ -414,7 +411,7 @@ def _floor_guarded_h(inv, lo, hi):
     return floors.astype(np.int64)
 
 
-def _floor_identity(inv, ps):
+def _floor_identity(spec, ps):
     """Vectorized floor(-phi(p)) - floor(-phi(p+1)) == 1 with the guard.
 
     Where phi(p) or phi(p+1) lies within the guard of an integer (widened,
@@ -426,30 +423,30 @@ def _floor_identity(inv, ps):
     floor(h(n)) = p there.
     """
     ps = np.asarray(ps, dtype=np.int64)
-    fp = hfun.eval_phi(inv, ps.astype(float))
-    fp1 = hfun.eval_phi(inv, (ps + 1).astype(float))
+    fp = hfun.eval_phi(spec, ps.astype(float))
+    fp1 = hfun.eval_phi(spec, (ps + 1).astype(float))
     out = np.floor(-fp) - np.floor(-fp1) == 1
-    exact = _rational_exponent(inv.parent)
-    slack = _rounding_slack(ps.max(initial=0) + 1, inv.gamma,
+    exact = _rational_exponent(spec)
+    slack = _rounding_slack(ps.max(initial=0) + 1, spec.gamma,
                             None if exact is None else 1 / exact)
     risky = _near_int(fp, slack) | _near_int(fp1, slack)
     if np.any(risky):
-        spec, p = inv.parent, ps[risky]
+        p = ps[risky]
         n = np.maximum(np.rint(fp[risky]), math.ceil(spec.x0))
         at_n, at_next = _risky_floors(spec, n), _risky_floors(spec, n + 1)
         out[risky] = np.where(at_n >= p, at_n, at_next) == p
     return out
 
 
-def ps_member(inv, p):
+def ps_member(spec, p):
     """Floor-identity membership test for a single prime p >= ceil(h(x0))."""
     p = int(p)
-    if p < math.ceil(inv.y0):
-        raise DomainError(f"p={p} below ceil(h(x0))={math.ceil(inv.y0)}")
-    return bool(_floor_identity(inv, np.asarray([p]))[0])
+    if p < math.ceil(spec.y0):
+        raise DomainError(f"p={p} below ceil(h(x0))={math.ceil(spec.y0)}")
+    return bool(_floor_identity(spec, np.asarray([p]))[0])
 
 
-def small_p_threshold(inv):
+def small_p_threshold(spec):
     """First p with phi(p+1) - phi(p) < 1/2; inf if none lies below 2^62.
 
     The gap is decreasing (phi concave), so a doubling search plus bisection
@@ -457,10 +454,10 @@ def small_p_threshold(inv):
     double-precision phi difference is pure rounding noise.
     """
     def gap_at(p):
-        ph = hfun.eval_phi(inv, np.array([p, p + 1], dtype=np.longdouble))
+        ph = hfun.eval_phi(spec, np.array([p, p + 1], dtype=np.longdouble))
         return float(ph[1] - ph[0])
 
-    lo = max(2, math.ceil(inv.y0))
+    lo = max(2, math.ceil(spec.y0))
     if gap_at(lo) < 0.5:
         return lo
     hi = lo
@@ -477,7 +474,7 @@ def small_p_threshold(inv):
     return hi
 
 
-def enumerate_ps_primes(inv, N, table=None, threads=1):
+def enumerate_ps_primes(spec, N, table=None, threads=1):
     """All primes p <= N of the form floor(h(n)), with first witnesses.
 
     Walks the n-range in blocks of _BLOCK integers, and each block in
@@ -503,22 +500,21 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
     N = int(N)
     if table is not None and N > table.limit:
         raise ValueError("N beyond table limit")
-    spec = inv.parent
-    p_min = small_p_threshold(inv)
+    p_min = small_p_threshold(spec)
     n_start = max(1, math.ceil(spec.x0))
     if hfun.eval_h(spec, float(n_start)) >= N + 1:
-        return PsPrimeSet(inv, N, np.empty(0, np.int64), np.empty(0, np.int32), p_min)
-    n_end = int(np.floor(hfun.eval_phi(inv, float(N + 1))))
+        return PsPrimeSet(spec, N, np.empty(0, np.int64), np.empty(0, np.int32), p_min)
+    n_end = int(np.floor(hfun.eval_phi(spec, float(N + 1))))
     while hfun.eval_h(spec, float(n_end + 1)) < N + 1:
         n_end += 1
     while n_end >= n_start and hfun.eval_h(spec, float(n_end)) >= N + 1:
         n_end -= 1
     witness_dtype = np.int32 if n_end < 2 ** 31 else np.int64
-    p_lo = math.ceil(inv.y0)
+    p_lo = math.ceil(spec.y0)
     small = _primes_to(math.isqrt(N)) if table is None else None
 
     def floor_at(n):
-        return int(_floor_guarded_h(inv, n, n + 1)[0])
+        return int(_floor_guarded_h(spec, n, n + 1)[0])
 
     def block(lo):
         """The block's members (first since floor(h(lo - 1))), their
@@ -531,7 +527,7 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
         flags = None
         prev = -1 if lo == n_start else floor_at(lo - 1)
         for s in range(lo, hi, _SUB_BLOCK):
-            vals = _floor_guarded_h(inv, s, min(s + _SUB_BLOCK, hi))
+            vals = _floor_guarded_h(spec, s, min(s + _SUB_BLOCK, hi))
             # the floors ascend, so the values in [2, N] are one slice of them
             i, j = np.searchsorted(vals, [2, N + 1]).tolist()
             if i == j:
@@ -554,7 +550,7 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
         checked = ps >= p_lo
         for part in (checked & (ps >= p_min), checked & (ps < p_min)):
             if np.any(part):
-                ok[part] = _floor_identity(inv, ps[part])
+                ok[part] = _floor_identity(spec, ps[part])
         bad = ~ok & (ps >= p_min)
         if np.any(bad):
             raise NumericalError(
@@ -586,7 +582,7 @@ def enumerate_ps_primes(inv, N, table=None, threads=1):
         log.info("%d members below small-p threshold %s; floor identity "
                  "disagreements there: %d (logged, not asserted)",
                  below, p_min, below_bad)
-    return PsPrimeSet(inv, N, _pour(runs, 0, np.int64),
+    return PsPrimeSet(spec, N, _pour(runs, 0, np.int64),
                       _pour(runs, 1, witness_dtype), p_min)
 
 

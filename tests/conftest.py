@@ -25,15 +25,15 @@ def table_1e7():
 
 
 @pytest.fixture(scope="session")
-def inv95():
-    return hfun.inverse_of(hfun.ps_exponent_spec(0.95))
+def spec95():
+    return hfun.ps_exponent_spec(0.95)
 
 
 @pytest.fixture(scope="session")
-def inv99():
-    return hfun.inverse_of(hfun.ps_exponent_spec(0.99))
+def spec99():
+    return hfun.ps_exponent_spec(0.99)
 
 
 @pytest.fixture(scope="session")
-def ps95_1e7(inv95, table_1e7):
-    return sieve.enumerate_ps_primes(inv95, 10 ** 7, table_1e7)
+def ps95_1e7(spec95, table_1e7):
+    return sieve.enumerate_ps_primes(spec95, 10 ** 7, table_1e7)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import logging
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import psroth
-from psroth import checks, cli, hfun, sieve
+from psroth import checks, cli, expsums, hfun, sieve
 from psroth.cli import main
 
 H1 = {"kind": "power_log", "c": 1.2, "x0": 3.0, "params": {"A": 2.0}}
@@ -65,10 +66,14 @@ def test_every_default_key_is_read():
     assert [k for k in cli.DEFAULTS if f'cfg["{k}"]' not in source] == []
 
 
-def test_malformed_json_exits_1(tmp_path):
+def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(tmp_path, "psgen", "--config", str(path)) == 1
+    # valid JSON whose root is not an object
+    path.write_text("[1, 2]")
+    assert run(tmp_path, "psgen", "--config", str(path)) == 1
+    assert "config root must be an object" in capsys.readouterr().err
 
 
 def test_bad_gamma_exits_1(tmp_path):
@@ -80,10 +85,32 @@ def test_budget_ceiling_exits_2(tmp_path):
     assert run(tmp_path, "psgen", "--config", cfg) == 2
 
 
-def test_forced_numerical_failure_exits_3(tmp_path, monkeypatch):
+def test_forced_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a check that raises is reported as failed, not propagated
+    def crashing():
+        raise ZeroDivisionError("synthetic")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (checks.check_chebyshev_identity, crashing))
+    assert run(tmp_path, "check") == 3
+    out = capsys.readouterr().out
+    assert "PASS chebyshev_identity" in out
+    assert "FAIL crashing: raised ZeroDivisionError('synthetic')" in out
     monkeypatch.setattr(checks, "run_all",
                         lambda: [("synthetic", False, "forced")])
     assert run(tmp_path, "check") == 3
+
+    # a vaughan run whose worst residual exceeds 1e-6 writes its rows, then fails
+    real = expsums.vaughan_decompose
+
+    def off(*args, **kwargs):
+        return [dataclasses.replace(s, residual=1e-3 * max(1.0, abs(s.direct)))
+                for s in real(*args, **kwargs)]
+
+    monkeypatch.setattr(expsums, "vaughan_decompose", off)
+    cfg = write_config(tmp_path, P=300, draws=2)
+    assert run(tmp_path, "vaughan", "--config", cfg) == 3
+    assert "split residual" in capsys.readouterr().err
+    assert len(read_csv(tmp_path / "vaughan.csv")) == 3
 
 
 def test_check_passes(tmp_path, capsys):
@@ -425,19 +452,19 @@ def test_errsweep_ladder_inverts_phi_twice(tmp_path, monkeypatch):
     # whole ladder; the enumeration is done up front, since its own bounds
     # and cross-check invert phi too
     ladder = [2 ** k for k in range(12, 18)]
-    inv = hfun.inverse_of(hfun.spec_from_config(H1))
-    ps = sieve.enumerate_ps_primes(inv, max(ladder), sieve.sieve_primes(max(ladder)))
+    spec = hfun.spec_from_config(H1)
+    ps = sieve.enumerate_ps_primes(spec, max(ladder), sieve.sieve_primes(max(ladder)))
     tops = []
 
-    def enumerated(inv, N, table, threads=1):
+    def enumerated(spec, N, table, threads=1):
         tops.append(N)
         return ps
 
     real, calls = hfun._newton_phi, []
 
-    def counting(inv, y):
+    def counting(spec, y):
         calls.append(y.size)
-        return real(inv, y)
+        return real(spec, y)
 
     monkeypatch.setattr(sieve, "enumerate_ps_primes", enumerated)
     monkeypatch.setattr(hfun, "_newton_phi", counting)

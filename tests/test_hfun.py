@@ -15,7 +15,6 @@ from psroth import (
     eval_phi,
     eval_phi_deriv,
     example_specs,
-    inverse_of,
     iterated_log,
     power_explog,
     power_log,
@@ -133,14 +132,13 @@ def test_power_log_second_derivative_fd():
 
 def test_inverse_round_trip():
     for name, spec in ALL + [("pp", pure_power(1.5))]:
-        inv = inverse_of(spec)
         xs = np.array([max(2.0, spec.x0), 10.0 + spec.x0, 1e4])
         ys = eval_h(spec, xs)
-        back = eval_phi(inv, ys)
+        back = eval_phi(spec, ys)
         assert np.max(np.abs(back - xs) / xs) < 1e-10, name
         # and the other composition on a y grid
-        ys2 = inv.y0 * np.array([1.5, 20.0, 3e4])
-        there = eval_h(spec, eval_phi(inv, ys2))
+        ys2 = spec.y0 * np.array([1.5, 20.0, 3e4])
+        there = eval_h(spec, eval_phi(spec, ys2))
         assert np.max(np.abs(there - ys2) / ys2) < 1e-9, name
 
 
@@ -148,10 +146,9 @@ def test_inverse_round_trip():
 def test_inverse_sweep_from_domain_start(name, spec):
     # y from just above h(x0) to 1e17 h(x0): Newton converges everywhere,
     # phi is nondecreasing and h(phi(y)) returns y to roundoff
-    inv = inverse_of(spec)
-    ys = inv.y0 * np.concatenate([[1 + 1e-12, 1 + 1e-9, 1 + 1e-6],
+    ys = spec.y0 * np.concatenate([[1 + 1e-12, 1 + 1e-9, 1 + 1e-6],
                                   1.0 + np.logspace(-3, 17, 400)])
-    x = eval_phi(inv, ys)
+    x = eval_phi(spec, ys)
     assert np.all(np.diff(x) >= 0), name
     assert np.max(np.abs(eval_h(spec, x) - ys) / ys) < 1e-13, name
 
@@ -161,9 +158,8 @@ def test_inverse_sweep_from_domain_start(name, spec):
 def test_phi_longdouble_residual():
     # the sieve's floor guards rely on phi being accurate to longdouble roundoff
     for name, spec in ALL:
-        inv = inverse_of(spec)
-        ys = np.longdouble(inv.y0) * np.logspace(0.1, 15, 120, dtype=np.longdouble)
-        x = eval_phi(inv, ys)
+        ys = np.longdouble(spec.y0) * np.logspace(0.1, 15, 120, dtype=np.longdouble)
+        x = eval_phi(spec, ys)
         assert x.dtype == np.longdouble, name
         assert np.max(np.abs(eval_h(spec, x) - ys) / ys) <= 1e-17, name
 
@@ -171,16 +167,15 @@ def test_phi_longdouble_residual():
 def test_phi_budget_exhausted_raises_with_bracket(monkeypatch):
     monkeypatch.setattr(hfun, "_NEWTON_ITER", 1)
     spec = power_log(1.2, 2.0)
-    inv = inverse_of(spec)
     with pytest.raises(ConvergenceError) as info:
-        eval_phi(inv, inv.y0 * np.array([10.0, 1e6]))
+        eval_phi(spec, spec.y0 * np.array([10.0, 1e6]))
     lo, hi = info.value.bracket
     assert spec.x0 <= lo <= hi < math.inf
 
 
 def test_phi_pinned_value():
     # bisection-to-1e-12 oracle for 10^(2/3)
-    inv = inverse_of(pure_power(1.5))
+    spec = pure_power(1.5)
     lo, hi = 1.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -188,82 +183,77 @@ def test_phi_pinned_value():
             lo = mid
         else:
             hi = mid
-    assert eval_phi(inv, 10.0) == pytest.approx(0.5 * (lo + hi), abs=1e-11)
-    assert eval_phi(inv, 10.0) == pytest.approx(4.641588834, abs=1e-8)
-    assert eval_phi(inv, 8.0) == pytest.approx(4.0, rel=1e-12)
+    assert eval_phi(spec, 10.0) == pytest.approx(0.5 * (lo + hi), abs=1e-11)
+    assert eval_phi(spec, 10.0) == pytest.approx(4.641588834, abs=1e-8)
+    assert eval_phi(spec, 8.0) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_phi_derivative_identities():
     for name, spec in ALL:
-        inv = inverse_of(spec)
-        ys = inv.y0 * 2.0 ** np.arange(1, 20, dtype=float)
-        phi = eval_phi(inv, ys)
-        d1 = eval_phi_deriv(inv, ys, 1)
+        ys = spec.y0 * 2.0 ** np.arange(1, 20, dtype=float)
+        phi = eval_phi(spec, ys)
+        d1 = eval_phi_deriv(spec, ys, 1)
         # y phi' = phi (gamma + theta)
-        rhs = phi * (inv.gamma + theta_phi(inv, ys, 1))
+        rhs = phi * (spec.gamma + theta_phi(spec, ys, 1))
         assert np.max(np.abs(ys * d1 - rhs) / np.abs(rhs)) < 1e-9, name
         # phi' = 1 / h'(phi)
         assert np.max(np.abs(d1 * eval_h_deriv(spec, phi, 1) - 1.0)) < 1e-9, name
 
 
 def test_phi_prime_pinned():
-    inv = inverse_of(pure_power(1.5))
-    assert eval_phi_deriv(inv, 8.0, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    spec = pure_power(1.5)
+    assert eval_phi_deriv(spec, 8.0, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
     y = 8.0
-    ratio = y * eval_phi_deriv(inv, y, 1) / eval_phi(inv, y)
+    ratio = y * eval_phi_deriv(spec, y, 1) / eval_phi(spec, y)
     assert ratio == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_phi_second_derivative_fd():
     spec = power_log(1.0, 1.0)
-    inv = inverse_of(spec)
     y = 200.0
     step = y * 1e-5
-    fd = (eval_phi_deriv(inv, y + step, 1) - eval_phi_deriv(inv, y - step, 1)) / (2 * step)
-    assert eval_phi_deriv(inv, y, 2) == pytest.approx(fd, rel=1e-6)
+    fd = (eval_phi_deriv(spec, y + step, 1) - eval_phi_deriv(spec, y - step, 1)) / (2 * step)
+    assert eval_phi_deriv(spec, y, 2) == pytest.approx(fd, rel=1e-6)
 
 
 def test_sigma_tau_reconstruction():
     # y phi'' = phi' sigma tau, all kinds
     for name, spec in ALL:
-        inv = inverse_of(spec)
-        ys = inv.y0 * 2.0 ** np.arange(2, 24, dtype=float)
-        s, t = sigma_tau(inv, ys)
-        lhs = ys * eval_phi_deriv(inv, ys, 2)
-        rhs = eval_phi_deriv(inv, ys, 1) * s * t
+        ys = spec.y0 * 2.0 ** np.arange(2, 24, dtype=float)
+        s, t = sigma_tau(spec, ys)
+        lhs = ys * eval_phi_deriv(spec, ys, 2)
+        rhs = eval_phi_deriv(spec, ys, 1) * s * t
         scale = np.maximum(np.abs(lhs), 1e-300)
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-9, name
 
 
 def test_sigma_tau_c1_shape():
     spec = power_log(1.0, 1.0)
-    inv = inverse_of(spec)
     ys = 100.0 * 2.0 ** np.arange(0, 20, dtype=float)
-    s, t = sigma_tau(inv, ys)
+    s, t = sigma_tau(spec, ys)
     assert np.all(s > 0) and np.all(np.diff(s) < 0)
     # envelope recorded from a dev sweep of the same grid: -tau in [0.59, 0.88]
     assert np.all((-t > 0.3) & (-t < 1.5))
 
 
 def test_sigma_tau_c_above_one():
-    inv = inverse_of(pure_power(1.5))
-    s, _ = sigma_tau(inv, np.array([10.0, 1e4, 1e8]))
+    spec = pure_power(1.5)
+    s, _ = sigma_tau(spec, np.array([10.0, 1e4, 1e8]))
     assert np.all(s == 1.0)
 
 
 def test_sigma_tau_degenerate_identity():
-    inv = inverse_of(pure_power(1.0))
+    spec = pure_power(1.0)
     with pytest.raises(DomainError):
-        sigma_tau(inv, 100.0)
+        sigma_tau(spec, 100.0)
 
 
 def test_monotone_normalized_ratio():
     # x * phi(x)^(-delta) strictly increasing, delta = c - 0.01 (1 at c=1)
     for name, spec in ALL:
-        inv = inverse_of(spec)
         delta = 1.0 if spec.c == 1.0 else spec.c - 0.01
-        ys = inv.y0 * 2.0 ** np.linspace(0.5, 30, 60)
-        vals = ys * eval_phi(inv, ys) ** (-delta)
+        ys = spec.y0 * 2.0 ** np.linspace(0.5, 30, 60)
+        vals = ys * eval_phi(spec, ys) ** (-delta)
         assert np.all(np.diff(vals) > 0), name
 
 
@@ -271,11 +261,15 @@ def test_domain_errors():
     spec = power_log(1.2, 2.0)
     with pytest.raises(DomainError):
         eval_h(spec, spec.x0 * 0.5)
-    inv = inverse_of(spec)
     with pytest.raises(DomainError):
-        eval_phi(inv, inv.y0 * 0.5)
+        eval_phi(spec, spec.y0 * 0.5)
     with pytest.raises(ValueError):
         eval_h_deriv(spec, 10.0, 4)
+    with pytest.raises(ValueError, match="1, 2 or 3"):
+        theta_h(spec, 10.0, 4)
+    for fn in (eval_phi_deriv, theta_phi):
+        with pytest.raises(ValueError, match="1 or 2"):
+            fn(spec, 100.0, 3)
 
 
 def test_spec_validation():
@@ -301,13 +295,25 @@ def test_spec_validation():
             FunctionSpec(**{"kind": "pure_power", "c": 1.2, **bad})
     with pytest.raises(ValueError, match="integer"):
         FunctionSpec("iterated_log", 1.0, params={"m": 2.0})
+    for C_h in (0.0, -1.0):
+        with pytest.raises(ValueError, match="C_h must be positive"):
+            pure_power(1.2, C_h=C_h)
+    for B in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="B"):
+            power_explog(1.2, 0.7, B)
+    for kind_args in (dict(c=1.0, params={"m": 0}), dict(c=1.5, params={"m": 1})):
+        with pytest.raises(ValueError, match="iterated_log is a c = 1 kind"):
+            FunctionSpec("iterated_log", **kind_args)
+    with pytest.raises(ValueError, match="no default x0"):
+        iterated_log(4)
+    assert iterated_log(4, x0=1e5).x0 == 1e5
 
 
 def test_ps_exponent_round_trip():
-    inv = inverse_of(ps_exponent_spec(0.95))
-    assert inv.gamma == pytest.approx(0.95, rel=1e-12)
+    spec = ps_exponent_spec(0.95)
+    assert spec.gamma == pytest.approx(0.95, rel=1e-12)
     ys = np.array([100.0, 1e6])
-    assert np.allclose(eval_phi(inv, ys), ys ** 0.95, rtol=1e-12)
+    assert np.allclose(eval_phi(spec, ys), ys ** 0.95, rtol=1e-12)
 
 
 def test_config_round_trip():
@@ -343,17 +349,20 @@ def test_vtheta_derivative_consistency():
         d2 = vtheta_d2(spec, xs)
         fd2 = (vtheta_d1(spec, xs + step) - vtheta_d1(spec, xs - step)) / (2 * step)
         assert np.max(np.abs(d2 - fd2) / np.maximum(np.abs(d2), 1e-15)) < 1e-5, name
+    # a pure power has vtheta = 0, and so do its derivatives
+    for fn in (vtheta, vtheta_d1, vtheta_d2):
+        zeros = fn(pure_power(1.5), np.array([3, 30, 300]))
+        assert zeros.dtype == float and zeros.tolist() == [0.0] * 3
 
 
 def test_phi_growth_ratio_recorded():
     # phi(2y)/phi(y) -> 2^gamma from below-ish; recorded, loose band asserted
-    inv = inverse_of(ps_exponent_spec(0.95))
+    spec = ps_exponent_spec(0.95)
     ys = 10.0 ** np.arange(2, 9, dtype=float)
-    ratio = eval_phi(inv, 2 * ys) / eval_phi(inv, ys)
+    ratio = eval_phi(spec, 2 * ys) / eval_phi(spec, ys)
     assert np.allclose(ratio, 2.0 ** 0.95, rtol=1e-9)
     spec = power_log(1.0, 1.5)
-    inv2 = inverse_of(spec)
-    r2 = eval_phi(inv2, 2 * ys) / eval_phi(inv2, ys)
+    r2 = eval_phi(spec, 2 * ys) / eval_phi(spec, ys)
     assert np.all((r2 > 1.5) & (r2 < 2.0))
 
 
@@ -371,11 +380,10 @@ def test_domain_start_computed_once(monkeypatch):
     monkeypatch.setattr(hfun, "eval_h", counting)
     for spec in (hfun.ps_exponent_spec(0.95), hfun.power_log(1.2, 2.0, x0=3.0)):
         scalar_calls.clear()
-        inv = hfun.inverse_of(spec)
         ks = np.arange(1, 200)
         for _ in range(5):
-            hfun.eval_phi(inv, np.array([50.0, 1e4]))
-            hfun.eval_phi_clamped(inv, ks)
-            hfun.eval_phi_clamped(inv, ks, 0)
+            hfun.eval_phi(spec, np.array([50.0, 1e4]))
+            hfun.eval_phi_clamped(spec, ks)
+            hfun.eval_phi_clamped(spec, ks, 0)
         assert scalar_calls == [spec.x0]
-        assert inv.y0 == float(real(spec, spec.x0))
+        assert spec.y0 == float(real(spec, spec.x0))

@@ -13,7 +13,6 @@ from psroth import (
     enumerate_ps_primes,
     eval_phi,
     eval_phi_clamped,
-    inverse_of,
     pure_power,
     measures,
     smooth,
@@ -24,11 +23,11 @@ from psroth import (
 RNG = np.random.default_rng(271828)
 
 
-def lambda_h_weights(N, inv, ps):
+def lambda_h_weights(N, spec, ps):
     """log p / (N phi'(p)) at the floor-image primes p < N, 0 elsewhere."""
     p = ps.members[ps.members < N]
     w = np.zeros(N)
-    w[p] = np.log(p) / (N * eval_phi_clamped(inv, p))
+    w[p] = np.log(p) / (N * eval_phi_clamped(spec, p))
     return w
 
 
@@ -38,30 +37,30 @@ def test_lambda_mass_near_one(table_1e6):
 
 
 def test_lambda_h_pure_power_weights(table_1e6):
-    inv = inverse_of(pure_power(1.5))
-    ps = enumerate_ps_primes(inv, 100, table_1e6)
+    spec = pure_power(1.5)
+    ps = enumerate_ps_primes(spec, 100, table_1e6)
     assert ps.members.tolist() == [2, 5, 11, 31, 41, 89]
     # h(x) = x^1.5, so phi'(x) = (2/3) x^(-1/3) in closed form
     dphi = [(2.0 / 3.0) * p ** (-1.0 / 3.0) for p in ps.members.tolist()]
-    assert dphi[2] == pytest.approx(float(eval_phi_clamped(inv, 11.0)))
+    assert dphi[2] == pytest.approx(float(eval_phi_clamped(spec, 11.0)))
     mass = sum(math.log(p) / d for p, d in zip(ps.members.tolist(), dphi)) / 100
     assert count_in_class(ps, 100, 1, 0, "log_over_phiprime") / 100 == pytest.approx(
         mass, rel=1e-12)
 
 
-def test_lambda_h_mass_trend(table_1e7, inv95, ps95_1e7):
+def test_lambda_h_mass_trend(table_1e7, spec95, ps95_1e7):
     masses = [count_in_class(ps95_1e7, N, 1, 0, "log_over_phiprime") / N
               for N in (10 ** 5, 10 ** 6, 10 ** 7)]
     assert masses[0] < masses[1] < masses[2] < 1.1
 
 
-def test_lambda_h_max_weight_ratio(table_1e6, inv95):
+def test_lambda_h_max_weight_ratio(table_1e6, spec95):
     # report-style trend: max weight * phi(N) / log^2 N must not grow
-    ps = enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
+    ps = enumerate_ps_primes(spec95, 10 ** 6, table_1e6)
     ratios = []
     for N in (10 ** 4, 10 ** 5, 10 ** 6):
-        phiN = float(eval_phi(inv95, float(N)))
-        ratios.append(lambda_h_weights(N, inv95, ps).max() * phiN / math.log(N) ** 2)
+        phiN = float(eval_phi(spec95, float(N)))
+        ratios.append(lambda_h_weights(N, spec95, ps).max() * phiN / math.log(N) ** 2)
     assert ratios[-1] < ratios[0]
 
 
@@ -121,11 +120,11 @@ def test_smooth_preserves_mass(table_1e6):
     assert np.all(sm >= 0)
 
 
-def test_smoothed_sup_constant_recorded(table_1e6, inv95):
+def test_smoothed_sup_constant_recorded(table_1e6, spec95):
     # ell-infinity constant of the smoothed measure, reported not asserted
-    ps = enumerate_ps_primes(inv95, 3000, table_1e6)
+    ps = enumerate_ps_primes(spec95, 3000, table_1e6)
     N = 997
-    lam = lambda_h_weights(N, inv95, ps)
+    lam = lambda_h_weights(N, spec95, ps)
     rep = spectrum_and_bohr(lam, 0.3 * lam.sum(), 0.25)
     sm = smooth(lam, rep)
     c_phi = sm.max() * N
@@ -148,6 +147,12 @@ def test_weighted_sequence_validation():
     for bad in (negative, nan, np.stack([good, good])):
         with pytest.raises(ValueError):
             spectrum_and_bohr(bad, 0.5, 0.3)
+    for delta in (0.0, -0.5):
+        with pytest.raises(ValueError, match="delta"):
+            spectrum_and_bohr(good, delta, 0.3)
+    for epsilon in (0.0, 1.0, -0.2):
+        with pytest.raises(ValueError, match="epsilon"):
+            spectrum_and_bohr(good, 0.5, epsilon)
     for bad in (negative, nan, np.stack([good, good]), good[:-1], np.append(good, 0.0)):
         with pytest.raises(ValueError):
             smooth(bad, report)

@@ -15,10 +15,10 @@ from psroth import (
     enumerate_ps_primes,
     error_term_inputs,
     error_term_sup,
-    inverse_of,
     pure_power,
     restriction_ratio,
     roth,
+    sieve_primes,
     smooth,
     smoothing_bound_chain,
     spectrum_and_bohr,
@@ -153,6 +153,9 @@ def test_count_validation():
         count_3aps({0, 11}, 11, mode="cyclic")
     with pytest.raises(ValueError):
         count_3aps({0, 1}, 9, mode="diagonal")
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="N must be"):
+            count_3aps([], N, mode="integer")
     # cyclic mode needs odd N at every size, on both sides of the walk's
     # range; integer mode counts on Z_{2N-1} and takes every N
     for N in (8, 4096, 4098):
@@ -308,19 +311,19 @@ def test_w_trick_rejects_primorial_above_half_n(table_1e6):
         _w_trick(1000, table_1e6, 0)
 
 
-def test_transfer_trivial_modulus(inv95, table_1e6):
-    rep = transference_build(inv95, table_1e6, 10 ** 4)
+def test_transfer_trivial_modulus(spec95, table_1e6):
+    rep = transference_build(spec95, table_1e6, 10 ** 4)
     assert rep.W == 1 and rep.m == 1 and rep.b == 0
     assert rep.mass == rep.window_mass
     assert rep.mass > 0
-    ps = enumerate_ps_primes(inv95, 10 ** 4, table_1e6)
+    ps = enumerate_ps_primes(spec95, 10 ** 4, table_1e6)
     window = ps.members[(ps.members > 5000) & (ps.members <= 10 ** 4)]
     assert np.array_equal(rep.A, window)
 
 
-def test_transfer_override(inv95, table_1e6):
+def test_transfer_override(spec95, table_1e6):
     n = 10 ** 5
-    rep = transference_build(inv95, table_1e6, n, override_W=2)
+    rep = transference_build(spec95, table_1e6, n, override_W=2)
     assert rep.m == 2 and rep.b == 1
     assert rep.N == 100003
     assert math.ceil(2 * n / rep.m) <= rep.N <= 4 * n // rep.m
@@ -331,14 +334,14 @@ def test_transfer_override(inv95, table_1e6):
 
 
 @pytest.mark.parametrize("W", [3, 5])
-def test_transfer_window_mass_spans_every_class(inv95, table_1e6, W):
+def test_transfer_window_mass_spans_every_class(spec95, table_1e6, W):
     n = 10 ** 5
-    rep = transference_build(inv95, table_1e6, n, override_W=W)
+    rep = transference_build(spec95, table_1e6, n, override_W=W)
     phi_m = {3: 2, 5: 8}[W]
     # the best of phi(m) unit classes holds at least their mean
     assert rep.window_mass > rep.mass >= rep.window_mass / phi_m
     # both masses again as differences of class sums of log p / phi'(p)
-    ps = enumerate_ps_primes(inv95, n, table_1e6)
+    ps = enumerate_ps_primes(spec95, n, table_1e6)
 
     def window_sum(q, a):
         return (count_in_class(ps, n, q, a, "log_over_phiprime")
@@ -349,9 +352,9 @@ def test_transfer_window_mass_spans_every_class(inv95, table_1e6, W):
     assert rep.mass == pytest.approx(scale * window_sum(rep.m, rep.b), rel=1e-12)
 
 
-def test_transfer_preserves_progressions(inv95, table_1e6):
+def test_transfer_preserves_progressions(spec95, table_1e6):
     n = 2000
-    rep = transference_build(inv95, table_1e6, n, override_W=2)
+    rep = transference_build(spec95, table_1e6, n, override_W=2)
     m, b = rep.m, rep.b
     picked = rep.A * m + b
     down = count_3aps(rep.A, int(rep.A.max()) + 1, mode="integer")
@@ -367,18 +370,20 @@ def test_next_prime_in():
         _next_prime_in(24, 28)
 
 
-def test_transfer_validation(inv95, table_1e6):
+def test_transfer_validation(spec95, table_1e6):
     with pytest.raises(ValueError):
-        transference_build(inv95, table_1e6, 8)
+        transference_build(spec95, table_1e6, 8)
     with pytest.raises(ValueError, match="m=2310"):
-        transference_build(inv95, table_1e6, 2000, override_W=11)
+        transference_build(spec95, table_1e6, 2000, override_W=11)
+    with pytest.raises(ValueError, match="table too small"):
+        transference_build(spec95, sieve_primes(2), 100, override_W=3)
 
 
 # -- restriction ensemble -------------------------------------------------------
 
-def test_restriction_control_and_determinism(inv95, table_1e6):
-    rep1 = restriction_ratio(inv95, table_1e6, 2000, 3.0, 8, 123)
-    rep2 = restriction_ratio(inv95, table_1e6, 2000, 3.0, 8, 123)
+def test_restriction_control_and_determinism(spec95, table_1e6):
+    rep1 = restriction_ratio(spec95, table_1e6, 2000, 3.0, 8, 123)
+    rep2 = restriction_ratio(spec95, table_1e6, 2000, 3.0, 8, 123)
     # direct summation at 64 grid points against the transform
     assert abs(rep1.control_ratio - 1.0) <= 1e-9
     assert np.array_equal(rep1.ratios, rep2.ratios)
@@ -393,8 +398,8 @@ def _streamed_norm(positions, weights, grid, r):
     return _refined_norm(total[0], even[0], 2 * grid, r)
 
 
-def test_restriction_global_modulation(inv95, table_1e6):
-    ps = enumerate_ps_primes(inv95, 2000, table_1e6)
+def test_restriction_global_modulation(spec95, table_1e6):
+    ps = enumerate_ps_primes(spec95, 2000, table_1e6)
     ones = np.ones(ps.members.size, dtype=complex)
     base = _streamed_norm(ps.members, ones, 8192, 3.0)
     rotated = _streamed_norm(ps.members, np.exp(0.7j) * ones, 8192, 3.0)
@@ -412,8 +417,8 @@ def _dense_norm(positions, weights, grid, r):
     (2000, 8009, 3.0),             # grid prime, so S = 2
     (2000, 16000, 4.5),
 ])
-def test_streamed_norm_matches_dense(inv95, table_1e6, N, grid, r):
-    pos = enumerate_ps_primes(inv95, N, table_1e6).members
+def test_streamed_norm_matches_dense(spec95, table_1e6, N, grid, r):
+    pos = enumerate_ps_primes(spec95, N, table_1e6).members
     rng = np.random.default_rng(N + grid)
     coeff = np.exp(2j * np.pi * rng.random(pos.size))
     for w in (coeff, np.ones(pos.size, dtype=complex)):
@@ -421,10 +426,10 @@ def test_streamed_norm_matches_dense(inv95, table_1e6, N, grid, r):
         assert got == pytest.approx(_dense_norm(pos, w, grid, r), rel=1e-12)
 
 
-def test_restriction_ratios_match_dense_route(inv95, table_1e6):
+def test_restriction_ratios_match_dense_route(spec95, table_1e6):
     N, r, trials, seed = 2000, 3.0, 4, 77
-    rep = restriction_ratio(inv95, table_1e6, N, r, trials, seed)
-    pos = enumerate_ps_primes(inv95, N, table_1e6).members
+    rep = restriction_ratio(spec95, table_1e6, N, r, trials, seed)
+    pos = enumerate_ps_primes(spec95, N, table_1e6).members
     *seqs, _ = np.random.SeedSequence(seed).spawn(trials + 1)
     denom = _dense_norm(pos, np.ones(pos.size, dtype=complex), 8 * N, r)
     for t, seq in enumerate(seqs):
@@ -434,23 +439,23 @@ def test_restriction_ratios_match_dense_route(inv95, table_1e6):
         assert rep.ratios[t] == pytest.approx(want, rel=1e-12)
 
 
-def test_restriction_threads_bitwise_equal(inv95, table_1e6):
-    one = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=1)
-    two = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=2)
+def test_restriction_threads_bitwise_equal(spec95, table_1e6):
+    one = restriction_ratio(spec95, table_1e6, 2000, 3.0, 7, 5, threads=1)
+    two = restriction_ratio(spec95, table_1e6, 2000, 3.0, 7, 5, threads=2)
     assert np.array_equal(one.ratios, two.ratios)
     assert one.control_ratio == two.control_ratio
     with pytest.raises(ValueError):
-        restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=0)
+        restriction_ratio(spec95, table_1e6, 2000, 3.0, 7, 5, threads=0)
 
 
-def test_restriction_passes_and_threads_bitwise_equal(inv95, table_1e6, monkeypatch):
+def test_restriction_passes_and_threads_bitwise_equal(spec95, table_1e6, monkeypatch):
     # one pass over the grid rows or several, on any thread count, gives
     # bitwise the same ratios and control
-    want = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5)
-    got = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=3)
+    want = restriction_ratio(spec95, table_1e6, 2000, 3.0, 7, 5)
+    got = restriction_ratio(spec95, table_1e6, 2000, 3.0, 7, 5, threads=3)
     assert got.ratios.tobytes() == want.ratios.tobytes()
     assert got.control_ratio == want.control_ratio
-    n = enumerate_ps_primes(inv95, 2000, table_1e6).members.size
+    n = enumerate_ps_primes(spec95, 2000, table_1e6).members.size
     calls = []
     real = zn_fourier.grid_power_sums
 
@@ -462,13 +467,13 @@ def test_restriction_passes_and_threads_bitwise_equal(inv95, table_1e6, monkeypa
     monkeypatch.setattr(roth, "_COEFF_BYTES", 3 * 16 * n)
     for threads in (1, 2):
         calls.clear()
-        got = restriction_ratio(inv95, table_1e6, 2000, 3.0, 7, 5, threads=threads)
+        got = restriction_ratio(spec95, table_1e6, 2000, 3.0, 7, 5, threads=threads)
         assert calls == [3, 3, 2]
         assert got.ratios.tobytes() == want.ratios.tobytes()
         assert got.control_ratio == want.control_ratio
 
 
-def test_refinement_guard_raises(inv95, table_1e6, monkeypatch):
+def test_refinement_guard_raises(spec95, table_1e6, monkeypatch):
     # 1 - e(j/2) vanishes on the even (base) points and is 2 on the odd ones
     with pytest.raises(NumericalError):
         _streamed_norm(np.array([0, 4096]), np.array([1.0, -1.0]), 4096, 3.0)
@@ -481,23 +486,25 @@ def test_refinement_guard_raises(inv95, table_1e6, monkeypatch):
     monkeypatch.setattr(zn_fourier, "grid_power_sums", skewed)
     for threads in (1, 2):
         with pytest.raises(NumericalError):
-            restriction_ratio(inv95, table_1e6, 2000, 3.0, 3, 1, threads=threads)
+            restriction_ratio(spec95, table_1e6, 2000, 3.0, 3, 1, threads=threads)
 
 
-def test_restriction_validation(inv95, table_1e6):
+def test_restriction_validation(spec95, table_1e6):
     with pytest.raises(ValueError):
-        restriction_ratio(inv95, table_1e6, 2000, 0.0, 5, 1)
+        restriction_ratio(spec95, table_1e6, 2000, 0.0, 5, 1)
     with pytest.raises(ValueError):
-        restriction_ratio(inv95, table_1e6, 2000, 3.0, 0, 1)
+        restriction_ratio(spec95, table_1e6, 2000, 3.0, 0, 1)
+    with pytest.raises(ValueError, match="no floor-image primes"):
+        restriction_ratio(spec95, table_1e6, 1, 3.0, 5, 1)
 
 
 # -- spectral decay and smoothing ----------------------------------------------
 
-def sup_decay(inv, table, N_list):
+def sup_decay(spec, table, N_list):
     """Sup over nonzero grid frequencies of |F[lambda_h - lambda]| on {0..N-1}
     (W = 1) for each N, read off the error term's route one, and the log-log
     slope of the sups."""
-    inputs = error_term_inputs(inv, max(N_list) - 1, 1, 0, table)
+    inputs = error_term_inputs(spec, max(N_list) - 1, 1, 0, table)
     sups = [float(np.max(error_term_sup(inputs, N - 1).per_xi[1:])) / N
             for N in N_list]
     slope = np.polyfit(np.log(N_list), np.log(np.maximum(sups, 1e-300)), 1)[0]
@@ -505,14 +512,14 @@ def sup_decay(inv, table, N_list):
 
 
 def test_sup_decay_identity_map(table_1e6):
-    inv = inverse_of(pure_power(1.0))
-    sups, slope = sup_decay(inv, table_1e6, [10 ** 4, 10 ** 5])
+    spec = pure_power(1.0)
+    sups, slope = sup_decay(spec, table_1e6, [10 ** 4, 10 ** 5])
     assert all(s == 0.0 for s in sups)
     assert abs(slope) < 1e-9
 
 
-def test_sup_decay_negative_slope(inv95, table_1e6):
-    sups, slope = sup_decay(inv95, table_1e6, [10 ** 4, 3 * 10 ** 4, 10 ** 5])
+def test_sup_decay_negative_slope(spec95, table_1e6):
+    sups, slope = sup_decay(spec95, table_1e6, [10 ** 4, 3 * 10 ** 4, 10 ** 5])
     assert sups[0] > sups[1] > sups[2] > 0
     print(f"sup decay slope: {slope:.4f}")
     assert slope < -0.2

@@ -40,6 +40,29 @@ def test_in_order_holds_at_most_threads_plus_one_ahead(threads, fast_switching):
     assert len(workers) <= 2
 
 
+def test_in_order_off_thread_moves_one_thread_off_the_caller():
+    # off_thread at threads = 1: two items or more run, in order, on one
+    # pool thread; a single item still runs inline, and threads below 1
+    # still raise before any item runs
+    caller, idents = threading.get_ident(), []
+
+    def record(i):
+        idents.append(threading.get_ident())
+        return i
+
+    assert list(run.in_order(record, range(6), 1, off_thread=True)) == list(range(6))
+    assert len(set(idents)) == 1 and caller not in idents
+    idents.clear()
+    assert list(run.in_order(record, [7], 1, off_thread=True)) == [7]
+    assert idents == [caller]
+    idents.clear()
+    assert list(run.in_order(record, range(3), 1)) == [0, 1, 2]
+    assert idents == [caller] * 3
+    with pytest.raises(ValueError):
+        run.in_order(record, range(6), 0, off_thread=True)
+    assert idents == [caller] * 3
+
+
 def test_in_order_raises_earliest_failure_and_joins(fast_switching):
     # item 3 fails 20 ms late, after item 5 has failed on a pool; its error
     # is the one raised, after the results before it, and no pool thread

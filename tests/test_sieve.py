@@ -17,7 +17,6 @@ from psroth import (
     error_term_inputs,
     eval_phi,
     hfun,
-    inverse_of,
     mangoldt,
     mobius,
     mobius_array,
@@ -125,6 +124,8 @@ def test_mangoldt_scalar(table_1e6):
     assert mangoldt(97, table_1e6) == pytest.approx(math.log(97))
     with pytest.raises(ValueError):
         mangoldt(0, table_1e6)
+    with pytest.raises(ValueError, match="beyond table limit"):
+        mangoldt(101, sieve_primes(100))
 
 
 def test_mobius_scalar(table_1e6):
@@ -134,6 +135,11 @@ def test_mobius_scalar(table_1e6):
     assert mobius(30, table_1e6) == -1
     with pytest.raises(ValueError):
         mobius(0, table_1e6)
+    small = sieve_primes(100)
+    with pytest.raises(ValueError, match="beyond table limit"):
+        mobius(101, small)
+    with pytest.raises(ValueError, match="limit beyond table"):
+        mobius_array(101, small)
 
 
 def test_euler_phi():
@@ -236,6 +242,12 @@ def test_vaughan_coefficient_values(table_1e6):
     # l squarefree and <= v: no divisor exceeds v, so Xi picks up -mu-sum = -[l=1]
     for l in (2, 3, 5, 6, 7, 10):
         assert xi_arr[l] == 0
+    small = sieve_primes(100)
+    with pytest.raises(ValueError, match="L beyond"):
+        vaughan_coefficients(10, 101, small)
+    for v in (0.5, 0, -2):
+        with pytest.raises(ValueError, match="v must be"):
+            vaughan_coefficients(v, 100, small)
 
 
 def test_pi_v_log_bound(table_1e6):
@@ -247,42 +259,43 @@ def test_pi_v_log_bound(table_1e6):
 
 
 def test_ps_member_pure_power():
-    inv = inverse_of(pure_power(1.5))
-    assert ps_member(inv, 11) is True
-    assert ps_member(inv, 7) is False
+    spec = pure_power(1.5)
+    assert ps_member(spec, 11) is True
+    assert ps_member(spec, 7) is False
     floors = sorted({int(math.floor(n ** 1.5)) for n in range(1, 50)})
     for p in range(2, 100):
-        assert ps_member(inv, p) == (p in floors), p
+        assert ps_member(spec, p) == (p in floors), p
 
 
 def test_ps_member_identity_map():
-    inv = inverse_of(pure_power(1.0))
+    spec = pure_power(1.0)
     for p in (2, 3, 10, 97, 10 ** 6 + 3):
-        assert ps_member(inv, p) is True
+        assert ps_member(spec, p) is True
 
 
 def test_ps_member_domain_guard():
     spec = pure_power(1.5, x0=3.0)
-    inv = inverse_of(spec)
     with pytest.raises(DomainError):
-        ps_member(inv, 2)  # below ceil(h(x0))
+        ps_member(spec, 2)  # below ceil(h(x0))
 
 
 def test_enumeration_pinned_sets(table_1e6):
-    inv = inverse_of(pure_power(1.5))
-    ps = enumerate_ps_primes(inv, 100, table_1e6)
+    spec = pure_power(1.5)
+    ps = enumerate_ps_primes(spec, 100, table_1e6)
     assert ps.members.tolist() == [2, 5, 11, 31, 41, 89]
     # witnesses reproduce the floors
     assert np.array_equal(np.floor(ps.witnesses ** 1.5).astype(np.int64), ps.members)
 
-    ident = inverse_of(pure_power(1.0))
+    ident = pure_power(1.0)
     assert enumerate_ps_primes(ident, 10, table_1e6).members.tolist() == [2, 3, 5, 7]
-    assert enumerate_ps_primes(inv, 1, table_1e6).members.size == 0
+    assert enumerate_ps_primes(spec, 1, table_1e6).members.size == 0
+    with pytest.raises(ValueError, match="N beyond table limit"):
+        enumerate_ps_primes(spec, 101, sieve_primes(100))
 
 
-def test_enumeration_invariants(table_1e6, inv95, inv99):
-    for inv in (inv95, inv99):
-        ps = enumerate_ps_primes(inv, 10 ** 6, table_1e6)
+def test_enumeration_invariants(table_1e6, spec95, spec99):
+    for spec in (spec95, spec99):
+        ps = enumerate_ps_primes(spec, 10 ** 6, table_1e6)
         m = ps.members
         assert np.all(np.diff(m) > 0)          # strictly increasing, no dupes
         assert np.all(table_1e6.is_prime[m])
@@ -290,7 +303,7 @@ def test_enumeration_invariants(table_1e6, inv95, inv99):
         # sub-threshold range where it is only logged during enumeration
         sample = m[:: max(1, m.size // 400)]
         for p in sample:
-            assert ps_member(inv, int(p))
+            assert ps_member(spec, int(p))
 
 
 @pytest.mark.parametrize("spec, N, block", [
@@ -300,8 +313,7 @@ def test_enumeration_invariants(table_1e6, inv95, inv99):
 ])
 def test_blocked_enumeration_matches_one_block(table_1e6, monkeypatch, caplog,
                                                fast_switching, spec, N, block):
-    inv = inverse_of(spec)
-    whole = enumerate_ps_primes(inv, N, table_1e6)
+    whole = enumerate_ps_primes(spec, N, table_1e6)
     assert whole.witnesses[-1] < sieve._BLOCK   # the reference is one block
     assert whole.witnesses[-1] > 100 * block
     monkeypatch.setattr(sieve, "_BLOCK", block)
@@ -310,7 +322,7 @@ def test_blocked_enumeration_matches_one_block(table_1e6, monkeypatch, caplog,
     for threads in (1, 2, 3):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="psroth.sieve"):
-            blocked = enumerate_ps_primes(inv, N, table_1e6, threads=threads)
+            blocked = enumerate_ps_primes(spec, N, table_1e6, threads=threads)
         assert np.array_equal(blocked.members, whole.members)
         assert np.array_equal(blocked.witnesses, whole.witnesses)
         # n < 2^31: int32 witnesses beside int64 members
@@ -325,14 +337,14 @@ def test_blocked_enumeration_matches_one_block(table_1e6, monkeypatch, caplog,
     assert lines[1] == lines[2] == lines[3]
 
 
-def test_blocked_enumeration_names_rejected_member(table_1e6, inv95, monkeypatch,
+def test_blocked_enumeration_names_rejected_member(table_1e6, spec95, monkeypatch,
                                                    fast_switching):
-    whole = enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
+    whole = enumerate_ps_primes(spec95, 10 ** 6, table_1e6)
     target = int(whole.members[-100])
     assert target > whole.p_min
     real = sieve._floor_identity
     monkeypatch.setattr(sieve, "_floor_identity",
-                        lambda inv, ps: real(inv, ps) & (ps != target))
+                        lambda spec, ps: real(spec, ps) & (ps != target))
     monkeypatch.setattr(sieve, "_BLOCK", 4099)
     # blocks start at n = 1; the target's block comes after the first one
     # whose members are checked above p_min
@@ -343,7 +355,7 @@ def test_blocked_enumeration_names_rejected_member(table_1e6, inv95, monkeypatch
     before = threading.active_count()
     for threads in (1, 2, 3):
         with pytest.raises(NumericalError, match=rf"p={target} \(1 rejected"):
-            enumerate_ps_primes(inv95, 10 ** 6, table_1e6, threads=threads)
+            enumerate_ps_primes(spec95, 10 ** 6, table_1e6, threads=threads)
         assert threading.active_count() == before
 
 
@@ -373,20 +385,20 @@ def closest_above_integer(spec, lo, hi):
 
 
 @pytest.mark.parametrize("target", [10 ** 6, 10 ** 9])
-def test_adversarial_near_integer_floor(inv95, table_1e6, target):
+def test_adversarial_near_integer_floor(spec95, table_1e6, target):
     # where h(n) lies just above an integer, a double h(n) can round down to
     # the integer below and phi(p) up past n; the floors and the floor
     # identity must still match floor(n^(20/19)) computed exactly
-    n0 = int(eval_phi(inv95, float(target)))
-    n = closest_above_integer(inv95.parent, max(n0 // 2, n0 - 8 * 10 ** 6), n0 - 100)
+    n0 = int(eval_phi(spec95, float(target)))
+    n = closest_above_integer(spec95, max(n0 // 2, n0 - 8 * 10 ** 6), n0 - 100)
     near = np.arange(n - 30, n + 31, dtype=np.int64)
     exact = [floor_h_20_19(int(m)) for m in near]
     # the floor step of enumerate_ps_primes
-    assert _floor_guarded_h(inv95, n - 30, n + 31).tolist() == exact
+    assert _floor_guarded_h(spec95, n - 30, n + 31).tolist() == exact
     for p in range(exact[0], exact[-1] + 1):
-        assert ps_member(inv95, p) == (p in exact), p
+        assert ps_member(spec95, p) == (p in exact), p
     if target <= table_1e6.limit:
-        members = enumerate_ps_primes(inv95, target, table_1e6).members
+        members = enumerate_ps_primes(spec95, target, table_1e6).members
         got = members[(members >= exact[0]) & (members <= exact[-1])].tolist()
         assert got == [k for k in exact if table_1e6.is_prime[k]]
 
@@ -409,47 +421,46 @@ def test_sub_blocked_floors_match_default_enumeration(table_1e6, monkeypatch,
     # sub-blocks of 7 and 61 n put sub-block edges everywhere, the last one
     # of each block shortened (no block size is a multiple of 7 or 61); with
     # and without a table, against the defaults
-    inv = inverse_of(spec)
-    want = enumerate_ps_primes(inv, N, table_1e6)
+    want = enumerate_ps_primes(spec, N, table_1e6)
     monkeypatch.setattr(sieve, "_SUB_BLOCK", sub)
     monkeypatch.setattr(sieve, "_BLOCK", block)
     assert want.witnesses[-1] > 3 * block
     for table in (table_1e6, None):
-        got = enumerate_ps_primes(inv, N, table)
+        got = enumerate_ps_primes(spec, N, table)
         assert np.array_equal(got.members, want.members)
         assert np.array_equal(got.witnesses, want.witnesses)
 
 
-def test_rational_exponent_floor_past_the_double_exponent(inv95):
+def test_rational_exponent_floor_past_the_double_exponent(spec95):
     # h in double at c = 1/0.95 gives 986997923.9999993 here, and phi at
     # 986997924 gives 350429313.0000003: both round across the exact floor
     n = 350429313
     assert floor_h_20_19(n) == 986997924
-    assert _floor_guarded_h(inv95, n, n + 1).tolist() == [986997924]
-    assert not ps_member(inv95, 986997923)
-    assert ps_member(inv95, 986997924)
+    assert _floor_guarded_h(spec95, n, n + 1).tolist() == [986997924]
+    assert not ps_member(spec95, 986997923)
+    assert ps_member(spec95, 986997924)
 
 
-def test_small_p_threshold_values(inv95):
-    assert small_p_threshold(inverse_of(pure_power(1.0))) == math.inf
-    t95 = small_p_threshold(inv95)
+def test_small_p_threshold_values(spec95):
+    assert small_p_threshold(pure_power(1.0)) == math.inf
+    t95 = small_p_threshold(spec95)
     # gap phi(p+1) - phi(p) crosses 1/2 exactly at the reported point
-    gap = lambda p: float(eval_phi(inv95, p + 1.0) - eval_phi(inv95, p))
+    gap = lambda p: float(eval_phi(spec95, p + 1.0) - eval_phi(spec95, p))
     assert gap(t95) < 0.5 <= gap(t95 - 1)
-    t15 = small_p_threshold(inverse_of(pure_power(1.5)))
+    t15 = small_p_threshold(pure_power(1.5))
     assert t15 <= 3
 
 
-def test_subthreshold_logging(table_1e6, inv95, caplog):
+def test_subthreshold_logging(table_1e6, spec95, caplog):
     with caplog.at_level(logging.INFO, logger="psroth.sieve"):
-        enumerate_ps_primes(inv95, 10 ** 4, table_1e6)
+        enumerate_ps_primes(spec95, 10 ** 4, table_1e6)
     assert any("threshold" in r.message for r in caplog.records)
 
 
 def test_count_in_class(table_1e6):
     assert count_in_class(table_1e6, 100, 4, 1) == 11
-    inv = inverse_of(pure_power(1.5))
-    ps = enumerate_ps_primes(inv, 100, table_1e6)
+    spec = pure_power(1.5)
+    ps = enumerate_ps_primes(spec, 100, table_1e6)
     assert count_in_class(ps, 100, 1, 0) == 6
     logsum = count_in_class(table_1e6, 10, 1, 0, weight="log")
     assert logsum == pytest.approx(math.log(2 * 3 * 5 * 7))
@@ -458,6 +469,16 @@ def test_count_in_class(table_1e6):
     for q in (0, -3):  # a % 0 would divide by zero
         with pytest.raises(ValueError):
             count_in_class(table_1e6, 100, q, 1)
+    with pytest.raises(ValueError, match="beyond table limit"):
+        count_in_class(sieve_primes(100), 101, 1, 0)
+    with pytest.raises(ValueError, match="beyond enumerated limit"):
+        count_in_class(ps, 101, 1, 0)
+    with pytest.raises(ValueError, match="unknown weight"):
+        count_in_class(ps, 100, 1, 0, weight="square")
+    # the members 2, 5, 11, 31, 41, 89 are 2, 5, 4, 3, 6, 5 mod 7: none is 1
+    for weight in ("log", "log_over_phiprime"):
+        got = count_in_class(ps, 100, 7, 1, weight=weight)
+        assert type(got) is float and got == 0.0
 
 
 def test_weighted_count_needs_ps_source(table_1e6):
@@ -465,19 +486,19 @@ def test_weighted_count_needs_ps_source(table_1e6):
         count_in_class(table_1e6, 100, 1, 0, weight="log_over_phiprime")
 
 
-def test_density_trend_small(table_1e6, inv95):
-    ps = enumerate_ps_primes(inv95, 10 ** 6, table_1e6)
+def test_density_trend_small(table_1e6, spec95):
+    ps = enumerate_ps_primes(spec95, 10 ** 6, table_1e6)
     ratios = []
     for N in (10 ** 4, 10 ** 5, 10 ** 6):
         cnt = int(np.count_nonzero(ps.members <= N))
-        ratios.append(cnt * math.log(N) / float(eval_phi(inv95, float(N))))
+        ratios.append(cnt * math.log(N) / float(eval_phi(spec95, float(N))))
     assert all(0.8 < r < 1.3 for r in ratios)
     assert abs(ratios[-1] - 1) < abs(ratios[0] - 1)
 
 
 def test_ps_csv_round_trip(tmp_path, table_1e6):
-    inv = inverse_of(pure_power(1.5))
-    ps = enumerate_ps_primes(inv, 100, table_1e6)
+    spec = pure_power(1.5)
+    ps = enumerate_ps_primes(spec, 100, table_1e6)
     path = tmp_path / "ps.csv"
     ps.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -487,10 +508,10 @@ def test_ps_csv_round_trip(tmp_path, table_1e6):
     assert all(math.floor(n ** 1.5) == p for n, p in got)
 
 
-def test_to_csv_matches_csv_writer(tmp_path, inv95, table_1e6, ps95_1e7, fast_switching):
+def test_to_csv_matches_csv_writer(tmp_path, spec95, table_1e6, ps95_1e7, fast_switching):
     # several write blocks, and the empty set, on any thread count
     assert ps95_1e7.members.size > 2 ** 17
-    for ps in (ps95_1e7, enumerate_ps_primes(inv95, 1, table_1e6)):
+    for ps in (ps95_1e7, enumerate_ps_primes(spec95, 1, table_1e6)):
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             wr = csv.writer(fh)
@@ -516,15 +537,14 @@ def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, fast_switc
     # N ends inside a block; a small _BLOCK makes every value segment cross
     # sieve chunks and n-blocks, and a small _JOIN pours many runs of
     # blocks; the reference reads the table at the defaults
-    inv = inverse_of(spec)
-    want = enumerate_ps_primes(inv, N, table_1e6)
+    want = enumerate_ps_primes(spec, N, table_1e6)
     assert want.members.size > 10
     if block is not None:
         monkeypatch.setattr(sieve, "_BLOCK", block)
         monkeypatch.setattr(sieve, "_JOIN", 5 * block)
         assert want.witnesses[-1] > 50 * block
     for threads in (1, 2, 3):
-        got = enumerate_ps_primes(inv, N, threads=threads)
+        got = enumerate_ps_primes(spec, N, threads=threads)
         assert np.array_equal(got.members, want.members)
         assert np.array_equal(got.witnesses, want.witnesses)
         assert got.witnesses.dtype == np.int32
@@ -532,15 +552,15 @@ def test_table_free_enumeration_matches_table(table_1e6, monkeypatch, fast_switc
 
 
 @pytest.mark.parametrize("N", [-3, 0, 1, 2, 3, 10])
-def test_table_free_enumeration_tiny_N(table_1e6, inv95, N):
-    want = enumerate_ps_primes(inv95, N, table_1e6)
-    got = enumerate_ps_primes(inv95, N)
+def test_table_free_enumeration_tiny_N(table_1e6, spec95, N):
+    want = enumerate_ps_primes(spec95, N, table_1e6)
+    got = enumerate_ps_primes(spec95, N)
     assert np.array_equal(got.members, want.members)
     assert np.array_equal(got.witnesses, want.witnesses)
     assert got.witnesses.dtype == want.witnesses.dtype == np.int32
 
 
-def test_table_free_enumeration_memory_is_blocked(inv95):
+def test_table_free_enumeration_memory_is_blocked(spec95):
     # N = 2^26 spans 26 blocks of n.  No array the length of a block exists,
     # so what the traced peak holds above the result (about 18.7 MiB, with
     # 18.5 MiB of result, on one thread and on two) is the join's copy: the
@@ -551,7 +571,7 @@ def test_table_free_enumeration_memory_is_blocked(inv95):
     for threads in (1, 2):
         tracemalloc.start()
         try:
-            got = enumerate_ps_primes(inv95, 1 << 26, threads=threads)
+            got = enumerate_ps_primes(spec95, 1 << 26, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -587,7 +607,7 @@ def test_segment_flags_match_reference(monkeypatch):
 
 @pytest.mark.parametrize("threads", [0, -3])
 @pytest.mark.parametrize("entry", ["enumerate_ps_primes", "to_csv", "error_term_inputs"])
-def test_threads_below_one_rejected(tmp_path, inv95, table_1e6, entry, threads):
+def test_threads_below_one_rejected(tmp_path, spec95, table_1e6, entry, threads):
     # every threaded loop goes through run.in_order, which raises at the
     # call, before any item runs, and to_csv before it opens its file
     ran = []
@@ -595,43 +615,43 @@ def test_threads_below_one_rejected(tmp_path, inv95, table_1e6, entry, threads):
         run.in_order(ran.append, range(3), threads)
     assert ran == []
     path = tmp_path / "ps.csv"
-    ps = enumerate_ps_primes(inv95, 10 ** 4, table_1e6)
+    ps = enumerate_ps_primes(spec95, 10 ** 4, table_1e6)
     calls = {
         "enumerate_ps_primes": lambda: enumerate_ps_primes(
-            inv95, 10 ** 4, table_1e6, threads=threads),
+            spec95, 10 ** 4, table_1e6, threads=threads),
         "to_csv": lambda: ps.to_csv(path, threads=threads),
         "error_term_inputs": lambda: error_term_inputs(
-            inv95, 10 ** 4, 1, 0, table_1e6, threads=threads),
+            spec95, 10 ** 4, 1, 0, table_1e6, threads=threads),
     }
     with pytest.raises(ValueError, match="threads must be >= 1"):
         calls[entry]()
     assert not path.exists()
 
 
-def test_error_term_inputs_rejects_threads_before_enumerating(inv95, table_1e6,
+def test_error_term_inputs_rejects_threads_before_enumerating(spec95, table_1e6,
                                                               monkeypatch):
     # the enumeration's pool raises before its first block takes its floors
     calls = []
     real = sieve._floor_guarded_h
 
-    def counting(inv, lo, hi):
+    def counting(spec, lo, hi):
         calls.append((lo, hi))
-        return real(inv, lo, hi)
+        return real(spec, lo, hi)
 
     monkeypatch.setattr(sieve, "_floor_guarded_h", counting)
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        error_term_inputs(inv95, 10 ** 4, 1, 0, table_1e6, threads=0)
+        error_term_inputs(spec95, 10 ** 4, 1, 0, table_1e6, threads=0)
     assert calls == []
 
 
-def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):
+def test_to_csv_digit_runs_match_csv_writer(tmp_path, spec95):
     # rows whose n and p gain a digit at different rows, one block apart
     ns = np.array([1, 2, 9, 10, 11, 98, 99, 100, 101, 9_999_999, 10_000_000,
                    10_000_001, 123_456_789_012], dtype=np.int64)
     ps = np.array([2, 3, 5, 7, 97, 101, 9973, 10007, 9_999_991, 10_000_019,
                    99_999_989, 100_000_007, 10 ** 15 + 37], dtype=np.int64)
     for members, witnesses in ((ps, ns), (ps[:0], ns[:0]), (ps[5:6], ns[5:6])):
-        s = sieve.PsPrimeSet(inv95, 10 ** 16, members, witnesses, 0.0)
+        s = sieve.PsPrimeSet(spec95, 10 ** 16, members, witnesses, 0.0)
         path, ref = tmp_path / "ps.csv", tmp_path / "ref.csv"
         s.to_csv(path)
         with open(ref, "w", newline="") as fh:
@@ -642,7 +662,7 @@ def test_to_csv_digit_runs_match_csv_writer(tmp_path, inv95):
         assert path.read_bytes() == ref.read_bytes()
 
 
-def test_to_csv_bytes_do_not_depend_on_witness_dtype(tmp_path, inv95):
+def test_to_csv_bytes_do_not_depend_on_witness_dtype(tmp_path, spec95):
     # int32 and int64 witness columns over rows whose n and p gain digits
     # at different rows, up to n = 2^31 - 1, write the csv.writer bytes
     ns = np.array([1, 9, 10, 99, 100, 101, 999_999, 1_000_000, 99_999_999,
@@ -655,7 +675,7 @@ def test_to_csv_bytes_do_not_depend_on_witness_dtype(tmp_path, inv95):
         wr.writerow(["n_witness_index", "p_prime"])
         wr.writerows(zip(ns.tolist(), ps.tolist()))
     for dtype in (np.int32, np.int64):
-        s = sieve.PsPrimeSet(inv95, 10 ** 16, ps.astype(np.int64), ns.astype(dtype), 0.0)
+        s = sieve.PsPrimeSet(spec95, 10 ** 16, ps.astype(np.int64), ns.astype(dtype), 0.0)
         path = tmp_path / f"{np.dtype(dtype).name}.csv"
         s.to_csv(path)
         assert path.read_bytes() == ref.read_bytes(), dtype
@@ -667,7 +687,7 @@ def test_witnesses_past_2_31_are_int64():
     # each n has its own floor and is its first witness)
     lo, hi = 2 ** 31 - 2000, 2 ** 31 + 2000
     N = floor_h_20_19(hi)
-    got = enumerate_ps_primes(inverse_of(pure_power(20 / 19, x0=lo)), N)
+    got = enumerate_ps_primes(pure_power(20 / 19, x0=lo), N)
     assert got.witnesses.dtype == np.int64
     ns = np.arange(lo, hi + 1)
     vals = np.array([floor_h_20_19(n) for n in ns.tolist()])

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,10 @@ def test_trilinear_even_N_rejected():
     ones = np.ones(6, dtype=complex)
     with pytest.raises(ValueError):
         trilinear_fft(ones, ones, ones)
+    # inputs of different lengths, in either route
+    for form in (trilinear_fft, trilinear_direct):
+        with pytest.raises(ValueError, match="lengths differ"):
+            form(np.ones(5), np.ones(5), np.ones(7))
 
 
 def test_fourier_on_grid_sign_convention():
@@ -213,6 +219,12 @@ def test_sparse_fourier_on_grid():
     want = sum(w * np.exp(2j * np.pi * (p % G) * xs)
                for p, w in zip(positions, weights))
     assert np.max(np.abs(got - want)) < 1e-9
+    for grid in (0, -4):
+        with pytest.raises(ValueError, match="grid_size"):
+            sparse_fourier_on_grid(positions, weights, grid)
+    for pos, w in ((positions, weights[:2]), (positions[None], weights[None])):
+        with pytest.raises(ValueError, match="matching 1-d"):
+            sparse_fourier_on_grid(pos, w, G)
 
 
 def _dense_power_sums(positions, weights, G, r, at):
@@ -287,6 +299,26 @@ def test_grid_power_sums_stacked_rows_bitwise(r, G, monkeypatch, fast_switching)
         grid_power_sums(positions, W, G, r, threads=0)
     with pytest.raises(ValueError):
         grid_power_sums(positions, W[:, :-1], G, r)
+
+
+def test_grid_power_sums_rows_run_off_the_calling_thread(monkeypatch):
+    # at one thread the grid rows run on one pool thread, not inline: on the
+    # main thread restrict's rows fault in fresh pages row after row
+    monkeypatch.setattr(zn_fourier, "_ROW_LENGTH", 64)
+    real, seen = np.fft.ifft, []
+
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    positions = RNG.integers(0, 2 ** 40, 500)
+    W = np.exp(2j * np.pi * RNG.random((2, 500)))
+    want = grid_power_sums(positions, W, 1 << 12, 3.0, threads=2)
+    monkeypatch.setattr(np.fft, "ifft", recording)
+    got = grid_power_sums(positions, W, 1 << 12, 3.0, threads=1)
+    assert len(seen) == 2 * zn_fourier._row_count(1 << 12)
+    assert len(set(seen)) == 1 and threading.get_ident() not in seen
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_row_count():
