@@ -14,11 +14,17 @@ records its wall time (time.perf_counter around the child), and from the
 child's own rusage (os.wait4) its peak RSS, minor page faults and system
 time: ru_maxrss under RUSAGE_CHILDREN is a maximum over every child reaped
 so far, not the child's own.  --config passes one JSON config file to every
-command, for runs at other than the defaults.
+command, for runs at other than the defaults.  A run also records the sha256
+and size of every file it wrote and the sha256 of its stdout; a manifest is
+hashed without its timestamp_utc and config.threads, the two fields that
+change from run to run of the same outputs.
 
 --compare A B reads two such files and prints, for each cell and metric,
 A's and B's medians, A's interquartile range and in how many rounds B read
-lower than A in the same round.
+lower than A in the same round.  It then lists every (command, threads,
+file) whose digests differ between A and B, and every output whose digest
+differs across thread counts or rounds within A or within B, and exits 1 if
+it listed any.
 """
 
 from __future__ import annotations
@@ -39,29 +45,60 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("psgen", "errsweep", "vaughan", "restrict", "roth", "check")
 METRICS = ("wall_s", "maxrss_mb", "minflt", "stime_s")
+# the name under which --compare lists a run's stdout beside its files
+STDOUT = "<stdout>"
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def output_digests(out_dir):
+    """{relative path: {sha256, bytes}} of every file under out_dir; manifests
+    are hashed as sorted-key JSON without timestamp_utc and config.threads."""
+    digests = {}
+    for dirpath, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name.endswith("_manifest.json"):
+                man = json.loads(data)
+                man.pop("timestamp_utc", None)
+                man.get("config", {}).pop("threads", None)
+                data = json.dumps(man, sort_keys=True).encode()
+            digests[os.path.relpath(path, out_dir)] = {
+                "sha256": _sha256(data), "bytes": os.path.getsize(path)}
+    return digests
 
 
 def run_once(src, command, threads, config):
-    """One fresh ``python -m psroth`` run of command: its exit code and metrics."""
+    """One fresh ``python -m psroth`` run of command: its exit code, metrics
+    and output digests."""
     with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
         argv = [sys.executable, "-m", "psroth", command, "--threads", str(threads),
-                "--out-dir", os.path.join(tmp, "out")]
+                "--out-dir", out_dir]
         if config:
             argv += ["--config", config]
         env = dict(os.environ, PYTHONPATH=src)
-        with open(os.path.join(tmp, "stderr.txt"), "w+") as err:
+        with open(os.path.join(tmp, "stderr.txt"), "w+") as err, \
+                open(os.path.join(tmp, "stdout.txt"), "wb+") as out:
             t0 = time.perf_counter()
-            proc = subprocess.Popen(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                                    stderr=err)
+            proc = subprocess.Popen(argv, cwd=tmp, env=env, stdout=out, stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)
             wall = time.perf_counter() - t0
             # wait4 reaped the child, so Popen must not wait for it again
             proc.returncode = os.waitstatus_to_exitcode(status)
             err.seek(0)
             tail = err.read()[-2000:]
+            out.seek(0)
+            stdout_sha256 = _sha256(out.read())
+        outputs = output_digests(out_dir)
     record = {"command": command, "threads": threads, "exit": proc.returncode,
               "wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024,
-              "minflt": usage.ru_minflt, "stime_s": usage.ru_stime}
+              "minflt": usage.ru_minflt, "stime_s": usage.ru_stime,
+              "stdout_sha256": stdout_sha256, "outputs": outputs}
     if proc.returncode:
         record["stderr"] = tail
     return record
@@ -96,14 +133,9 @@ def environment(src):
                                 timeout=10).stdout.strip() or None
     except (OSError, subprocess.TimeoutExpired):
         commit = None
-    versions = {}
-    for pkg in ("numpy", "scipy"):
-        try:
-            versions[pkg] = importlib.metadata.version(pkg)
-        except importlib.metadata.PackageNotFoundError:
-            versions[pkg] = None
     return {"nproc": os.cpu_count(), "cpu_model": model, "platform": platform.platform(),
-            "python": platform.python_version(), **versions,
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
             "commit": commit, "source_sha256": source_digest(src),
             "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
@@ -134,14 +166,49 @@ def bench(args):
     return 1 if failed else 0
 
 
-def _by_cell(path):
-    """{(command, threads): {round: run}} of a bench file."""
+def _runs(path):
     with open(path) as fh:
-        runs = json.load(fh)["runs"]
+        return json.load(fh)["runs"]
+
+
+def _by_cell(runs):
+    """{(command, threads): {round: run}} of a bench file's runs."""
     cells = {}
     for r in runs:
         cells.setdefault((r["command"], r["threads"]), {})[r["round"]] = r
     return cells
+
+
+def _digests(runs):
+    """{(command, threads, file): set of sha256 over the rounds}; stdout is
+    the file STDOUT.  Runs recorded without digests add nothing."""
+    found = {}
+    for r in runs:
+        files = {name: d["sha256"] for name, d in r.get("outputs", {}).items()}
+        if "stdout_sha256" in r:
+            files[STDOUT] = r["stdout_sha256"]
+        for name, digest in files.items():
+            found.setdefault((r["command"], r["threads"], name), set()).add(digest)
+    return found
+
+
+def digest_differences(runs_a, runs_b):
+    """Lines naming each (command, threads, file) whose digests differ between
+    A and B, a file written on one side only included, and each (command,
+    file) whose digest is not one across the threads and rounds of A or of B."""
+    da, db = _digests(runs_a), _digests(runs_b)
+    # cells that only one side ran, or ran without digests, compare nothing
+    both = {key[:2] for key in da} & {key[:2] for key in db}
+    lines = [f"digest differs between A and B: {c} threads {t} {f}"
+             for c, t, f in sorted(da.keys() | db.keys())
+             if (c, t) in both and da.get((c, t, f)) != db.get((c, t, f))]
+    for label, d in (("A", da), ("B", db)):
+        per_file = {}
+        for (c, t, f), digests in d.items():
+            per_file.setdefault((c, f), set()).update(digests)
+        lines += [f"digest differs across threads or rounds in {label}: {c} {f}"
+                  for (c, f), digests in sorted(per_file.items()) if len(digests) > 1]
+    return lines
 
 
 def _iqr(values):
@@ -152,7 +219,8 @@ def _iqr(values):
 
 
 def compare(path_a, path_b):
-    a, b = _by_cell(path_a), _by_cell(path_b)
+    runs_a, runs_b = _runs(path_a), _runs(path_b)
+    a, b = _by_cell(runs_a), _by_cell(runs_b)
     print(f"A = {path_a}\nB = {path_b}")
     print(f"{'command':9s}{'thr':>4s} {'metric':10s}{'median A':>12s}{'median B':>12s}"
           f"{'IQR A':>10s}  B lower")
@@ -164,7 +232,11 @@ def compare(path_a, path_b):
             lower = sum(b[cell][k][m] < a[cell][k][m] for k in rounds)
             print(f"{cell[0]:9s}{cell[1]:4d} {m:10s}{statistics.median(va):12.3f}"
                   f"{statistics.median(vb):12.3f}{_iqr(va):10.3f}  {lower}/{len(rounds)}")
-    return 0
+    diffs = digest_differences(runs_a, runs_b)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} digest differences")
+    return 1 if diffs else 0
 
 
 def main(argv=None):

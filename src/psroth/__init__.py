@@ -11,7 +11,6 @@ from .hfun import (
     FunctionSpec,
     eval_h,
     eval_h_deriv,
-    eval_h_quadrature,
     eval_phi,
     eval_phi_clamped,
     eval_phi_deriv,

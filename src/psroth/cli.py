@@ -2,9 +2,10 @@
 
 Subcommands: psgen, errsweep, vaughan, restrict, roth, check.  Settings come
 from defaults, then an optional JSON config file, then flags (flags win).
-Every run writes its CSV series plus a JSON manifest (config less out_dir,
-seed, config hash, timestamp, and each output's path relative to out_dir and
-its size in bytes); CSV bytes depend only on config+seed.
+Every run writes its CSV series plus a strict JSON manifest (config less
+out_dir, seed, config hash, timestamp, each output's path relative to out_dir
+and its size in bytes, and summary numbers, null where not finite); CSV bytes
+depend only on config+seed.
 -v (repeatable) lowers the logging level; it is not part of the config.
 
 Exit codes: 0 ok, 1 bad config/arguments, 2 resource ceiling, 3 numerical
@@ -134,10 +135,13 @@ def _manifest(name, cfg, outputs, extra=None):
                      "bytes": os.path.getsize(p)} for p in outputs],
     }
     if extra:
-        man["summary"] = extra
+        # strict JSON: a non-finite summary number (a slope with no
+        # positive sups, a ratio over zero mass) is written as null
+        man["summary"] = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                          for k, v in extra.items()}
     path = _out_path(cfg, f"{name.replace(' ', '_')}_manifest.json")
     with open(path, "w") as fh:
-        json.dump(man, fh, indent=1, default=str)
+        json.dump(man, fh, indent=1, default=str, allow_nan=False)
     return path
 
 

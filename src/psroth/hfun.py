@@ -13,9 +13,7 @@ Four kinds cover the standard examples:
     power_explog   h(x) = C * x^c * exp(A * log(x)^B)  vtheta = A*B*log(x)^(B-1)
     iterated_log   h(x) = C * x * l_m(x)               vtheta = 1/(l_1*...*l_m)
 
-where l_m is the m-fold iterated logarithm.  eval_h_quadrature evaluates
-l(x) by adaptive quadrature instead, an independent route to the closed
-forms.
+where l_m is the m-fold iterated logarithm.
 
 Derivatives come from the first-order recursion
 
@@ -238,25 +236,6 @@ def eval_h(spec, x):
     if spec.kind == "power_explog":
         return spec.C_h * x ** spec.c * np.exp(spec.A * np.log(x) ** spec.B)
     return spec.C_h * x * _iterlogs(x, spec.m)[0]
-
-
-def eval_h_quadrature(spec, x):
-    """h(x) through the integral form C * (x/x0)^c * h(x0)-anchored l(x).
-
-    Independent of the closed forms above apart from the anchor h(x0)
-    (adaptive Gauss-Kronrod on vtheta(t)/t), so eval_h is tested against it.
-    """
-    from scipy.integrate import quad
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_hdomain(spec, xs)
-    anchor = float(eval_h(spec, spec.x0))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        integral, _ = quad(lambda t: float(vtheta(spec, t)) / t, spec.x0, xi,
-                           epsabs=1e-12, epsrel=1e-12, limit=200)
-        out[i] = anchor * (xi / spec.x0) ** spec.c * math.exp(integral)
-    return out[0] if scalar else out
 
 
 def _check_hdomain(spec, x):

@@ -113,7 +113,8 @@ def count_3aps(A, N, mode="cyclic"):
     z = np.zeros(M, dtype=complex)
     z[idx] = 1.0
     size = int(idx.size)
-    lam3 = _rounded(zn_fourier.trilinear_fft(z, z, z))
+    F = zn_fourier.dft(z)
+    lam3 = _rounded(zn_fourier._trilinear_from_transforms(F, F, F))
     checked = N <= _BRUTE_MAX_N
     walked = checked or (mode == "integer" and lam3 > size)
     witness = None

@@ -49,17 +49,12 @@ def dft(f):
 def trilinear_fft(f, g, h):
     """sum_{x,d in Z_N} f(x) g(x+d) h(x+2d) through the frequency identity
     N^{-1} sum_xi F[f](xi) F[g](-2xi) F[h](xi); N must be odd so that
-    xi -> -2xi permutes Z_N.  Its distinct inputs are the rows of one
-    transform call (numpy plans each call afresh); a lone one is unstacked."""
+    xi -> -2xi permutes Z_N.  The three inputs are the rows of one transform
+    call (numpy plans each call afresh)."""
     fv, gv, hv = _values(f), _values(g), _values(h)
-    N = _same_length(fv, gv, hv)
-    if N % 2 == 0:
+    if _same_length(fv, gv, hv) % 2 == 0:
         raise ValueError("N must be odd")
-    rows = [fv] + [v for a, v in ((g, gv), (h, hv)) if a is not f]
-    F = np.fft.fft(fv)[None] if len(rows) == 1 else np.fft.fft(np.stack(rows), axis=1)
-    Fg = F[0] if g is f else F[1]
-    Fh = F[0] if h is f else F[-1]
-    return _trilinear_from_transforms(F[0], Fg, Fh)
+    return _trilinear_from_transforms(*np.fft.fft(np.stack((fv, gv, hv)), axis=1))
 
 
 def _trilinear_from_transforms(Ff, Fg, Fh):

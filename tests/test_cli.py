@@ -27,6 +27,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def read_manifest(path):
+    """A manifest parsed as strict JSON: NaN and Infinity are not JSON."""
+    def reject(name):
+        raise ValueError(f"manifest holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def write_config(tmp_path, **kv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(kv))
@@ -217,14 +224,26 @@ def test_errsweep_identity_map_all_zero(tmp_path):
     for row in rows[1:]:
         assert float(row[1]) == 0.0
         assert float(row[4]) == 0.0
-    man = json.loads((tmp_path / "error-term_sweep_manifest.json").read_text())
-    assert math.isnan(man["summary"]["loglog_slope"])
+    # the slope of all-zero sups is not finite, so it is written as null
+    man = read_manifest(tmp_path / "error-term_sweep_manifest.json")
+    assert man["summary"]["loglog_slope"] is None
+
+
+def test_manifest_writes_non_finite_numbers_as_null(tmp_path):
+    # roth's mass_ratio is inf when the window mass is 0; json.dump would
+    # write Infinity, which strict parsers reject
+    cfg = cli.load_config(cli.build_parser().parse_args(["roth", "--out-dir", str(tmp_path)]))
+    path = cli._manifest("transference run", cfg, [],
+                         extra={"mass_ratio": math.inf, "slope": -math.inf, "gap": math.nan,
+                                "witness": (1, 2, 3), "members": 5})
+    assert read_manifest(tmp_path / os.path.basename(path))["summary"] == {
+        "mass_ratio": None, "slope": None, "gap": None, "witness": [1, 2, 3], "members": 5}
 
 
 def test_errsweep_slope_recorded(tmp_path):
     cfg = write_config(tmp_path, N_list=[4096, 16384], grid=256)
     assert run(tmp_path, "errsweep", "--config", cfg, "--gamma", "0.99") == 0
-    man = json.loads((tmp_path / "error-term_sweep_manifest.json").read_text())
+    man = read_manifest(tmp_path / "error-term_sweep_manifest.json")
     assert float(man["summary"]["loglog_slope"]) < 1.0
 
 
@@ -355,7 +374,7 @@ def test_roth_full_pipeline(tmp_path):
     assert n == 2000
     assert 2 * n / m <= N <= 4 * n // m
     assert int(row["lam3_ordered"]) >= int(row["set_size"])
-    man = json.loads((tmp_path / "transference_run_manifest.json").read_text())
+    man = read_manifest(tmp_path / "transference_run_manifest.json")
     assert man["summary"]["mass_ratio"] == pytest.approx(1.0)
 
 
@@ -419,6 +438,24 @@ def test_verbose_shows_enumeration_log_line(tmp_path):
     assert "members below small-p threshold" in err[1]
     assert "psroth.sieve" in err[1]
     assert err[0] == ""
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: in a fresh process where every
+    # scipy import fails, each command runs through cli.main and exits 0
+    cfg = write_config(tmp_path, N=2000, N_list=[1000, 2000], grid=256, P=200,
+                       draws=2, trials=2)
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from psroth.cli import COMMANDS, main\n"
+            "for cmd in sorted(COMMANDS):\n"
+            f"    print(cmd, main([cmd, '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psroth.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = dict(line.split() for line in proc.stdout.splitlines()
+                 if line.split()[0] in cli.COMMANDS and len(line.split()) == 2)
+    assert codes == {cmd: "0" for cmd in cli.COMMANDS}, proc.stdout + proc.stderr
 
 
 def test_errsweep_reads_no_dense_mangoldt_array(tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ORACLES = {
     "mangoldt": "scalar Lambda(n) by trial division, the oracle for sieve.prime_powers",
     "mobius": "scalar mu(n) by trial division, the oracle for sieve.mobius_array",
-    "eval_h_quadrature": "h by numerical integration, the oracle for its closed forms",
     "count_in_class": "weighted class counts: acceptance criterion 4's residue classes "
                       "and the error-term tests' second route for route one at xi = 0",
     "example_specs": "the five worked function families of acceptance criterion 2",

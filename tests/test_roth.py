@@ -133,16 +133,18 @@ def test_integer_progression_free_above_brute_range(monkeypatch):
 
 
 def test_fft_count_off_integer_raises(monkeypatch):
-    exact = zn_fourier.trilinear_fft
+    exact = zn_fourier._trilinear_from_transforms
     A = np.flatnonzero(np.random.default_rng(4).random(5000) < 0.02)
     # off an integer by 0.5: the rounding guard of the frequency route
-    monkeypatch.setattr(zn_fourier, "trilinear_fft", lambda f, g, h: exact(f, g, h) + 0.5)
+    monkeypatch.setattr(zn_fourier, "_trilinear_from_transforms",
+                        lambda f, g, h: exact(f, g, h) + 0.5)
     with pytest.raises(NumericalError, match="not near an integer"):
         count_3aps(A, 5000, mode="integer")
     with pytest.raises(NumericalError, match="not near an integer"):
         count_3aps(A[A < 1000], 1000, mode="integer")
     # off by 1.0 passes the rounding guard, so the walk's cross-check catches it
-    monkeypatch.setattr(zn_fourier, "trilinear_fft", lambda f, g, h: exact(f, g, h) + 1.0)
+    monkeypatch.setattr(zn_fourier, "_trilinear_from_transforms",
+                        lambda f, g, h: exact(f, g, h) + 1.0)
     for N, mode in ((999, "cyclic"), (4095, "cyclic"), (1000, "integer"), (4096, "integer")):
         with pytest.raises(NumericalError, match="routes disagree"):
             count_3aps(A[A < N], N, mode=mode)

@@ -156,12 +156,12 @@ def test_trilinear_fft_one_call_per_form(N, monkeypatch):
         return fft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", recording)
-    for args, shape in (((f, f, f), (N,)), ((f, g, f), (2, N)),
-                        ((f, f, h), (2, N)), ((f, g, h), (3, N))):
+    for args in ((f, f, f), (f, g, f), (f, f, h), (f, g, h)):
         shapes.clear()
         got = trilinear_fft(*args)
-        # one call, on the distinct inputs only, and rows bitwise the single-call transforms
-        assert shapes == [shape], args
+        # one call on the three inputs stacked, repeats included, and rows
+        # bitwise the single-call transforms
+        assert shapes == [(3, N)], args
         Ff, Fg, Fh = (F[id(v)] for v in args)
         assert got == complex(np.sum(Ff * Fg[idx] * Fh) / N)
 
